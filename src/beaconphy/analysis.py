@@ -9,6 +9,7 @@ from its recorded configuration.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from multiprocessing import Pool
 
@@ -25,6 +26,7 @@ from .reed_solomon import (
     bits_to_symbols,
     rs_decode,
     rs_encode,
+    rs_screen,
     symbols_to_bits,
 )
 from .scrambler import ScramblerSpec, keystream
@@ -191,6 +193,8 @@ class RsLink:
     """
 
     def __init__(self, k: int, frame_bits: int = DEFAULT_FRAME_BITS):
+        if frame_bits <= 0:
+            raise ValueError("frame_bits must be positive")
         self.spec = RsSpec(k)
         self.frame_bits = frame_bits
         msg_symbols = -(-frame_bits // SYMBOL_BITS)
@@ -205,33 +209,26 @@ class RsLink:
 
     def encode(self, msgs: np.ndarray) -> np.ndarray:
         nframes = msgs.shape[0]
-        k = self.spec.k
         padded = np.zeros((nframes, self.padded_symbols * SYMBOL_BITS), dtype=np.uint8)
         padded[:, : self.frame_bits] = msgs
-        syms = bits_to_symbols(padded)
-        out = np.empty((nframes, self.blocks * N_SYMBOLS), dtype=np.uint8)
-        for fi in range(nframes):
-            for blk in range(self.blocks):
-                out[fi, blk * N_SYMBOLS : (blk + 1) * N_SYMBOLS] = rs_encode(
-                    self.spec, syms[fi, blk * k : (blk + 1) * k]
-                )
-        return symbols_to_bits(out)
+        syms = bits_to_symbols(padded).reshape(nframes, self.blocks, self.spec.k)
+        return symbols_to_bits(rs_encode(self.spec, syms).reshape(nframes, -1))
 
     def decode(self, y: np.ndarray, params: ChannelParams):
-        k = self.spec.k
-        hard = (y > params.amplitude / 2.0).astype(np.uint8)
-        syms = bits_to_symbols(hard)
+        """Screen every block at once; only blocks with a nonzero syndrome
+        go through rs_decode.  A failed block decodes to zero symbols."""
         nframes = y.shape[0]
-        msg_syms = np.zeros((nframes, self.padded_symbols), dtype=np.uint8)
+        hard = (y > params.amplitude / 2.0).astype(np.uint8)
+        words = bits_to_symbols(hard).reshape(nframes, self.blocks, N_SYMBOLS)
+        msg_syms = words[..., : self.spec.k].copy()
         failed = np.zeros(nframes, dtype=bool)
-        for fi in range(nframes):
-            for blk in range(self.blocks):
-                dec = rs_decode(self.spec, syms[fi, blk * N_SYMBOLS : (blk + 1) * N_SYMBOLS])
-                if dec is None:
-                    failed[fi] = True
-                else:
-                    msg_syms[fi, blk * k : (blk + 1) * k] = dec
-        bits = symbols_to_bits(msg_syms)[:, : self.frame_bits]
+        for fi, blk in zip(*np.nonzero(rs_screen(self.spec, words))):
+            dec = rs_decode(self.spec, words[fi, blk])
+            if dec is None:
+                failed[fi] = True
+                dec = 0
+            msg_syms[fi, blk] = dec
+        bits = symbols_to_bits(msg_syms.reshape(nframes, -1))[:, : self.frame_bits]
         return bits, failed
 
 
@@ -239,6 +236,8 @@ class UncodedLink:
     """Raw OOK reference: no coding, hard threshold at A/2."""
 
     def __init__(self, frame_bits: int = DEFAULT_FRAME_BITS):
+        if frame_bits <= 0:
+            raise ValueError("frame_bits must be positive")
         self.frame_bits = frame_bits
         self.tx_bits = frame_bits
         self.name = "uncoded"
@@ -278,10 +277,21 @@ def _run_batch_args(args):
     return _run_batch(*args)
 
 
-def _run_point(link, ebn0_db, params, min_errors, max_frames, master_seed, batch, pool):
+def _imap_bounded(pool, tasks, depth: int):
+    """pool.imap over tasks in order, with at most depth tasks submitted ahead."""
+    pending = deque()
+    for task in tasks:
+        pending.append(pool.apply_async(_run_batch_args, (task,)))
+        if len(pending) >= depth:
+            yield pending.popleft().get()
+    while pending:
+        yield pending.popleft().get()
+
+
+def _run_point(link, ebn0_db, params, min_errors, max_frames, master_seed, batch, pool, workers):
     spans = [(lo, min(lo + batch, max_frames)) for lo in range(0, max_frames, batch)]
     tasks = ((link, params, lo, hi, master_seed) for lo, hi in spans)
-    results = map(_run_batch_args, tasks) if pool is None else pool.imap(_run_batch_args, tasks)
+    results = map(_run_batch_args, tasks) if pool is None else _imap_bounded(pool, tasks, workers)
     bits = errors = frames = frame_errors = 0
     for nbits, nerr, nframes, nferr in results:
         bits += nbits
@@ -308,8 +318,10 @@ def run_ber_experiment(
 
     Frames are consumed in whole batches in index order, so the simulated
     set of frames (and hence every count) does not depend on the worker
-    count.  The sweep ends early once a point collects zero errors, since
-    every later point would only be quieter.
+    count.  With workers > 1 at most `workers` batches are in flight, so
+    few batches are computed past a point's error stop.  The sweep ends
+    early once a point collects zero errors, since every later point would
+    only be quieter.
     """
     if min_errors <= 0 or max_frames <= 0 or batch <= 0:
         raise ValueError("min_errors, max_frames and batch must be positive")
@@ -318,7 +330,8 @@ def run_ber_experiment(
     def sweep(pool):
         for db in ebn0_db_points:
             params = ChannelParams.from_ebn0_db(db, link.rate, amplitude)
-            point = _run_point(link, db, params, min_errors, max_frames, master_seed, batch, pool)
+            point = _run_point(link, db, params, min_errors, max_frames, master_seed, batch,
+                               pool, workers)
             points.append(point)
             if point.bit_errors == 0:
                 break

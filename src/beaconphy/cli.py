@@ -191,7 +191,7 @@ def cmd_simulate_dist(args) -> int:
                     scrambler=scrambler,
                 )
                 rows = ["frame_index,ones_fraction"]
-                rows += [f"{i},{v!r}" for i, v in enumerate(stats.samples)]
+                rows += [f"{i},{float(v)!r}" for i, v in enumerate(stats.samples)]
                 name = f"dist_{enc}_{scr}_{n_bits}x{k_bits}.csv"
                 _write_lines(os.path.join(out_dir, name), rows)
                 summary.append(

@@ -7,8 +7,13 @@ r evaluates as r[0] x^14 + ... + r[14].  Encoding is systematic with the
 message in the first k positions.  The generator polynomial has roots
 alpha^1 .. alpha^(n-k).
 
-Decoding: syndromes, Berlekamp-Massey, Chien search, Forney.  A detected
-uncorrectable word is reported as None; that is a value, not a fault.
+Bulk work is done on arrays of any leading shape: rs_encode is one lookup
+in a 16x16 multiplication table against a k x (n-k) parity matrix followed
+by an XOR reduction, and rs_screen marks the words with a nonzero syndrome
+in one gather from a table of nibble-packed syndromes.  Only those dirty
+words need rs_decode, the per-word decoder: syndromes, Berlekamp-Massey,
+Chien search, Forney, all on table lookups.  A detected uncorrectable word
+is reported as None; that is a value, not a fault.
 """
 
 from __future__ import annotations
@@ -34,42 +39,50 @@ def _build_tables():
         if x & 0x10:
             x ^= _PRIM_POLY
     exp[15:] = exp[:15]
-    return exp, log
+    mul = [[0] * 16 for _ in range(16)]
+    for a in range(1, 16):
+        for b in range(1, 16):
+            mul[a][b] = exp[log[a] + log[b]]
+    return exp, log, mul
 
 
-_EXP, _LOG = _build_tables()
+_EXP, _LOG, _MUL = _build_tables()
+_INV = [0] + [_EXP[15 - _LOG[a]] for a in range(1, 16)]
+_MUL_NP = np.array(_MUL, dtype=np.uint8)
+
+
+def _packed(exponents: np.ndarray) -> list[list[int]]:
+    """Row r, symbol s: s * alpha^exponents[r, i] in nibble i, for every i."""
+    values = _MUL_NP[np.arange(16)[:, None], np.array(_EXP)[exponents % 15][:, None, :]]
+    return (values.astype(np.int64) << 4 * np.arange(exponents.shape[1])).sum(axis=-1).tolist()
+
+
+# Syndromes packed as nibbles: S_j occupies bits 4(j-1) .. 4j-1 for
+# j = 1 .. 12.  _SYN[p][s] holds S_1 .. S_12 of symbol s alone at position p,
+# that is s * alpha^(j (14 - p)); a word's packed syndromes are the XOR of
+# its 15 entries, since GF(16) addition is XOR.
+_MAX_SYN = 12
+_SYN = _packed(np.outer(N_SYMBOLS - 1 - np.arange(N_SYMBOLS), np.arange(1, _MAX_SYN + 1)))
+_SYN_NP = np.array(_SYN, dtype=np.int64)
+_POSITIONS = np.arange(N_SYMBOLS)
+# _EVAL[i][c] packs c * alpha^(-i d) for d = 0 .. 14 as nibbles, so XOR-ing
+# _EVAL[i][poly[i]] over an ascending polynomial evaluates it at every Chien
+# point alpha^-d at once; nibble d is the value at alpha^-d.
+_EVAL = _packed(-np.outer(np.arange(_MAX_SYN), np.arange(N_SYMBOLS)))
 
 
 def gf_mul(a: int, b: int) -> int:
-    if a == 0 or b == 0:
-        return 0
-    return _EXP[_LOG[a] + _LOG[b]]
+    return _MUL[a][b]
 
 
 def gf_inv(a: int) -> int:
     if a == 0:
         raise ZeroDivisionError("zero has no inverse in GF(16)")
-    return _EXP[15 - _LOG[a]]
+    return _INV[a]
 
 
 def gf_div(a: int, b: int) -> int:
-    return gf_mul(a, gf_inv(b))
-
-
-def _eval_desc(poly, x: int) -> int:
-    # poly[0] is the highest-degree coefficient
-    acc = 0
-    for c in poly:
-        acc = gf_mul(acc, x) ^ c
-    return acc
-
-
-def _eval_asc(poly, x: int) -> int:
-    # poly[i] is the coefficient of x^i
-    acc = 0
-    for c in reversed(poly):
-        acc = gf_mul(acc, x) ^ c
-    return acc
+    return _MUL[a][gf_inv(b)]
 
 
 @dataclass(frozen=True)
@@ -89,6 +102,11 @@ class RsSpec:
     def t(self) -> int:
         return (self.n - self.k) // 2
 
+    @property
+    def syndrome_mask(self) -> int:
+        """Selects S_1 .. S_(n-k) from a packed syndrome integer."""
+        return (1 << 4 * (self.n - self.k)) - 1
+
 
 @lru_cache(maxsize=8)
 def generator_poly(n_minus_k: int) -> tuple[int, ...]:
@@ -99,56 +117,83 @@ def generator_poly(n_minus_k: int) -> tuple[int, ...]:
         nxt = [0] * (len(g) + 1)
         for j, c in enumerate(g):
             nxt[j] ^= c
-            nxt[j + 1] ^= gf_mul(c, root)
+            nxt[j + 1] ^= _MUL[c][root]
         g = nxt
     return tuple(g)
 
 
-def _check_symbols(spec: RsSpec, word, expected_len: int) -> list[int]:
-    arr = list(int(s) for s in word)
-    if len(arr) != expected_len:
-        raise ValueError(f"expected {expected_len} symbols, got {len(arr)}")
-    if any(not 0 <= s < 16 for s in arr):
+@lru_cache(maxsize=8)
+def _parity_matrix(k: int) -> np.ndarray:
+    """Row i is the parity of the unit message e_i; encoding is linear over GF(16)."""
+    gen = generator_poly(N_SYMBOLS - k)
+    rows = []
+    for i in range(k):
+        rem = [0] * N_SYMBOLS
+        rem[i] = 1
+        for a in range(k):
+            coef = rem[a]
+            if coef:
+                for j in range(1, len(gen)):
+                    rem[a + j] ^= _MUL[gen[j]][coef]
+        rows.append(rem[k:])
+    return np.array(rows, dtype=np.uint8)
+
+
+def _check_symbols(symbols, expected_len: int) -> np.ndarray:
+    arr = np.asarray(symbols)
+    if arr.ndim == 0 or arr.shape[-1] != expected_len:
+        got = arr.shape[-1] if arr.ndim else 0
+        raise ValueError(f"expected {expected_len} symbols, got {got}")
+    if arr.size and (arr.min() < 0 or arr.max() > 15):
         raise ValueError("symbols must lie in [0, 16)")
-    return arr
+    return arr.astype(np.uint8, copy=False)
 
 
 def rs_encode(spec: RsSpec, msg) -> np.ndarray:
-    """Systematic encode of k message symbols into an n-symbol codeword."""
-    msg = _check_symbols(spec, msg, spec.k)
-    gen = generator_poly(spec.n - spec.k)
-    rem = msg + [0] * (spec.n - spec.k)
-    for i in range(spec.k):
-        coef = rem[i]
-        if coef:
-            for j in range(1, len(gen)):
-                rem[i + j] ^= gf_mul(gen[j], coef)
-    return np.array(msg + rem[spec.k:], dtype=np.uint8)
+    """Systematic encode of (..., k) message symbols into (..., n) codewords."""
+    msg = _check_symbols(msg, spec.k)
+    prods = _MUL_NP[msg[..., :, None], _parity_matrix(spec.k)]
+    return np.concatenate([msg, np.bitwise_xor.reduce(prods, axis=-2)], axis=-1)
 
 
-def _berlekamp_massey(synd: list[int], nsyn: int) -> list[int]:
-    # returns the connection polynomial, ascending coefficients, C[0] = 1
+def rs_screen(spec: RsSpec, words) -> np.ndarray:
+    """True where a (..., n) received word has a nonzero syndrome."""
+    words = _check_symbols(words, spec.n)
+    packed = np.bitwise_xor.reduce(_SYN_NP[_POSITIONS, words], axis=-1)
+    return (packed & spec.syndrome_mask) != 0
+
+
+def _berlekamp_massey(synd: list[int]) -> list[int]:
+    # returns the connection polynomial, ascending coefficients, C[0] = 1;
+    # B is kept at its degree, which never exceeds its length L
+    nsyn = len(synd)
     C = [1] + [0] * nsyn
-    B = [1] + [0] * nsyn
+    B = [1]
     L, m, b = 0, 1, 1
-    for n in range(nsyn):
-        d = synd[n]
+    for r in range(nsyn):
+        d = synd[r]
         for i in range(1, L + 1):
-            d ^= gf_mul(C[i], synd[n - i])
+            d ^= _MUL[C[i]][synd[r - i]]
         if d == 0:
             m += 1
-        elif 2 * L <= n:
-            T = C[:]
-            coef = gf_div(d, b)
-            for i in range(nsyn + 1 - m):
-                C[i + m] ^= gf_mul(coef, B[i])
-            L, B, b, m = n + 1 - L, T, d, 1
+            continue
+        T = C[: L + 1]
+        row = _MUL[_MUL[d][_INV[b]]]
+        for i, c in enumerate(B):
+            C[i + m] ^= row[c]
+        if 2 * L <= r:
+            L, B, b, m = r + 1 - L, T, d, 1
         else:
-            coef = gf_div(d, b)
-            for i in range(nsyn + 1 - m):
-                C[i + m] ^= gf_mul(coef, B[i])
             m += 1
     return C[: L + 1]
+
+
+def _eval_all(poly) -> int:
+    # poly[i] is the coefficient of x^i; nibble d of the result is poly(alpha^-d)
+    acc = 0
+    for i, c in enumerate(poly):
+        acc ^= _EVAL[i][c]
+    return acc
 
 
 def rs_decode(spec: RsSpec, recv):
@@ -158,43 +203,51 @@ def rs_decode(spec: RsSpec, recv):
     locator (wrong root count, zero derivative, or residual syndromes after
     correction) reports failure instead of a wrong answer.
     """
-    recv = _check_symbols(spec, recv, spec.n)
+    recv = _check_symbols(recv, spec.n).tolist()
     nsyn = spec.n - spec.k
-    synd = [_eval_desc(recv, _EXP[m]) for m in range(1, nsyn + 1)]
-    if not any(synd):
+    mask = spec.syndrome_mask
+    packed = 0
+    for p, s in enumerate(recv):
+        packed ^= _SYN[p][s]
+    packed &= mask
+    if not packed:
         return np.array(recv[: spec.k], dtype=np.uint8)
 
-    sigma = _berlekamp_massey(synd, nsyn)
+    synd = [(packed >> 4 * j) & 15 for j in range(nsyn)]
+    sigma = _berlekamp_massey(synd)
     n_errors = len(sigma) - 1
     if n_errors == 0 or n_errors > spec.t:
         return None
 
-    # Chien search: X = alpha^(14 - p) locates an error at position p
-    positions, x_invs = [], []
-    for d in range(spec.n):
-        x_inv = _EXP[(15 - d) % 15]
-        if _eval_asc(sigma, x_inv) == 0:
-            positions.append(spec.n - 1 - d)
-            x_invs.append(x_inv)
-    if len(positions) != n_errors:
+    # Chien search: a root alpha^-d locates an error at position 14 - d
+    values = _eval_all(sigma)
+    roots = [d for d in range(spec.n) if not (values >> 4 * d) & 15]
+    if len(roots) != n_errors:
         return None
 
-    # Forney: omega = S(x) sigma(x) mod x^nsyn with S(x) = S_1 + S_2 x + ...
-    omega = [0] * nsyn
-    for i, s in enumerate(synd):
-        for j, c in enumerate(sigma):
-            if i + j < nsyn:
-                omega[i + j] ^= gf_mul(s, c)
+    # Forney: omega = S(x) sigma(x) with S(x) = S_1 + S_2 x + ..., taken
+    # mod x^n_errors: a correctable pattern has deg omega < n_errors, and
+    # any other word fails the residual check whatever omega says
+    omega = [0] * n_errors
+    for i, s in enumerate(synd[:n_errors]):
+        row = _MUL[s]
+        for j, c in enumerate(sigma[: n_errors - i]):
+            omega[i + j] ^= row[c]
     deriv = [sigma[i] if i % 2 == 1 else 0 for i in range(1, len(sigma))]
+    omega_values, deriv_values = _eval_all(omega), _eval_all(deriv)
 
     corrected = recv[:]
-    for pos, x_inv in zip(positions, x_invs):
-        den = _eval_asc(deriv, x_inv)
+    for d in roots:
+        den = (deriv_values >> 4 * d) & 15
         if den == 0:
             return None
-        corrected[pos] ^= gf_div(_eval_asc(omega, x_inv), den)
+        pos = spec.n - 1 - d
+        err = _MUL[(omega_values >> 4 * d) & 15][_INV[den]]
+        corrected[pos] ^= err
+        packed ^= _SYN[pos][err]
 
-    if any(_eval_desc(corrected, _EXP[m]) for m in range(1, nsyn + 1)):
+    # S(r + e) = S(r) + S(e), so the residual needs only the error symbols
+    if packed & mask:
         return None
     return np.array(corrected[: spec.k], dtype=np.uint8)
 

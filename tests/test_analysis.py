@@ -18,6 +18,7 @@ from beaconphy.analysis import (
     mftp_check,
     run_ber_experiment,
     run_dist_experiment,
+    _run_point,
 )
 from beaconphy.channel import ChannelParams, modulate_ook
 from beaconphy.polar_construction import construct
@@ -288,3 +289,44 @@ def test_mftp_check_values():
         mftp_check(0, 200e3)
     with pytest.raises(ValueError):
         mftp_check(100, 0.0)
+
+
+class _CountingPool:
+    """Runs each submitted task at once and records how far submission ran
+    ahead of consumption."""
+
+    def __init__(self):
+        self.submitted = self.consumed = self.max_ahead = 0
+
+    def apply_async(self, func, args):
+        self.submitted += 1
+        self.max_ahead = max(self.max_ahead, self.submitted - self.consumed)
+        pool, value = self, func(*args)
+
+        class Result:
+            def get(self):
+                pool.consumed += 1
+                return value
+
+        return Result()
+
+
+def test_run_point_keeps_at_most_workers_batches_in_flight():
+    link = UncodedLink()
+    params = ChannelParams.from_ebn0_db(11.0, link.rate)
+    serial = _run_point(link, 11.0, params, 40, 4000, 777, 250, None, 1)
+    for workers in (2, 3):
+        pool = _CountingPool()
+        pooled = _run_point(link, 11.0, params, 40, 4000, 777, 250, pool, workers)
+        assert pooled == serial
+        assert serial.frames_sent < 4000
+        assert pool.max_ahead <= workers
+        assert pool.submitted <= pool.consumed + workers - 1
+
+
+def test_links_reject_nonpositive_frame_bits():
+    for bits in (0, -8):
+        with pytest.raises(ValueError):
+            RsLink(7, frame_bits=bits)
+        with pytest.raises(ValueError):
+            UncodedLink(frame_bits=bits)

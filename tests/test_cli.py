@@ -164,6 +164,25 @@ def test_simulate_dist_outputs_and_rerun(tmp_path, monkeypatch, capsys):
     assert summary1 == summary2
 
 
+def test_simulate_dist_rows_are_plain_numbers(tmp_path, monkeypatch, capsys):
+    out = str(tmp_path / "p")
+    code, _, _ = run_cli(
+        ["simulate-dist", "--sizes", "32:16", "--encoders", "nspe,systematic",
+         "--frames", "60", "--out-dir", out],
+        monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0
+    summary = open(os.path.join(out, "summary.csv")).read().splitlines()
+    assert len(summary) == 5
+    for line in summary[1:]:
+        enc, scr, n, k, _, frames, lo, hi, mean = line.split(",")
+        rows = open(os.path.join(out, f"dist_{enc}_{scr}_{n}x{k}.csv")).read().splitlines()
+        assert rows[0] == "frame_index,ones_fraction" and len(rows) == int(frames) + 1
+        values = [float(row.split(",")[1]) for row in rows[1:]]
+        assert min(values) == float(lo) and max(values) == float(hi)
+        weight = sum(round(v * int(n)) for v in values)
+        assert weight / (int(frames) * int(n)) == float(mean)
+
+
 def test_simulate_dist_both_writes_two_files(tmp_path, monkeypatch, capsys):
     out = str(tmp_path / "d")
     code, _, _ = run_cli(
@@ -210,6 +229,15 @@ def test_simulate_ber_rejects_unknown_code(tmp_path, monkeypatch, capsys):
         ["simulate-ber", "--codes", "turbo", "--out", str(tmp_path / "x.csv")],
         monkeypatch=monkeypatch, capsys=capsys)
     assert code == 2 and "unknown code" in err
+
+
+@pytest.mark.parametrize("code_name", ["rs15_7", "uncoded", "polar"])
+def test_simulate_ber_rejects_zero_frame_bits(tmp_path, monkeypatch, capsys, code_name):
+    code, _, err = run_cli(
+        ["simulate-ber", "--codes", code_name, "--K", "0", "--ebn0", "10:1:10",
+         "--max-frames", "10", "--out", str(tmp_path / "x.csv")],
+        monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and err.startswith("error: ")
 
 
 def test_mftp_output(monkeypatch, capsys):

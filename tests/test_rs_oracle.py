@@ -1,0 +1,111 @@
+"""The table-driven RS codec and the batched RsLink against the scalar oracle.
+
+rs_oracle.py is the earlier scalar encoder and decoder with its own GF(16)
+tables; it shares no code with beaconphy.reed_solomon.
+"""
+
+import numpy as np
+import pytest
+
+import rs_oracle
+from beaconphy.analysis import RsLink
+from beaconphy.channel import ChannelParams
+from beaconphy.reed_solomon import RsSpec, rs_decode, rs_encode, rs_screen
+
+KS = (11, 7, 3)
+CODEWORDS = 3000
+RANDOM_WORDS = 1000
+
+
+def _received_words(k: int, seed: int) -> np.ndarray:
+    """Codewords with 0..9 random symbol errors, then uniform random words."""
+    rng = np.random.default_rng(seed)
+    spec = rs_oracle.RsSpec(k)
+    words = []
+    for _ in range(CODEWORDS):
+        cw = rs_oracle.rs_encode(spec, rng.integers(0, 16, k))
+        nerr = int(rng.integers(0, 10))
+        pos = rng.choice(15, nerr, replace=False)
+        cw[pos] ^= rng.integers(1, 16, nerr).astype(np.uint8)
+        words.append(cw)
+    words = np.array(words, dtype=np.uint8)
+    return np.concatenate([words, rng.integers(0, 16, (RANDOM_WORDS, 15), dtype=np.uint8)])
+
+
+@pytest.mark.parametrize("k", KS)
+def test_decode_and_screen_agree_with_oracle(k):
+    spec, ref_spec = RsSpec(k), rs_oracle.RsSpec(k)
+    words = _received_words(k, 1000 + k)
+    dirty = rs_screen(spec, words)
+    outcomes = {"clean": 0, "corrected": 0, "failed": 0}
+    for word, flag in zip(words, dirty):
+        assert flag == rs_oracle.has_nonzero_syndrome(ref_spec, word), word
+        got, ref = rs_decode(spec, word), rs_oracle.rs_decode(ref_spec, word)
+        if ref is None:
+            assert got is None, word
+            outcomes["failed"] += 1
+        else:
+            assert got is not None and got.dtype == np.uint8, word
+            assert np.array_equal(got, ref), word
+            outcomes["corrected" if flag else "clean"] += 1
+    # every branch of the decoder is exercised
+    assert min(outcomes.values()) > 50, outcomes
+
+
+@pytest.mark.parametrize("k", KS)
+def test_batched_encode_matches_oracle(k):
+    rng = np.random.default_rng(2000 + k)
+    msgs = rng.integers(0, 16, (40, 6, k))
+    got = rs_encode(RsSpec(k), msgs)
+    assert got.shape == (40, 6, 15) and got.dtype == np.uint8
+    ref_spec = rs_oracle.RsSpec(k)
+    for f in range(40):
+        for b in range(6):
+            assert np.array_equal(got[f, b], rs_oracle.rs_encode(ref_spec, msgs[f, b]))
+
+
+def test_batched_encode_validation():
+    spec = RsSpec(7)
+    with pytest.raises(ValueError):
+        rs_encode(spec, np.zeros((4, 3, 6), dtype=np.uint8))
+    with pytest.raises(ValueError):
+        rs_encode(spec, np.full((4, 7), 16))
+    with pytest.raises(ValueError):
+        rs_encode(spec, np.full((4, 7), -1))
+    with pytest.raises(ValueError):
+        rs_screen(spec, np.zeros((2, 14), dtype=np.uint8))
+
+
+def _oracle_link_decode(k: int, y: np.ndarray, amplitude: float):
+    """Per-block scalar decoding with the packing written out independently."""
+    spec = rs_oracle.RsSpec(k)
+    hard = (y > amplitude / 2.0).astype(np.int64)
+    syms = hard.reshape(len(y), -1, 4) @ np.array([8, 4, 2, 1])
+    blocks = syms.shape[1] // 15
+    msg_syms = np.zeros((len(y), blocks * k), dtype=np.int64)
+    failed = np.zeros(len(y), dtype=bool)
+    for f in range(len(y)):
+        for b in range(blocks):
+            dec = rs_oracle.rs_decode(spec, syms[f, b * 15 : (b + 1) * 15])
+            if dec is None:
+                failed[f] = True
+            else:
+                msg_syms[f, b * k : (b + 1) * k] = dec
+    bits = (msg_syms[..., None] >> np.array([3, 2, 1, 0])) & 1
+    return bits.reshape(len(y), -1).astype(np.uint8), failed
+
+
+@pytest.mark.parametrize("k", KS)
+def test_rs_link_decode_matches_oracle_loop(k):
+    link = RsLink(k)
+    params = ChannelParams.from_ebn0_db(12.0, link.rate)
+    rng = np.random.default_rng(3000 + k)
+    msgs = rng.integers(0, 2, (150, link.frame_bits), dtype=np.uint8)
+    tx = link.encode(msgs)
+    y = tx * params.amplitude + rng.normal(0.0, params.sigma, tx.shape)
+    hat, failed = link.decode(y, params)
+    ref_hat, ref_failed = _oracle_link_decode(k, y, params.amplitude)
+    assert np.array_equal(failed, ref_failed)
+    assert np.array_equal(hat, ref_hat[:, : link.frame_bits])
+    # 12 dB is below every crossing: some frames fail, yet blocks still decode
+    assert failed.any() and hat.any()
