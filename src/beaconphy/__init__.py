@@ -5,11 +5,11 @@ baselines, and reproducible Monte-Carlo experiments over an AWGN channel.
 """
 
 from . import analysis, bitstream, channel, polar_codec, polar_construction, reed_solomon, scrambler
-from .channel import ChannelParams, RngStream, add_awgn, llr_demap, modulate_ook
+from .channel import ChannelParams, RngStream, llr_demap, modulate_ook
 from .polar_codec import encode_nspe, encode_systematic, polar_transform, sc_decode
 from .polar_construction import PolarSpec, bhattacharyya_profile, construct
 from .reed_solomon import RsSpec, rs_decode, rs_encode
-from .scrambler import ScramblerSpec, descramble, keystream, scramble
+from .scrambler import ScramblerSpec, keystream, scramble
 
 __version__ = "0.1.0"
 
@@ -19,13 +19,11 @@ __all__ = [
     "RngStream",
     "RsSpec",
     "ScramblerSpec",
-    "add_awgn",
     "analysis",
     "bhattacharyya_profile",
     "bitstream",
     "channel",
     "construct",
-    "descramble",
     "encode_nspe",
     "encode_systematic",
     "keystream",

@@ -51,8 +51,18 @@ class InputBiasModel:
         if not 0.0 <= self.ones_ratio <= 1.0:
             raise ValueError("ones_ratio must lie in [0, 1]")
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return (rng.random(n) < self.ones_ratio).astype(np.uint8)
+
+def _draw_frames(master_seed: int, lo: int, hi: int, n_bits: int, p_one: float,
+                 noise_bits: int = 0, sigma: float = 0.0):
+    """Frames lo .. hi-1, one row each: n_bits bits (u < p_one), then noise_bits normals."""
+    msgs = np.empty((hi - lo, n_bits), dtype=np.uint8)
+    noise = np.empty((hi - lo, noise_bits), dtype=np.float64)
+    for i, f in enumerate(range(lo, hi)):
+        gen = RngStream(master_seed, f).generator()
+        msgs[i] = gen.random(n_bits) < p_one
+        if noise_bits:
+            noise[i] = gen.normal(0.0, sigma, noise_bits)
+    return msgs, noise
 
 
 @dataclass
@@ -116,19 +126,14 @@ def run_dist_experiment(
     max_run = 0
     for lo in range(0, frames, batch):
         hi = min(lo + batch, frames)
-        msgs = np.empty((hi - lo, spec.K), dtype=np.uint8)
-        for i, f in enumerate(range(lo, hi)):
-            msgs[i] = bias.sample(RngStream(master_seed, f).generator(), spec.K)
+        msgs, _ = _draw_frames(master_seed, lo, hi, spec.K, bias.ones_ratio)
         if ks is not None:
             msgs ^= ks
         x = enc(spec, msgs)
         w = x.sum(axis=1, dtype=np.int64)
         hist += np.bincount(w, minlength=spec.N + 1)
         samples[lo:hi] = w / spec.N
-        for row in x:
-            run = bitstream.max_run_length(row)
-            if run > max_run:
-                max_run = run
+        max_run = max(max_run, bitstream.max_run_length(x))
     return DistStats(
         encoder=encoder,
         scrambled=scrambled,
@@ -159,10 +164,10 @@ class PolarLink:
     """Scrambler plus non-systematic polar encoder, decoded by SC."""
 
     def __init__(self, spec: PolarSpec, scrambler: ScramblerSpec | None = ScramblerSpec(),
-                 name: str = "polar", exact: bool = False):
+                 exact: bool = False):
         self.spec = spec
         self.scrambler = scrambler
-        self.name = name
+        self.name = "polar"
         self.exact = exact
         self.frame_bits = spec.K
         self.tx_bits = spec.N
@@ -256,12 +261,8 @@ class UncodedLink:
 
 def _run_batch(link, params: ChannelParams, lo: int, hi: int, master_seed: int):
     nframes = hi - lo
-    msgs = np.empty((nframes, link.frame_bits), dtype=np.uint8)
-    noise = np.empty((nframes, link.tx_bits), dtype=np.float64)
-    for i, f in enumerate(range(lo, hi)):
-        gen = RngStream(master_seed, f).generator()
-        msgs[i] = gen.random(link.frame_bits) < 0.5
-        noise[i] = gen.normal(0.0, params.sigma, link.tx_bits)
+    msgs, noise = _draw_frames(master_seed, lo, hi, link.frame_bits, 0.5,
+                               link.tx_bits, params.sigma)
     y = modulate_ook(link.encode(msgs), params) + noise
     hat, failed = link.decode(y, params)
     per_frame = np.where(failed, link.frame_bits, (hat != msgs).sum(axis=1))

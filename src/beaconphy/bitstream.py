@@ -1,7 +1,8 @@
 """Bit-vector helpers shared by every coding and simulation module.
 
-Bits live in one-dimensional numpy uint8 arrays holding only 0 and 1.
-Index 0 is always the first transmitted bit.
+Bits live in one-dimensional numpy uint8 arrays holding only 0 and 1;
+max_run_length also takes a (batch, n) array of such rows.  Index 0 is
+always the first transmitted bit.
 """
 
 from __future__ import annotations
@@ -19,44 +20,22 @@ def as_bits(values) -> np.ndarray:
     return arr
 
 
-def zeros(n: int) -> np.ndarray:
-    return np.zeros(n, dtype=np.uint8)
-
-
-def ones(n: int) -> np.ndarray:
-    return np.ones(n, dtype=np.uint8)
-
-
-def xor(a, b) -> np.ndarray:
-    """Elementwise XOR of two equal-length bit vectors."""
-    a = as_bits(a)
-    b = as_bits(b)
-    if a.size != b.size:
-        raise ValueError(f"length mismatch: {a.size} vs {b.size}")
-    return a ^ b
-
-
-def ones_fraction(v) -> float:
-    """Fraction of one bits; undefined (raises) for an empty vector."""
-    v = as_bits(v)
-    if v.size == 0:
-        raise ValueError("ones_fraction of an empty vector is undefined")
-    return int(v.sum()) / v.size
-
-
 def max_run_length(v) -> int:
-    """Length of the longest run of identical consecutive bits (0 if empty)."""
-    v = as_bits(v)
-    if v.size == 0:
+    """Longest run of identical consecutive bits within any row (0 if empty).
+
+    Takes one bit vector or a (batch, n) array.  A fence value at each row's
+    edges keeps runs from joining across rows, so one scan serves the batch.
+    """
+    rows = np.atleast_2d(np.asarray(v, dtype=np.uint8))
+    if rows.ndim != 2:
+        raise ValueError("bit array must be one- or two-dimensional")
+    if rows.size == 0:
         return 0
-    starts = np.flatnonzero(np.diff(v)) + 1
-    edges = np.concatenate(([0], starts, [v.size]))
-    return int(np.diff(edges).max())
-
-
-def random_bits(rng: np.random.Generator, n: int, p_one: float = 0.5) -> np.ndarray:
-    """n independent Bernoulli(p_one) bits drawn from rng."""
-    return (rng.random(n) < p_one).astype(np.uint8)
+    if rows.max() > 1:
+        raise ValueError("bit array may only contain 0 and 1")
+    fenced = np.full(rows.size + rows.shape[0] + 1, 2, dtype=np.uint8)
+    fenced[:-1].reshape(rows.shape[0], -1)[:, 1:] = rows
+    return int(np.diff(np.flatnonzero(fenced[1:] != fenced[:-1])).max())
 
 
 def to_text(v) -> str:

@@ -59,16 +59,6 @@ def modulate_ook(bits, params: ChannelParams) -> np.ndarray:
     return params.amplitude * bits.astype(np.float64)
 
 
-def add_awgn(x, params: ChannelParams, rng) -> np.ndarray:
-    """Add white Gaussian noise of variance params.noise_var.
-
-    ``rng`` is an RngStream or an already-built numpy Generator.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    return x + gen.normal(0.0, params.sigma, x.shape)
-
-
 def llr_demap(y, params: ChannelParams) -> np.ndarray:
     """Exact per-sample LLR log P(y|0)/P(y|1) = (A^2 - 2 A y) / (2 sigma^2).
 

@@ -3,7 +3,7 @@
 Text bitstreams on stdin/stdout use '0'/'1' characters, index 0 first.
 Experiment subcommands write their fully resolved configuration to a JSON
 sidecar next to the output; re-running with --config <sidecar> reproduces
-the output byte for byte, whatever --workers says.
+the output byte for byte (for simulate-ber, whatever --workers says).
 """
 
 from __future__ import annotations
@@ -165,7 +165,6 @@ def cmd_simulate_dist(args) -> int:
     scr_seed = _resolve(args.scrambler_seed, cfg, "scrambler_seed", DEFAULT_SEED)
     master_seed = _resolve(args.master_seed, cfg, "master_seed", DEFAULT_MASTER_SEED)
     out_dir = _resolve(args.out_dir, cfg, "out_dir", "dist_out")
-    workers = _resolve(args.workers, cfg, "workers", None)
 
     for enc in encoders:
         if enc not in ("nspe", "systematic"):
@@ -218,7 +217,6 @@ def cmd_simulate_dist(args) -> int:
             "scrambler_seed": scr_seed,
             "master_seed": master_seed,
             "out_dir": out_dir,
-            "workers": workers,
         },
     )
     return 0
@@ -227,7 +225,7 @@ def cmd_simulate_dist(args) -> int:
 def _make_link(name: str, n_bits: int, k_bits: int, eps: float,
                scrambler: ScramblerSpec, exact: bool):
     if name == "polar":
-        return PolarLink(construct(n_bits, k_bits, eps), scrambler, name="polar", exact=exact)
+        return PolarLink(construct(n_bits, k_bits, eps), scrambler, exact=exact)
     if name.startswith("rs15_"):
         return RsLink(int(name.split("_")[1]), frame_bits=k_bits)
     if name == "uncoded":
@@ -253,7 +251,7 @@ def cmd_simulate_ber(args) -> int:
     batch = _resolve(args.batch, cfg, "batch", 1000)
     master_seed = _resolve(args.master_seed, cfg, "master_seed", DEFAULT_MASTER_SEED)
     exact = _resolve(args.exact_f or None, cfg, "exact_f", False)
-    workers = args.workers if args.workers is not None else (cfg or {}).get("workers")
+    workers = _resolve(args.workers, cfg, "workers", None)
     out = _resolve(args.out, cfg, "out", "ber.csv")
 
     if args.ebn0:
@@ -366,7 +364,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scrambler-seed", type=_hex_int, help="scrambler seed, hex")
     p.add_argument("--master-seed", type=int)
     p.add_argument("--out-dir", help="output directory (default dist_out)")
-    p.add_argument("--workers", type=int, help="recorded only; results never depend on it")
     p.add_argument("--config", help="rerun from a config sidecar")
     p.set_defaults(func=cmd_simulate_dist)
 

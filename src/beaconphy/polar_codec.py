@@ -14,18 +14,15 @@ import numpy as np
 from .polar_construction import PolarSpec
 
 
-def _butterfly(x: np.ndarray) -> int:
-    """In-place transform along the last axis; returns the XOR count per vector."""
+def _butterfly(x: np.ndarray) -> None:
+    """In-place transform along the last axis."""
     size = x.shape[-1]
     lead = x.shape[:-1]
-    xors = 0
     half = 1
     while half < size:
         v = x.reshape(lead + (size // (2 * half), 2, half))
         v[..., 0, :] ^= v[..., 1, :]
-        xors += size // 2
         half *= 2
-    return xors
 
 
 def polar_transform(bits) -> np.ndarray:
@@ -42,16 +39,6 @@ def polar_transform(bits) -> np.ndarray:
         raise ValueError("transform input may only contain 0 and 1")
     _butterfly(x)
     return x
-
-
-def polar_transform_counted(bits) -> tuple[np.ndarray, int]:
-    """Like polar_transform, additionally reporting the per-vector XOR count."""
-    x = np.array(bits, dtype=np.uint8)
-    size = x.shape[-1]
-    if size == 0 or size & (size - 1):
-        raise ValueError("transform length must be a power of two")
-    xors = _butterfly(x)
-    return x, xors
 
 
 def _check_msg(spec: PolarSpec, msg) -> np.ndarray:

@@ -90,13 +90,14 @@ class RsSpec:
     """One of the three supported code rates: k in {11, 7, 3}, t = (15-k)/2."""
 
     k: int
-    n: int = N_SYMBOLS
 
     def __post_init__(self):
-        if self.n != N_SYMBOLS:
-            raise ValueError("only the length-15 field code is supported")
         if self.k not in (3, 7, 11):
             raise ValueError("k must be one of 3, 7, 11")
+
+    @property
+    def n(self) -> int:
+        return N_SYMBOLS
 
     @property
     def t(self) -> int:

@@ -83,8 +83,3 @@ def scramble(spec: ScramblerSpec, data) -> np.ndarray:
     """XOR data with the keystream, register freshly seeded for this frame."""
     data = bitstream.as_bits(data)
     return data ^ keystream(spec, data.size)
-
-
-def descramble(spec: ScramblerSpec, data) -> np.ndarray:
-    """Inverse of scramble (the same XOR, kept separate for call-site clarity)."""
-    return scramble(spec, data)

@@ -33,7 +33,7 @@ from beaconphy.channel import ChannelParams
 from beaconphy.polar_codec import encode_nspe, polar_transform, sc_decode
 from beaconphy.polar_construction import bhattacharyya_profile, construct
 from beaconphy.reed_solomon import N_SYMBOLS, RsSpec, rs_decode
-from beaconphy.scrambler import ScramblerSpec, descramble, keystream, period, scramble
+from beaconphy.scrambler import ScramblerSpec, keystream, period, scramble
 
 from ones_density_oracle import (
     message_ones_probabilities,
@@ -54,7 +54,7 @@ def test_criterion_01_scrambler_roundtrip_and_period():
         seed = int(rng.integers(1, 16))
         spec = ScramblerSpec(seed=seed)
         frame = (rng.random(int(rng.integers(1, 256))) < 0.5).astype(np.uint8)
-        assert np.array_equal(descramble(spec, scramble(spec, frame)), frame)
+        assert np.array_equal(scramble(spec, scramble(spec, frame)), frame)
     periods = [period(ScramblerSpec(seed=s)) for s in range(1, 16)]
     elapsed = time.perf_counter() - t0
     print(f"criterion 1: 10^4 roundtrips ok, periods={set(periods)}, "
@@ -302,7 +302,7 @@ def test_criterion_11_sidecar_reruns_are_byte_identical(tmp_path, monkeypatch, c
          "--scramble", "both", "--frames", "150", "--out-dir", dist1])
     dist2 = str(tmp_path / "dist2")
     run(["simulate-dist", "--config", os.path.join(dist1, "config.json"),
-         "--out-dir", dist2, "--workers", "4"])
+         "--out-dir", dist2])
     names = ["dist_nspe_on_64x40.csv", "dist_nspe_off_64x40.csv",
              "dist_systematic_on_64x40.csv", "dist_systematic_off_64x40.csv",
              "summary.csv"]

@@ -18,9 +18,11 @@ from beaconphy.analysis import (
     mftp_check,
     run_ber_experiment,
     run_dist_experiment,
+    _draw_frames,
     _run_point,
 )
 from beaconphy.channel import ChannelParams, modulate_ook
+from beaconphy.polar_codec import encode_nspe
 from beaconphy.polar_construction import construct
 from beaconphy.reed_solomon import N_SYMBOLS, rs_decode, RsSpec
 from beaconphy.scrambler import ScramblerSpec
@@ -31,8 +33,7 @@ def test_bias_model_validation_and_sampling():
         InputBiasModel(1.5)
     with pytest.raises(ValueError):
         InputBiasModel(-0.1)
-    rng = np.random.default_rng(5)
-    v = InputBiasModel(0.9).sample(rng, 100000)
+    v, _ = _draw_frames(5, 0, 1, 100000, InputBiasModel(0.9).ones_ratio)
     assert abs(v.mean() - 0.9) < 0.01
 
 
@@ -68,6 +69,18 @@ def test_dist_experiment_seed_changes_samples():
     a = run_dist_experiment(spec, frames=200, master_seed=1)
     b = run_dist_experiment(spec, frames=200, master_seed=2)
     assert not np.array_equal(a.samples, b.samples)
+
+
+def test_dist_samples_rebuild_from_numpy_streams():
+    # README's contract: frame f's message is default_rng((master_seed, f))
+    # drawing K uniforms, a bit being 1 below p1.  Rebuilt with numpy alone.
+    spec = construct(64, 40)
+    seed, p1, frames = 99, 0.8, 150
+    stats = run_dist_experiment(spec, scrambled=False, bias=InputBiasModel(p1),
+                                frames=frames, master_seed=seed, batch=64)
+    msgs = np.array([np.random.default_rng((seed, f)).random(spec.K) < p1
+                     for f in range(frames)], dtype=np.uint8)
+    assert np.array_equal(stats.samples, encode_nspe(spec, msgs).sum(axis=1) / spec.N)
 
 
 def test_dist_experiment_degenerate_bias():
@@ -213,6 +226,26 @@ def test_ber_experiment_reproducible_across_workers():
             for p in serial] == \
            [(p.bits_sent, p.bit_errors, p.frames_sent, p.frame_errors)
             for p in pooled]
+
+
+def test_ber_counts_rebuild_from_numpy_streams():
+    # README's contract: frame f draws from default_rng((master_seed, f)),
+    # first K uniforms (bit = u < 0.5), then K N(0, sigma^2) noise samples.
+    # Rebuilt with numpy alone for uncoded OOK thresholded at A/2.
+    K, seed, db, frames = 40, 4321, 8.0, 300
+    point, = run_ber_experiment(UncodedLink(K), [db], min_errors=10**9, max_frames=frames,
+                                master_seed=seed, batch=128)
+    sigma = math.sqrt(1.0 / (2.0 * 10.0 ** (db / 10.0)))  # A = 1, rate 1
+    bit_errors = frame_errors = 0
+    for f in range(frames):
+        g = np.random.default_rng((seed, f))
+        msg = g.random(K) < 0.5
+        errors = int(((msg + g.normal(0.0, sigma, K) > 0.5) != msg).sum())
+        bit_errors += errors
+        frame_errors += errors > 0
+    assert bit_errors > 0
+    assert (point.bits_sent, point.bit_errors, point.frames_sent, point.frame_errors) == \
+        (frames * K, bit_errors, frames, frame_errors)
 
 
 def test_ber_experiment_batch_size_does_not_change_consumed_prefix():

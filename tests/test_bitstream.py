@@ -21,34 +21,6 @@ def test_as_bits_rejects_bad_shapes_and_values():
         bitstream.as_bits([0, 2, 1])
 
 
-def test_zeros_ones():
-    assert bitstream.zeros(5).tolist() == [0] * 5
-    assert bitstream.ones(3).tolist() == [1] * 3
-    assert bitstream.zeros(0).size == 0
-
-
-def test_xor():
-    out = bitstream.xor([1, 1, 0, 0], [1, 0, 1, 0])
-    assert out.tolist() == [0, 1, 1, 0]
-    with pytest.raises(ValueError):
-        bitstream.xor([1, 0], [1, 0, 1])
-
-
-def test_xor_is_involution():
-    rng = np.random.default_rng(7)
-    a = bitstream.random_bits(rng, 300)
-    b = bitstream.random_bits(rng, 300)
-    assert np.array_equal(bitstream.xor(bitstream.xor(a, b), b), a)
-
-
-def test_ones_fraction():
-    assert bitstream.ones_fraction([1, 1, 0, 0]) == 0.5
-    assert bitstream.ones_fraction([0]) == 0.0
-    assert bitstream.ones_fraction([1, 1, 1, 1]) == 1.0
-    with pytest.raises(ValueError):
-        bitstream.ones_fraction([])
-
-
 def test_max_run_length():
     assert bitstream.max_run_length([]) == 0
     assert bitstream.max_run_length([0]) == 1
@@ -58,24 +30,34 @@ def test_max_run_length():
     assert bitstream.max_run_length([1, 0, 0, 1, 1, 1]) == 3
 
 
+def naive_max_run(v):
+    best = cur = 1
+    for i in range(1, v.size):
+        cur = cur + 1 if v[i] == v[i - 1] else 1
+        best = max(best, cur)
+    return best
+
+
 def test_max_run_length_matches_naive_scan():
     rng = np.random.default_rng(11)
     for _ in range(50):
-        v = bitstream.random_bits(rng, int(rng.integers(1, 80)))
-        best = cur = 1
-        for i in range(1, v.size):
-            cur = cur + 1 if v[i] == v[i - 1] else 1
-            best = max(best, cur)
-        assert bitstream.max_run_length(v) == best
-
-
-def test_random_bits_bias():
-    rng = np.random.default_rng(3)
-    v = bitstream.random_bits(rng, 200000, p_one=0.9)
-    # Binomial std is about 0.00067 here; 0.01 is a 15 sigma margin.
-    assert abs(bitstream.ones_fraction(v) - 0.9) < 0.01
-    assert bitstream.random_bits(rng, 1000, p_one=0.0).sum() == 0
-    assert bitstream.random_bits(rng, 1000, p_one=1.0).sum() == 1000
+        v = rng.integers(0, 2, int(rng.integers(1, 80)), dtype=np.uint8)
+        assert bitstream.max_run_length(v) == naive_max_run(v)
+    # A batch gives the longest run within any row, the rows scanned apart.
+    for shape in [(1, 1), (1, 37), (7, 1), (9, 5), (40, 64)]:
+        for p_one in (0.5, 0.9):
+            rows = (rng.random(shape) < p_one).astype(np.uint8)
+            assert bitstream.max_run_length(rows) == max(naive_max_run(r) for r in rows)
+    # Each row ends in a run that the next row's first bits continue;
+    # joined across rows, both runs would reach 5.
+    rows = np.array([[0, 1, 0, 1, 1], [1, 1, 1, 0, 0], [0, 0, 0, 1, 0]], dtype=np.uint8)
+    assert bitstream.max_run_length(rows) == 3
+    assert bitstream.max_run_length(np.ones((4, 6), dtype=np.uint8)) == 6
+    assert bitstream.max_run_length(np.zeros((5, 1), dtype=np.uint8)) == 1
+    assert bitstream.max_run_length(np.zeros((3, 0), dtype=np.uint8)) == 0
+    for bad in ([0, 2, 1], [[0, 1], [1, 3]], np.zeros((2, 2, 2), dtype=np.uint8)):
+        with pytest.raises(ValueError):
+            bitstream.max_run_length(bad)
 
 
 def test_text_roundtrip():
@@ -83,7 +65,7 @@ def test_text_roundtrip():
     assert bitstream.from_text("1011").tolist() == [1, 0, 1, 1]
     assert bitstream.from_text("  0110\n").tolist() == [0, 1, 1, 0]
     rng = np.random.default_rng(5)
-    v = bitstream.random_bits(rng, 997)
+    v = rng.integers(0, 2, 997, dtype=np.uint8)
     assert np.array_equal(bitstream.from_text(bitstream.to_text(v)), v)
 
 

@@ -8,7 +8,6 @@ import pytest
 from beaconphy.channel import (
     ChannelParams,
     RngStream,
-    add_awgn,
     llr_demap,
     modulate_ook,
 )
@@ -81,28 +80,3 @@ def test_rng_stream_reproducible_and_distinct():
     assert not np.array_equal(a1, b)
     assert not np.array_equal(a1, c)
 
-
-def test_add_awgn_accepts_stream_or_generator():
-    p = ChannelParams(amplitude=1.0, noise_var=0.25)
-    x = np.zeros(32)
-    stream = RngStream(99, 0)
-    out1 = add_awgn(x, p, stream)
-    out2 = add_awgn(x, p, stream.generator())
-    assert np.array_equal(out1, out2)
-
-
-def test_add_awgn_statistics():
-    p = ChannelParams(amplitude=1.0, noise_var=0.36)
-    x = np.zeros(1_000_000)
-    out = add_awgn(x, p, RngStream(7, 0))
-    # Standard error of the mean is 0.0006; bounds sit at about 5 sigma.
-    assert abs(out.mean()) < 0.003
-    assert out.var() == pytest.approx(0.36, rel=0.01)
-
-
-def test_add_awgn_preserves_signal_shape():
-    p = ChannelParams(amplitude=1.0, noise_var=1e-12)
-    x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    out = add_awgn(x, p, RngStream(3, 1))
-    assert out.shape == x.shape
-    assert np.allclose(out, x, atol=1e-4)

@@ -151,17 +151,28 @@ def test_simulate_dist_outputs_and_rerun(tmp_path, monkeypatch, capsys):
     cfg = json.load(open(sidecar))
     assert cfg["frames"] == 120 and cfg["sizes"] == [[32, 16]]
 
-    # Rerun solely from the sidecar into a fresh directory.
+    # Rerun solely from the sidecar into a fresh directory.  Older sidecars
+    # carry a "workers" key, which the rerun ignores.
+    cfg["workers"] = 3
+    with open(sidecar, "w") as fh:
+        json.dump(cfg, fh)
     out2 = str(tmp_path / "b")
     code, _, _ = run_cli(
-        ["simulate-dist", "--config", sidecar, "--out-dir", out2,
-         "--workers", "3"],
+        ["simulate-dist", "--config", sidecar, "--out-dir", out2],
         monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0
     csv2 = open(os.path.join(out2, "dist_nspe_on_32x16.csv"), "rb").read()
     summary2 = open(os.path.join(out2, "summary.csv"), "rb").read()
     assert csv1 == csv2
     assert summary1 == summary2
+
+
+def test_simulate_dist_has_no_workers_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate-dist", "--workers", "2", "--out-dir", str(tmp_path / "w")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "w")
 
 
 def test_simulate_dist_rows_are_plain_numbers(tmp_path, monkeypatch, capsys):

@@ -11,7 +11,6 @@ from beaconphy.polar_codec import (
     encode_nspe,
     encode_systematic,
     polar_transform,
-    polar_transform_counted,
     sc_decode,
     variable_node,
 )
@@ -86,13 +85,6 @@ def test_transform_validation():
         polar_transform([])
     with pytest.raises(ValueError):
         polar_transform([0, 2])
-
-
-def test_transform_xor_count():
-    for n in range(1, 11):
-        N = 1 << n
-        _, xors = polar_transform_counted(np.zeros(N, dtype=np.uint8))
-        assert xors == (N // 2) * n
 
 
 def test_encode_nspe_places_message_then_transforms():

@@ -110,8 +110,6 @@ def test_encode_validation():
         rs_encode(RsSpec(11), [16] + [0] * 10)
     with pytest.raises(ValueError):
         RsSpec(5)
-    with pytest.raises(ValueError):
-        RsSpec(11, n=31)
 
 
 def test_decode_clean_codewords():
