@@ -166,8 +166,7 @@ class PolarLink:
     def __init__(self, spec: PolarSpec, scrambler: ScramblerSpec | None = ScramblerSpec(),
                  exact: bool = False):
         self.spec = spec
-        self.scrambler = scrambler
-        self.name = "polar"
+        self.key = None if scrambler is None else keystream(scrambler, spec.K)
         self.exact = exact
         self.frame_bits = spec.K
         self.tx_bits = spec.N
@@ -177,14 +176,14 @@ class PolarLink:
         return self.frame_bits / self.tx_bits
 
     def encode(self, msgs: np.ndarray) -> np.ndarray:
-        if self.scrambler is not None:
-            msgs = msgs ^ keystream(self.scrambler, self.spec.K)
+        if self.key is not None:
+            msgs = msgs ^ self.key
         return encode_nspe(self.spec, msgs)
 
     def decode(self, y: np.ndarray, params: ChannelParams):
         hat = sc_decode(self.spec, llr_demap(y, params), exact=self.exact)
-        if self.scrambler is not None:
-            hat = hat ^ keystream(self.scrambler, self.spec.K)
+        if self.key is not None:
+            hat = hat ^ self.key
         return hat, np.zeros(y.shape[0], dtype=bool)
 
 
@@ -206,7 +205,6 @@ class RsLink:
         self.blocks = -(-msg_symbols // k)
         self.padded_symbols = self.blocks * k
         self.tx_bits = self.blocks * N_SYMBOLS * SYMBOL_BITS
-        self.name = f"rs15_{k}"
 
     @property
     def rate(self) -> float:
@@ -245,7 +243,6 @@ class UncodedLink:
             raise ValueError("frame_bits must be positive")
         self.frame_bits = frame_bits
         self.tx_bits = frame_bits
-        self.name = "uncoded"
 
     @property
     def rate(self) -> float:

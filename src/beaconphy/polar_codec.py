@@ -5,9 +5,21 @@ a row vector, computed by the in-place butterfly network.  One length-N
 transform costs exactly (N/2) log2 N single-bit XORs and is its own inverse.
 
 LLR convention throughout: positive means bit 0 is more likely.
+
+sc_decode makes the decisions of plain successive cancellation (SC) in the
+simplified-SC way (Alamdar-Yazdi & Kschischang, 2011).  A node plan built
+once per code skips rate-0 subtrees (all frozen: their partial sums are the
+zeros the buffer starts with, and a parent's g step becomes a + b) and
+decides a rate-1 subtree (all info) by the hard decision of its LLRs.  That
+shortcut equals SC under min-sum only when every LLR reaching the node is
+nonzero and not NaN; otherwise, and always under the tanh rule, the node is
+split into its two halves as SC does.
 """
 
 from __future__ import annotations
+
+import itertools
+from functools import lru_cache
 
 import numpy as np
 
@@ -80,29 +92,47 @@ def encode_systematic(spec: PolarSpec, msg) -> np.ndarray:
     return v
 
 
-def check_node(a, b):
-    """Min-sum check-node update f(a, b) = sign(a) sign(b) min(|a|, |b|)."""
-    return np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+_F, _G, _G0, _COMBINE, _RATE1 = range(5)
 
 
-def check_node_exact(a, b):
-    """Exact check-node update 2 atanh(tanh(a/2) tanh(b/2)), for cross-checks."""
-    with np.errstate(divide="ignore"):
-        return 2.0 * np.arctanh(np.tanh(np.asarray(a) / 2.0) * np.tanh(np.asarray(b) / 2.0))
+def _build_plan(cum: list, lo: int, k: int, ops: list) -> None:
+    """Append the (kind, k, lo) ops that decode the node of size 2^k at lo.
+
+    ``cum[i]`` counts the info positions below i.  Rate-0 nodes emit nothing.
+    """
+    m, h = 1 << k, (1 << k) >> 1
+    info = cum[lo + m] - cum[lo]
+    if info == m:
+        ops.append((_RATE1, k, lo))
+    elif info:
+        if cum[lo + h] > cum[lo]:
+            ops.append((_F, k, lo))
+            _build_plan(cum, lo, k - 1, ops)
+            ops.append((_G, k, lo))
+        else:
+            ops.append((_G0, k, lo))
+        if cum[lo + m] > cum[lo + h]:
+            _build_plan(cum, lo + h, k - 1, ops)
+            ops.append((_COMBINE, k, lo))
 
 
-def variable_node(a, b, u):
-    """Variable-node update g(a, b, u) = b + (1 - 2u) a for decided bit u."""
-    return b + (1.0 - 2.0 * np.asarray(u, dtype=np.float64)) * a
+@lru_cache(maxsize=32)
+def _plan(spec: PolarSpec) -> tuple[tuple, np.ndarray]:
+    """The SSC op list of ``spec``, last op first, and its info indices."""
+    ops: list = []
+    _build_plan([0, *itertools.accumulate(spec.info_mask().tolist())], 0, spec.n, ops)
+    info = spec.info_indices()
+    info.flags.writeable = False
+    return tuple(ops[::-1]), info
 
 
 def sc_decode(spec: PolarSpec, llr, *, exact: bool = False) -> np.ndarray:
     """Successive-cancellation decode of channel LLRs to message bits.
 
-    Frozen positions are decided as 0 regardless of their LLR.  Accepts one
-    LLR vector of length N or a (batch, N) matrix; returns the K decided
-    message bits per frame.  ``exact`` switches the check-node update from
-    min-sum to the tanh rule.
+    Frozen positions are decided as 0 regardless of their LLR; an LLR of 0
+    or NaN decides 0.  Accepts one LLR vector of length N or a (batch, N)
+    matrix; returns the K decided message bits per frame.  ``exact``
+    switches the check-node update from min-sum to the tanh rule.
 
     Infinite LLRs are accepted, so a noiseless codeword can be decoded by
     mapping bit b to (1 - 2b) * inf.
@@ -113,26 +143,38 @@ def sc_decode(spec: PolarSpec, llr, *, exact: bool = False) -> np.ndarray:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != spec.N:
         raise ValueError(f"LLR input must have length N={spec.N}")
-    batch = arr.shape[0]
-    info = spec.info_mask()
-    fnode = check_node_exact if exact else check_node
-    u_hat = np.empty((batch, spec.N), dtype=np.uint8)
-
-    def descend(l, lo):
-        m = l.shape[1]
-        if m == 1:
-            if info[lo]:
-                bit = (l[:, 0] < 0).astype(np.uint8)
+    ops, info = _plan(spec)
+    todo, batch = list(ops), arr.shape[0]
+    # Position-major buffers: llrs[k] holds the LLRs of the active node of
+    # size 2^k, bits the partial sums of each decided node at its positions.
+    llrs = [np.empty((1 << k, batch)) for k in range(spec.n)] + [np.ascontiguousarray(arr.T)]
+    bits = np.zeros((spec.N, batch), dtype=bool)
+    with np.errstate(all="ignore"):  # inf - inf gives NaN, as in plain SC
+        while todo:
+            kind, k, lo = todo.pop()
+            h, l = (1 << k) >> 1, llrs[k]
+            if kind == _COMBINE:
+                left = bits[lo : lo + h]
+                left ^= bits[lo + h : lo + 2 * h]
+                continue
+            a, b, out = l[:h], l[h:], llrs[k - 1]
+            if kind == _RATE1 and k and (exact or not np.abs(l).min(initial=np.inf) > 0):
+                # A tie or NaN, or the tanh rule: split as plain SC does.
+                todo += ((_COMBINE, k, lo), (_RATE1, k - 1, lo + h), (_G, k, lo),
+                         (_RATE1, k - 1, lo), (_F, k, lo))
+            elif kind == _RATE1:
+                np.less(l, 0.0, out=bits[lo : lo + (1 << k)])
+            elif kind == _F and exact:
+                out[:] = 2.0 * np.arctanh(np.tanh(a / 2.0) * np.tanh(b / 2.0))
+            elif kind == _F:
+                # a * b carries sign(a) sign(b), also when it underflows to
+                # +-0; it is NaN only where min(|a|, |b|) is 0 or NaN.
+                np.copysign(np.minimum(np.abs(a), np.abs(b), out=out), a * b, out=out)
             else:
-                bit = np.zeros(batch, dtype=np.uint8)
-            u_hat[:, lo] = bit
-            return bit[:, None]
-        h = m // 2
-        a, b = l[:, :h], l[:, h:]
-        left = descend(fnode(a, b), lo)
-        right = descend(variable_node(a, b, left), lo + h)
-        return np.concatenate((left ^ right, right), axis=1)
-
-    descend(arr, 0)
-    msg = u_hat[:, spec.info_indices()]
+                np.add(b, a, out=out)
+                if kind == _G:
+                    np.subtract(b, a, out=out, where=bits[lo : lo + h])
+    x = bits.T.astype(np.uint8, order="C")
+    _butterfly(x)
+    msg = x[:, info]
     return msg[0] if single else msg

@@ -71,20 +71,6 @@ _POSITIONS = np.arange(N_SYMBOLS)
 _EVAL = _packed(-np.outer(np.arange(_MAX_SYN), np.arange(N_SYMBOLS)))
 
 
-def gf_mul(a: int, b: int) -> int:
-    return _MUL[a][b]
-
-
-def gf_inv(a: int) -> int:
-    if a == 0:
-        raise ZeroDivisionError("zero has no inverse in GF(16)")
-    return _INV[a]
-
-
-def gf_div(a: int, b: int) -> int:
-    return _MUL[a][gf_inv(b)]
-
-
 @dataclass(frozen=True)
 class RsSpec:
     """One of the three supported code rates: k in {11, 7, 3}, t = (15-k)/2."""

@@ -1,18 +1,13 @@
 """Codec tests: transform algebra, encoders, SC decoding."""
 
-import math
-
 import numpy as np
 import pytest
 
 from beaconphy.polar_codec import (
-    check_node,
-    check_node_exact,
     encode_nspe,
     encode_systematic,
     polar_transform,
     sc_decode,
-    variable_node,
 )
 from beaconphy.polar_construction import construct
 
@@ -140,34 +135,6 @@ def test_systematic_exhaustive_small_code():
     assert not d[:, ~spec.info_mask()].any()
     # 16 distinct codewords: the encoder is injective.
     assert len({tuple(row) for row in x}) == 16
-
-
-def test_check_node_hand_values():
-    assert check_node(2.0, -3.0) == -2.0
-    assert check_node(-1.0, -4.0) == 1.0
-    assert check_node(0.0, 5.0) == 0.0
-
-
-def test_check_node_exact_matches_logarithmic_form():
-    # Boxplus identity: ln((1 + e^(a+b)) / (e^a + e^b)).
-    rng = np.random.default_rng(47)
-    for _ in range(200):
-        a, b = rng.normal(0, 2, 2)
-        want = math.log((1.0 + math.exp(a + b)) / (math.exp(a) + math.exp(b)))
-        assert check_node_exact(a, b) == pytest.approx(want, rel=1e-9, abs=1e-12)
-
-
-def test_check_node_exact_saturates_to_min_sum():
-    # tanh saturates in float64 around |x| = 38, so agreement is approximate.
-    a, b = 30.0, -40.0
-    assert check_node_exact(a, b) == pytest.approx(check_node(a, b), rel=1e-4)
-    assert check_node_exact(np.inf, -5.0) == pytest.approx(-5.0, rel=1e-12)
-
-
-def test_variable_node_hand_values():
-    assert variable_node(1.5, 2.0, 0) == 3.5
-    assert variable_node(1.5, 2.0, 1) == 0.5
-    assert variable_node(-2.0, 1.0, 1) == 3.0
 
 
 def test_sc_decode_noiseless_roundtrip():

@@ -5,15 +5,15 @@ import itertools
 import numpy as np
 import pytest
 
+import rs_oracle
 from beaconphy.reed_solomon import (
     N_SYMBOLS,
     SYMBOL_BITS,
+    _INV,
+    _MUL,
     RsSpec,
     bits_to_symbols,
     generator_poly,
-    gf_div,
-    gf_inv,
-    gf_mul,
     rs_decode,
     rs_encode,
     symbols_to_bits,
@@ -33,9 +33,10 @@ def gf_mul_reference(a, b):
 
 
 def test_gf_mul_matches_reference():
+    # The codec's table against a bitwise multiply and the oracle's log tables.
     for a in range(16):
         for b in range(16):
-            assert gf_mul(a, b) == gf_mul_reference(a, b)
+            assert _MUL[a][b] == gf_mul_reference(a, b) == rs_oracle.gf_mul(a, b)
 
 
 def test_gf_field_structure():
@@ -44,19 +45,12 @@ def test_gf_field_structure():
     x = 1
     for _ in range(15):
         seen.add(x)
-        x = gf_mul(x, 2)
+        x = _MUL[x][2]
     assert x == 1 and len(seen) == 15
     for a in range(1, 16):
-        assert gf_mul(a, gf_inv(a)) == 1
-        assert gf_div(a, a) == 1
-    assert gf_mul(2, 9) == 1  # known inverse pair
-
-
-def test_gf_division_errors():
-    with pytest.raises(ZeroDivisionError):
-        gf_inv(0)
-    with pytest.raises(ZeroDivisionError):
-        gf_div(3, 0)
+        assert _MUL[a][_INV[a]] == 1
+        assert _INV[a] == rs_oracle.gf_inv(a)
+    assert _MUL[2][9] == 1  # known inverse pair
 
 
 def test_generator_poly_hand_values():
@@ -71,10 +65,10 @@ def test_generator_poly_has_consecutive_roots():
         g = generator_poly(nk)
         power = 1
         for _ in range(nk):
-            power = gf_mul(power, 2)
+            power = rs_oracle.gf_mul(power, 2)
             acc = 0
             for c in g:
-                acc = gf_mul(acc, power) ^ c
+                acc = rs_oracle.gf_mul(acc, power) ^ c
             assert acc == 0
 
 
@@ -91,10 +85,10 @@ def test_encode_is_systematic_and_roots_vanish():
             # cw[0] is the highest-degree coefficient.
             power = 1
             for _ in range(N_SYMBOLS - k):
-                power = gf_mul(power, 2)
+                power = rs_oracle.gf_mul(power, 2)
                 acc = 0
                 for c in cw:
-                    acc = gf_mul(acc, power) ^ int(c)
+                    acc = rs_oracle.gf_mul(acc, power) ^ int(c)
                 assert acc == 0
 
 

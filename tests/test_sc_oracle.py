@@ -1,0 +1,153 @@
+"""sc_decode against the recursive SC reference in tests/sc_oracle.py.
+
+The production decoder skips rate-0 subtrees and hard-decides rate-1
+subtrees; every case here asks for the same decisions as plain SC, bit for
+bit, in min-sum and tanh (exact=True) modes.  The node-update hand values
+check the reference itself.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import sc_oracle
+from beaconphy.polar_codec import encode_nspe, sc_decode
+from beaconphy.polar_construction import PolarSpec, construct
+
+MODES = (False, True)
+
+
+def assert_matches_oracle(spec, llr, exact):
+    got = sc_decode(spec, llr, exact=exact)
+    want = sc_oracle.sc_decode(spec.info_mask(), llr, exact=exact)
+    assert got.dtype == np.uint8 and got.shape == want.shape
+    bad = np.flatnonzero((got != want).reshape(-1, spec.K).any(axis=1))
+    assert bad.size == 0, f"({spec.N},{spec.K}) exact={exact}: rows {bad[:10]} differ"
+
+
+def awgn_llr(spec, rng, frames, sigma):
+    msgs = rng.integers(0, 2, (frames, spec.K), dtype=np.uint8)
+    y = 1.0 - 2.0 * encode_nspe(spec, msgs) + rng.normal(0.0, sigma, (frames, spec.N))
+    return 2.0 * y / sigma**2
+
+
+def test_check_node_hand_values():
+    assert sc_oracle.check_node(2.0, -3.0) == -2.0
+    assert sc_oracle.check_node(-1.0, -4.0) == 1.0
+    assert sc_oracle.check_node(0.0, 5.0) == 0.0
+
+
+def test_check_node_exact_matches_logarithmic_form():
+    # Boxplus identity: ln((1 + e^(a+b)) / (e^a + e^b)).
+    rng = np.random.default_rng(47)
+    for _ in range(200):
+        a, b = rng.normal(0, 2, 2)
+        want = math.log((1.0 + math.exp(a + b)) / (math.exp(a) + math.exp(b)))
+        assert sc_oracle.check_node_exact(a, b) == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+def test_check_node_exact_saturates_to_min_sum():
+    # tanh saturates in float64 around |x| = 38, so agreement is approximate.
+    a, b = 30.0, -40.0
+    assert sc_oracle.check_node_exact(a, b) == pytest.approx(sc_oracle.check_node(a, b), rel=1e-4)
+    assert sc_oracle.check_node_exact(np.inf, -5.0) == pytest.approx(-5.0, rel=1e-12)
+
+
+def test_variable_node_hand_values():
+    assert sc_oracle.variable_node(1.5, 2.0, 0) == 3.5
+    assert sc_oracle.variable_node(1.5, 2.0, 1) == 0.5
+    assert sc_oracle.variable_node(-2.0, 1.0, 1) == 3.0
+
+
+def test_oracle_decodes_noiseless_codewords():
+    spec = construct(32, 20)
+    msgs = np.random.default_rng(3).integers(0, 2, (50, 20), dtype=np.uint8)
+    llr = np.where(encode_nspe(spec, msgs) == 0, np.inf, -np.inf)
+    for exact in MODES:
+        assert np.array_equal(sc_oracle.sc_decode(spec.info_mask(), llr, exact=exact), msgs)
+
+
+@pytest.mark.parametrize("exact", MODES)
+def test_every_small_code(exact):
+    # Every (N, K) with N <= 64, with the constructed info set and a random
+    # one; the LLRs hold exact zeros and small integers, so ties also arise
+    # inside the tree (b - a == 0 in a g step).
+    rng = np.random.default_rng(101)
+    for n in range(7):
+        N = 1 << n
+        for K in range(1, N + 1):
+            info = tuple(sorted(rng.choice(N, K, replace=False).tolist()))
+            for spec in (construct(N, K), PolarSpec(n=n, N=N, K=K, eps=0.5, info_set=info)):
+                llr = rng.normal(0.0, 2.0, (12, N))
+                llr[rng.random(llr.shape) < 0.1] = 0.0
+                llr[:4] = rng.integers(-2, 3, (4, N))
+                assert_matches_oracle(spec, llr, exact)
+
+
+@pytest.mark.parametrize("exact", MODES)
+@pytest.mark.parametrize("N,K", [(256, 158), (1024, 512)])
+def test_long_codes_at_three_snrs(N, K, exact):
+    spec = construct(N, K)
+    rng = np.random.default_rng(N + K)
+    for sigma in (0.5, 0.7, 1.0):
+        assert_matches_oracle(spec, awgn_llr(spec, rng, 150, sigma), exact)
+
+
+@pytest.mark.parametrize("exact", MODES)
+def test_random_exact_zeros_and_all_zero_row(exact):
+    spec = construct(256, 158)
+    rng = np.random.default_rng(211)
+    llr = awgn_llr(spec, rng, 200, 0.7)
+    for row, p in enumerate(np.linspace(0.001, 0.5, 200)):
+        llr[row, rng.random(spec.N) < p] = 0.0
+    llr[0] = 0.0
+    llr[1] = -0.0
+    assert_matches_oracle(spec, llr, exact)
+    assert not sc_decode(spec, np.zeros(spec.N), exact=exact).any()
+
+
+@pytest.mark.parametrize("exact", MODES)
+@pytest.mark.parametrize("N,K", [(64, 40), (256, 158), (1024, 512)])
+def test_noiseless_infinite_codewords(N, K, exact):
+    spec = construct(N, K)
+    msgs = np.random.default_rng(307).integers(0, 2, (100, K), dtype=np.uint8)
+    llr = np.where(encode_nspe(spec, msgs) == 0, np.inf, -np.inf)
+    assert_matches_oracle(spec, llr, exact)
+    assert np.array_equal(sc_decode(spec, llr, exact=exact), msgs)
+
+
+@pytest.mark.parametrize("exact", MODES)
+@pytest.mark.parametrize("N,K", [(64, 40), (256, 158), (1024, 512)])
+def test_infinite_non_codewords(N, K, exact):
+    # Hard words off the code give inf - inf = NaN inside the tree: the
+    # beaconphy decode path on a corrupted word.
+    spec = construct(N, K)
+    rng = np.random.default_rng(401)
+    llr = np.where(rng.random((400, N)) < 0.5, np.inf, -np.inf)
+    llr[:50] = np.where(rng.random((50, N)) < 0.05, -np.inf, np.inf)
+    assert_matches_oracle(spec, llr, exact)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-60])
+def test_exact_mode_at_small_llr_scales(scale):
+    # At 1e-60 the tanh check node underflows to 0 deep in the tree.
+    for N, K in ((64, 40), (256, 158)):
+        spec = construct(N, K)
+        llr = scale * awgn_llr(spec, np.random.default_rng(503), 200, 0.8)
+        assert_matches_oracle(spec, llr, True)
+        assert_matches_oracle(spec, llr, False)
+
+
+@pytest.mark.parametrize("exact", MODES)
+def test_single_vector_calls_match_batch(exact):
+    spec = construct(256, 158)
+    rng = np.random.default_rng(601)
+    llr = awgn_llr(spec, rng, 30, 0.9)
+    llr[5, ::7] = 0.0
+    llr[6] = np.where(rng.random(spec.N) < 0.5, np.inf, -np.inf)
+    batch = sc_decode(spec, llr, exact=exact)
+    for row in range(len(llr)):
+        single = sc_decode(spec, llr[row], exact=exact)
+        assert single.shape == (spec.K,) and np.array_equal(single, batch[row])
+    assert sc_decode(spec, llr[:0], exact=exact).shape == (0, spec.K)
