@@ -1,14 +1,17 @@
 """Monte-Carlo experiments: ones-density distributions, BER curves, frame timing.
 
-Every experiment draws its randomness through per-frame RngStream objects
-keyed by (master_seed, frame_index).  Results are therefore identical for
-any batch size and any worker count, and a run can be reproduced exactly
-from its recorded configuration.
+Frame f of every experiment draws its randomness from
+np.random.default_rng((master_seed, f)) alone.  Results are therefore
+identical for any batch size and any worker count, and a run can be
+reproduced exactly from its recorded configuration.  The per-frame
+generators are seeded for a whole batch at once (see _frame_generators),
+with the same bytes as building them one by one.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing import Pool
@@ -35,6 +38,11 @@ DEFAULT_MASTER_SEED = 0xC0DEC
 DEFAULT_FRAME_BITS = 158
 MFTP_LIMIT_S = 5e-3
 
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit LCG multiplier
+_CHUNK = 64  # frames whose uniforms are thresholded in one call
+
 
 @dataclass(frozen=True)
 class InputBiasModel:
@@ -52,16 +60,102 @@ class InputBiasModel:
             raise ValueError("ones_ratio must lie in [0, 1]")
 
 
+def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
+    """init * mult**k mod 2**32 for k = 0 .. n-1, as an (n, 1) uint32 column."""
+    consts = [init]
+    for _ in range(n - 1):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _seed_sequence_words(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(col).generate_state(8, np.uint32) for each column of a (4, n) uint32 array.
+
+    numpy's SeedSequence (NEP 19) mixes a pool of four uint32 words with
+    multiply-xorshift hashes whose constants do not depend on the data, so
+    every column goes through each step at once.  An entropy shorter than
+    the pool is hashed as if zero-padded, so zero rows stand in exactly for
+    missing words.  Hash k xors with c[k] and multiplies by c[k + 1].
+    """
+    c = _hash_consts(0x43B0D7E5, 0x931E8875, 17)
+    with np.errstate(over="ignore"):
+        pool = (entropy ^ c[0:4]) * c[1:5]
+        pool ^= pool >> 16
+        for src in range(4):
+            # pool[src] is hashed once per other word, then mixed into it.
+            k = 4 + 3 * src
+            h = (pool[src] ^ c[k : k + 3]) * c[k + 1 : k + 4]
+            h ^= h >> 16
+            dst = [d for d in range(4) if d != src]
+            r = np.uint32(0xCA01F9DD) * pool[dst] - np.uint32(0x4973F715) * h
+            pool[dst] = r ^ (r >> 16)
+        c = _hash_consts(0x8B51F9DD, 0x58F38DED, 9)
+        out = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ c[0:8]) * c[1:9]
+    return out ^ (out >> 16)
+
+
+def _frame_generators(master_seed: int, lo: int, hi: int):
+    """np.random.default_rng((master_seed, f)) for f = lo .. hi-1, in order.
+
+    While master_seed's and f's 32-bit words fit SeedSequence's pool of four,
+    the frames are hashed together and each one's PCG64 state is set on one
+    shared generator.  PCG64 seeds itself from the four output words
+    (initstate, initseq) with two LCG steps: inc = 2 initseq + 1, then
+    state = (inc + initstate) * MULT + inc (O'Neill 2014).  Longer entropies
+    (seeds >= 2**64 with f >= 2**32, seeds >= 2**96) and negative seeds,
+    which numpy rejects, go through RngStream frame by frame.  The shared
+    generator is yielded again for the next frame, so use each before asking
+    for the next.
+    """
+    master_seed = operator.index(master_seed)
+    seed_words = -(-max(master_seed, 1).bit_length() // 32) if master_seed >= 0 else 4
+    f_words = min(max(4 - seed_words, 0), 2)  # pool words left for f, at most a uint64's two
+    mid = min(hi, max(lo, 1 << 32 * f_words)) if f_words else lo
+    if mid > lo:
+        f = np.arange(lo, mid, dtype=np.uint64)
+        entropy = np.zeros((4, mid - lo), dtype=np.uint32)
+        for i in range(seed_words):
+            entropy[i] = master_seed >> 32 * i & _MASK32
+        entropy[seed_words] = f & _MASK32
+        if f_words == 2:
+            entropy[seed_words + 1] = f >> 32
+        state = _seed_sequence_words(entropy).astype(np.uint64)
+        state = state[0::2] | state[1::2] << 32
+        bitgen = np.random.PCG64(0)
+        gen = np.random.Generator(bitgen)
+        pcg = {}
+        full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+        for s_hi, s_lo, q_hi, q_lo in state.T.tolist():
+            inc = (q_hi << 65 | q_lo << 1 | 1) & _MASK128
+            pcg["state"] = ((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc & _MASK128
+            pcg["inc"] = inc
+            bitgen.state = full
+            yield gen
+    for f in range(mid, hi):
+        yield RngStream(master_seed, f).generator()
+
+
 def _draw_frames(master_seed: int, lo: int, hi: int, n_bits: int, p_one: float,
                  noise_bits: int = 0, sigma: float = 0.0):
-    """Frames lo .. hi-1, one row each: n_bits bits (u < p_one), then noise_bits normals."""
-    msgs = np.empty((hi - lo, n_bits), dtype=np.uint8)
-    noise = np.empty((hi - lo, noise_bits), dtype=np.float64)
-    for i, f in enumerate(range(lo, hi)):
-        gen = RngStream(master_seed, f).generator()
-        msgs[i] = gen.random(n_bits) < p_one
+    """Frames lo .. hi-1, one row each: n_bits bits (u < p_one), then noise_bits normals.
+
+    Frame f draws from np.random.default_rng((master_seed, f)) alone:
+    random(n_bits), then normal(0, sigma, noise_bits).  The uniforms are
+    thresholded _CHUNK frames at a time and the noise is scaled once.
+    """
+    n = hi - lo
+    msgs = np.empty((n, n_bits), dtype=np.uint8)
+    noise = np.empty((n, noise_bits), dtype=np.float64)
+    u = np.empty((min(n, _CHUNK), n_bits), dtype=np.float64)
+    for i, gen in enumerate(_frame_generators(master_seed, lo, hi)):
+        c = i % _CHUNK
+        gen.random(out=u[c])
         if noise_bits:
-            noise[i] = gen.normal(0.0, sigma, noise_bits)
+            gen.standard_normal(out=noise[i])
+        if c == _CHUNK - 1 or i == n - 1:
+            np.less(u[: c + 1], p_one, out=msgs[i - c : i + 1].view(bool))
+    noise *= sigma
+    noise += 0.0  # normal() returns 0.0 + sigma * z, which turns z = -0.0 into +0.0
     return msgs, noise
 
 

@@ -117,13 +117,11 @@ def _build_plan(cum: list, lo: int, k: int, ops: list) -> None:
 
 
 @lru_cache(maxsize=32)
-def _plan(spec: PolarSpec) -> tuple[tuple, np.ndarray]:
-    """The SSC op list of ``spec``, last op first, and its info indices."""
+def _plan(spec: PolarSpec) -> tuple:
+    """The SSC op list of ``spec``, last op first."""
     ops: list = []
     _build_plan([0, *itertools.accumulate(spec.info_mask().tolist())], 0, spec.n, ops)
-    info = spec.info_indices()
-    info.flags.writeable = False
-    return tuple(ops[::-1]), info
+    return tuple(ops[::-1])
 
 
 def sc_decode(spec: PolarSpec, llr, *, exact: bool = False) -> np.ndarray:
@@ -143,8 +141,7 @@ def sc_decode(spec: PolarSpec, llr, *, exact: bool = False) -> np.ndarray:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != spec.N:
         raise ValueError(f"LLR input must have length N={spec.N}")
-    ops, info = _plan(spec)
-    todo, batch = list(ops), arr.shape[0]
+    todo, batch = list(_plan(spec)), arr.shape[0]
     # Position-major buffers: llrs[k] holds the LLRs of the active node of
     # size 2^k, bits the partial sums of each decided node at its positions.
     llrs = [np.empty((1 << k, batch)) for k in range(spec.n)] + [np.ascontiguousarray(arr.T)]
@@ -176,5 +173,5 @@ def sc_decode(spec: PolarSpec, llr, *, exact: bool = False) -> np.ndarray:
                     np.subtract(b, a, out=out, where=bits[lo : lo + h])
     x = bits.T.astype(np.uint8, order="C")
     _butterfly(x)
-    msg = x[:, info]
+    msg = x[:, spec.info_indices()]
     return msg[0] if single else msg

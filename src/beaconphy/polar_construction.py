@@ -9,7 +9,8 @@ degraded copy (2z - z^2) and an upgraded copy (z^2).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -67,13 +68,25 @@ class PolarSpec:
     def rate(self) -> float:
         return self.K / self.N
 
+    @cached_property
+    def _info_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        idx = np.array(self.info_set, dtype=np.intp)
+        mask = np.zeros(self.N, dtype=bool)
+        mask[idx] = True
+        idx.flags.writeable = mask.flags.writeable = False
+        return idx, mask
+
     def info_indices(self) -> np.ndarray:
-        return np.array(self.info_set, dtype=np.intp)
+        """info_set as a read-only intp array, built once per spec."""
+        return self._info_arrays[0]
 
     def info_mask(self) -> np.ndarray:
-        mask = np.zeros(self.N, dtype=bool)
-        mask[self.info_indices()] = True
-        return mask
+        """Read-only length-N boolean array, True at info_set, built once per spec."""
+        return self._info_arrays[1]
+
+    def __getstate__(self) -> dict:
+        # Pickle the fields only: unpickled arrays would come back writeable.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def construct(N: int, K: int, eps: float = 0.5) -> PolarSpec:

@@ -240,22 +240,24 @@ def rs_decode(spec: RsSpec, recv):
 
 
 def bits_to_symbols(bits) -> np.ndarray:
-    """Pack bits into 4-bit symbols, first bit = most significant."""
+    """Pack bits into 4-bit symbols, first bit = most significant.
+
+    The bits are expected to be 0 or 1; this is not checked.
+    """
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.shape[-1] % SYMBOL_BITS:
         raise ValueError("bit count must be a multiple of 4")
-    if bits.size and bits.max() > 1:
-        raise ValueError("bits must be 0 or 1")
     shaped = bits.reshape(bits.shape[:-1] + (-1, SYMBOL_BITS))
     weights = np.array([8, 4, 2, 1], dtype=np.uint8)
     return shaped @ weights
 
 
 def symbols_to_bits(symbols) -> np.ndarray:
-    """Unpack 4-bit symbols into bits, most significant bit first."""
+    """Unpack 4-bit symbols into bits, most significant bit first.
+
+    The symbols are expected to lie in [0, 16); this is not checked.
+    """
     symbols = np.asarray(symbols)
-    if symbols.size and (symbols.min() < 0 or symbols.max() > 15):
-        raise ValueError("symbols must lie in [0, 16)")
     shifts = np.array([3, 2, 1, 0])
     bits = (symbols[..., None] >> shifts) & 1
     return bits.reshape(symbols.shape[:-1] + (-1,)).astype(np.uint8)

@@ -248,6 +248,61 @@ def test_ber_counts_rebuild_from_numpy_streams():
         (frames * K, bit_errors, frames, frame_errors)
 
 
+def _numpy_frames(seed, lo, hi, n_bits, p_one, noise_bits, sigma):
+    """Frames lo .. hi-1 from np.random.default_rng((seed, f)) alone, one call per frame."""
+    msgs = np.empty((hi - lo, n_bits), dtype=np.uint8)
+    noise = np.empty((hi - lo, noise_bits), dtype=np.float64)
+    for i, f in enumerate(range(lo, hi)):
+        g = np.random.default_rng((seed, f))
+        msgs[i] = g.random(n_bits) < p_one
+        if noise_bits:
+            noise[i] = g.normal(0.0, sigma, noise_bits)
+    return msgs, noise
+
+
+# Seeds up to 2**32 - 1 take one of SeedSequence's four pool words, 2**32 to
+# 2**64 - 1 two, 2**64 three (so frames f >= 2**32 fall back to RngStream)
+# and 2**96 four (every frame falls back).  A numpy integer seed is accepted
+# as default_rng accepts it.
+DRAW_SEEDS = [0, 0xC0DEC, np.int64(0xC0DEC), 2**32 - 1, 2**32, 2**40, 2**64 - 1, 2**64, 2**96]
+
+# Each list is cut into consecutive batches at its edges: batches of a
+# 3000-frame run of one frame, of exactly two 64-frame threshold chunks
+# ([65, 193)) and ending mid-chunk; then batches across f = 2**32, where
+# SeedSequence gives the frame index a second word, and batches ending and
+# starting there.
+DRAW_SPANS = [
+    [0, 1, 63, 64, 65, 193, 2048, 2049, 3000],
+    [2**32 - 3, 2**32 + 3],
+    [2**32 - 20, 2**32, 2**32 + 20],
+]
+
+
+@pytest.mark.parametrize("seed", DRAW_SEEDS)
+@pytest.mark.parametrize("noise_bits", [0, 256, 840])
+@pytest.mark.parametrize("edges", DRAW_SPANS)
+def test_draw_frames_match_numpy_streams(seed, noise_bits, edges):
+    # Each batch uses the next ones ratio, so every p_one meets every seed
+    # and noise size.
+    n_bits, sigma = 23, 0.7
+    for j, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        p_one = [0.5, 0.9, 1.0, 0.0][j % 4]
+        msgs, noise = _draw_frames(seed, lo, hi, n_bits, p_one, noise_bits, sigma)
+        want_msgs, want_noise = _numpy_frames(seed, lo, hi, n_bits, p_one, noise_bits, sigma)
+        assert msgs.dtype == np.uint8 and msgs.tobytes() == want_msgs.tobytes()
+        assert noise.shape == want_noise.shape and noise.tobytes() == want_noise.tobytes()
+
+
+def test_draw_frames_empty_range_and_negative_seed():
+    msgs, noise = _draw_frames(7, 5, 5, 158, 0.5, 256, 0.5)
+    assert msgs.shape == (0, 158) and noise.shape == (0, 256)
+    with pytest.raises(ValueError) as ours:
+        _draw_frames(-1, 0, 3, 158, 0.5)
+    with pytest.raises(ValueError) as numpys:
+        np.random.default_rng((-1, 0))
+    assert str(ours.value) == str(numpys.value) == "expected non-negative integer"
+
+
 def test_ber_experiment_batch_size_does_not_change_consumed_prefix():
     # Identical frame set whenever the stopping boundary coincides; with
     # min_errors above any single-batch yield both runs hit max_frames.

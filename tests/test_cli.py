@@ -251,6 +251,14 @@ def test_simulate_ber_rejects_zero_frame_bits(tmp_path, monkeypatch, capsys, cod
     assert code == 2 and err.startswith("error: ")
 
 
+def test_simulate_ber_rejects_negative_master_seed(tmp_path, monkeypatch, capsys):
+    code, _, err = run_cli(
+        ["simulate-ber", "--codes", "uncoded", "--ebn0", "10:1:10", "--max-frames", "10",
+         "--master-seed", "-1", "--out", str(tmp_path / "x.csv")],
+        monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and err.startswith("error: expected non-negative integer")
+
+
 def test_mftp_output(monkeypatch, capsys):
     code, out, _ = run_cli(["mftp", "--frame-bits", "256"],
                            monkeypatch=monkeypatch, capsys=capsys)

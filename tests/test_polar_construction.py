@@ -2,6 +2,7 @@
 
 import json
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -120,6 +121,17 @@ def test_spec_helpers():
     mask = spec.info_mask()
     assert idx.tolist() == [3, 5, 6, 7]
     assert mask.sum() == 4 and np.all(mask[idx])
+
+
+def test_spec_arrays_are_built_once_and_read_only():
+    spec = construct(64, 40)
+    assert spec.info_indices() is spec.info_indices()
+    assert spec.info_mask() is spec.info_mask()
+    copy = pickle.loads(pickle.dumps(spec))
+    assert copy == spec and np.array_equal(copy.info_mask(), spec.info_mask())
+    for arr in (spec.info_indices(), spec.info_mask(), copy.info_indices(), copy.info_mask()):
+        with pytest.raises(ValueError):
+            arr[0] = 1
 
 
 def test_json_roundtrip(tmp_path):
