@@ -312,19 +312,21 @@ class RsLink:
         return symbols_to_bits(rs_encode(self.spec, syms).reshape(nframes, -1))
 
     def decode(self, y: np.ndarray, params: ChannelParams):
-        """Screen every block at once; only blocks with a nonzero syndrome
-        go through rs_decode.  A failed block decodes to zero symbols."""
+        """Screen every block at once; each block with a nonzero syndrome
+        goes through one rs_decode call.  A failed block decodes to zero
+        symbols."""
         nframes = y.shape[0]
         hard = (y > params.amplitude / 2.0).astype(np.uint8)
         words = bits_to_symbols(hard).reshape(nframes, self.blocks, N_SYMBOLS)
         msg_syms = words[..., : self.spec.k].copy()
         failed = np.zeros(nframes, dtype=bool)
-        for fi, blk in zip(*np.nonzero(rs_screen(self.spec, words))):
-            dec = rs_decode(self.spec, words[fi, blk])
-            if dec is None:
-                failed[fi] = True
-                dec = 0
-            msg_syms[fi, blk] = dec
+        dirty = np.nonzero(rs_screen(self.spec, words))
+        decoded = [rs_decode(self.spec, word) for word in words[dirty].tolist()]
+        if decoded:
+            lost = [dec is None for dec in decoded]
+            failed[dirty[0][lost]] = True
+            blank = np.zeros(self.spec.k, dtype=np.uint8)
+            msg_syms[dirty] = [blank if dec is None else dec for dec in decoded]
         bits = symbols_to_bits(msg_syms.reshape(nframes, -1))[:, : self.frame_bits]
         return bits, failed
 

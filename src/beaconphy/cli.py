@@ -9,6 +9,7 @@ the output byte for byte (for simulate-ber, whatever --workers says).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -173,7 +174,11 @@ def cmd_simulate_dist(args) -> int:
         raise ValueError("scramble must be on, off or both")
     scramble_opts = ["on", "off"] if scramble_mode == "both" else [scramble_mode]
 
-    os.makedirs(out_dir, exist_ok=True)
+    def write_lines(name, lines):
+        # the directory appears with the first file, so a rejected run leaves none
+        os.makedirs(out_dir, exist_ok=True)
+        _write_lines(os.path.join(out_dir, name), lines)
+
     scrambler = ScramblerSpec(poly_mask=poly, seed=scr_seed)
     summary = ["encoder,scramble,N,K,p1,frames,min,max,mean"]
     for n_bits, k_bits in sizes:
@@ -191,8 +196,7 @@ def cmd_simulate_dist(args) -> int:
                 )
                 rows = ["frame_index,ones_fraction"]
                 rows += [f"{i},{float(v)!r}" for i, v in enumerate(stats.samples)]
-                name = f"dist_{enc}_{scr}_{n_bits}x{k_bits}.csv"
-                _write_lines(os.path.join(out_dir, name), rows)
+                write_lines(f"dist_{enc}_{scr}_{n_bits}x{k_bits}.csv", rows)
                 summary.append(
                     f"{enc},{scr},{n_bits},{k_bits},{p1!r},{frames},"
                     f"{stats.min!r},{stats.max!r},{stats.mean!r}"
@@ -202,7 +206,7 @@ def cmd_simulate_dist(args) -> int:
                     f"min={stats.min:.6f} max={stats.max:.6f} mean={stats.mean:.6f} "
                     f"max_run={stats.max_run_length}"
                 )
-    _write_lines(os.path.join(out_dir, "summary.csv"), summary)
+    write_lines("summary.csv", summary)
     _write_json(
         os.path.join(out_dir, "config.json"),
         {
@@ -319,7 +323,9 @@ def cmd_mftp(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args returns a fresh Namespace each call
     parser = argparse.ArgumentParser(
         prog="beaconphy",
         description="DC-balanced channel coding experiments for beacon VLC links",

@@ -11,8 +11,12 @@ Bulk work is done on arrays of any leading shape: rs_encode is one lookup
 in a 16x16 multiplication table against a k x (n-k) parity matrix followed
 by an XOR reduction, and rs_screen marks the words with a nonzero syndrome
 in one gather from a table of nibble-packed syndromes.  Only those dirty
-words need rs_decode, the per-word decoder: syndromes, Berlekamp-Massey,
-Chien search, Forney, all on table lookups.  A detected uncorrectable word
+words need rs_decode, the per-word decoder, which works on table lookups.
+A word with exactly one symbol error (the nu = 1 case of
+Peterson-Gorenstein-Zierler) is corrected in closed form: its syndromes
+are S_j = e X^j, so X = S_2 / S_1 and e = S_1 / X, and the word qualifies
+when every S_j matches e X^j.  Every other dirty word goes through
+Berlekamp-Massey, Chien search and Forney.  A detected uncorrectable word
 is reported as None; that is a value, not a fault.
 """
 
@@ -190,25 +194,42 @@ def rs_decode(spec: RsSpec, recv):
     locator (wrong root count, zero derivative, or residual syndromes after
     correction) reports failure instead of a wrong answer.
     """
-    recv = _check_symbols(recv, spec.n).tolist()
-    nsyn = spec.n - spec.k
+    recv = recv.tolist() if isinstance(recv, np.ndarray) else list(recv)
+    if len(recv) != N_SYMBOLS:
+        raise ValueError(f"expected {N_SYMBOLS} symbols, got {len(recv)}")
+    if min(recv) < 0 or max(recv) > 15:
+        raise ValueError("symbols must lie in [0, 16)")
+    k = spec.k
+    nsyn = N_SYMBOLS - k
     mask = spec.syndrome_mask
     packed = 0
     for p, s in enumerate(recv):
         packed ^= _SYN[p][s]
     packed &= mask
     if not packed:
-        return np.array(recv[: spec.k], dtype=np.uint8)
+        return np.array(recv[:k], dtype=np.uint8)
+
+    # One error e at x^lx gives S_j = e alpha^(j lx): lx = log S_2 - log S_1,
+    # e = S_1 alpha^-lx.  If all of S_1 .. S_(n-k) match, the word is at
+    # distance 1 from a codeword and d >= 5, so that codeword is the one
+    # BM/Chien/Forney would return.
+    s1, s2 = packed & 15, (packed >> 4) & 15
+    if s1 and s2:
+        lx = (_LOG[s2] - _LOG[s1]) % 15
+        pos, err = N_SYMBOLS - 1 - lx, _EXP[_LOG[s1] - lx + 15]
+        if packed == _SYN[pos][err] & mask:
+            recv[pos] ^= err
+            return np.array(recv[:k], dtype=np.uint8)
 
     synd = [(packed >> 4 * j) & 15 for j in range(nsyn)]
     sigma = _berlekamp_massey(synd)
     n_errors = len(sigma) - 1
-    if n_errors == 0 or n_errors > spec.t:
+    if n_errors == 0 or n_errors > nsyn // 2:
         return None
 
     # Chien search: a root alpha^-d locates an error at position 14 - d
     values = _eval_all(sigma)
-    roots = [d for d in range(spec.n) if not (values >> 4 * d) & 15]
+    roots = [d for d in range(N_SYMBOLS) if not (values >> 4 * d) & 15]
     if len(roots) != n_errors:
         return None
 
@@ -228,7 +249,7 @@ def rs_decode(spec: RsSpec, recv):
         den = (deriv_values >> 4 * d) & 15
         if den == 0:
             return None
-        pos = spec.n - 1 - d
+        pos = N_SYMBOLS - 1 - d
         err = _MUL[(omega_values >> 4 * d) & 15][_INV[den]]
         corrected[pos] ^= err
         packed ^= _SYN[pos][err]
@@ -236,7 +257,7 @@ def rs_decode(spec: RsSpec, recv):
     # S(r + e) = S(r) + S(e), so the residual needs only the error symbols
     if packed & mask:
         return None
-    return np.array(corrected[: spec.k], dtype=np.uint8)
+    return np.array(corrected[:k], dtype=np.uint8)
 
 
 def bits_to_symbols(bits) -> np.ndarray:

@@ -175,6 +175,15 @@ def test_simulate_dist_has_no_workers_option(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "w")
 
 
+def test_simulate_dist_rejected_seed_leaves_no_directory(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "D"
+    code, _, err = run_cli(
+        ["simulate-dist", "--master-seed", "-1", "--frames", "5", "--out-dir", str(out)],
+        monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and err.startswith("error: expected non-negative integer")
+    assert not out.exists()
+
+
 def test_simulate_dist_rows_are_plain_numbers(tmp_path, monkeypatch, capsys):
     out = str(tmp_path / "p")
     code, _, _ = run_cli(
@@ -268,3 +277,23 @@ def test_mftp_output(monkeypatch, capsys):
                            monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0
     assert "frame_time_ms=10.24" in out and "compliant=NO" in out
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, monkeypatch, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    # a usage error, then a clean call through the same parser
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["mftp", "--frame-bits", "many"])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    code, out, _ = run_cli(["mftp"], monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0 and "frame_bits=256 " in out
+
+    # a store_true flag does not stick to the next call
+    base = ["simulate-ber", "--codes", "polar", "--N", "16", "--K", "8", "--ebn0", "10:1:10",
+            "--max-frames", "4", "--batch", "4", "--workers", "1"]
+    exact, plain = str(tmp_path / "exact.csv"), str(tmp_path / "plain.csv")
+    assert run_cli(base + ["--exact-f", "--out", exact], capsys=capsys)[0] == 0
+    assert run_cli(base + ["--out", plain], capsys=capsys)[0] == 0
+    assert json.load(open(exact + ".config.json"))["exact_f"] is True
+    assert json.load(open(plain + ".config.json"))["exact_f"] is False

@@ -168,6 +168,41 @@ def test_decode_validation():
         rs_decode(RsSpec(11), [0] * 14)
 
 
+@pytest.mark.parametrize("length", [14, 16])
+def test_decode_rejects_wrong_length(length):
+    with pytest.raises(ValueError, match=f"expected 15 symbols, got {length}"):
+        rs_decode(RsSpec(7), [0] * length)
+
+
+@pytest.mark.parametrize("bad", [16, -1])
+def test_decode_rejects_out_of_range_symbols(bad):
+    with pytest.raises(ValueError, match="symbols must lie in"):
+        rs_decode(RsSpec(7), [0] * 14 + [bad])
+    with pytest.raises(ValueError, match="symbols must lie in"):
+        rs_decode(RsSpec(7), np.array([bad] + [0] * 14, dtype=np.int64))
+
+
+def test_decode_input_types_agree():
+    # clean, one error, two errors, and a word the decoder gives up on
+    spec = RsSpec(11)
+    cw = rs_encode(spec, np.arange(1, 12))
+    words = [cw.copy() for _ in range(3)]
+    words[1][4] ^= 9
+    words[2][0] ^= 3
+    words[2][12] ^= 5
+    words.append(np.array([1, 1, 0, 0, 0, 1] + [0] * 9, dtype=np.uint8))
+    outcomes = []
+    for word in words:
+        outs = [rs_decode(spec, form) for form in
+                (word.tolist(), word.astype(np.uint8), word.astype(np.int64))]
+        if outs[0] is None:
+            assert outs == [None] * 3
+        else:
+            assert all(out.dtype == np.uint8 and np.array_equal(out, outs[0]) for out in outs)
+        outcomes.append(outs[0] is None)
+    assert outcomes == [False, False, False, True]
+
+
 def test_bits_symbols_roundtrip():
     # MSB-first packing: 1011 -> 11.
     assert bits_to_symbols([1, 0, 1, 1]).tolist() == [11]

@@ -109,3 +109,76 @@ def test_rs_link_decode_matches_oracle_loop(k):
     assert np.array_equal(hat, ref_hat[:, : link.frame_bits])
     # 12 dB is below every crossing: some frames fail, yet blocks still decode
     assert failed.any() and hat.any()
+
+
+def _assert_same_as_oracle(k, words):
+    spec, ref_spec = RsSpec(k), rs_oracle.RsSpec(k)
+    for word in words:
+        got, ref = rs_decode(spec, word), rs_oracle.rs_decode(ref_spec, word)
+        if ref is None:
+            assert got is None, word
+        else:
+            assert got is not None and np.array_equal(got, ref), word
+
+
+@pytest.mark.parametrize("k", KS)
+def test_every_single_error_matches_oracle(k):
+    # each of the 15 x 15 one-error patterns, parity positions included, on
+    # the zero codeword and on random codewords; all of them are corrected
+    rng = np.random.default_rng(4000 + k)
+    ref_spec = rs_oracle.RsSpec(k)
+    msgs = [np.zeros(k, dtype=np.int64)] + [rng.integers(0, 16, k) for _ in range(3)]
+    for msg in msgs:
+        cw = rs_oracle.rs_encode(ref_spec, msg)
+        words = []
+        for pos in range(15):
+            for err in range(1, 16):
+                word = cw.copy()
+                word[pos] ^= err
+                words.append(word)
+        _assert_same_as_oracle(k, words)
+        for word in words:
+            assert np.array_equal(rs_decode(RsSpec(k), word), msg)
+
+
+def _syndromes(k, word):
+    return [rs_oracle._eval_desc([int(s) for s in word], rs_oracle._EXP[m])
+            for m in range(1, 16 - k)]
+
+
+def _geometric_prefix(synd):
+    """Length of the longest prefix S_1 .. S_m of nonzero syndromes with one log ratio."""
+    logs = []
+    for s in synd:
+        if s == 0:
+            break
+        logs.append(rs_oracle._LOG[s])
+    ratios = [(b - a) % 15 for a, b in zip(logs, logs[1:])]
+    m = 1 if logs else 0
+    while m < len(logs) and ratios[m - 1] == ratios[0]:
+        m += 1
+    return m
+
+
+@pytest.mark.parametrize("k", KS)
+def test_near_single_error_syndromes_match_oracle(k):
+    # words that look like one error for the first few syndromes only, and
+    # words with exactly one zero syndrome, from random and two-error words
+    rng = np.random.default_rng(5000 + k)
+    ref_spec = rs_oracle.RsSpec(k)
+    nsyn = 15 - k
+    words = list(rng.integers(0, 16, (1500, 15), dtype=np.uint8))
+    for _ in range(1500):
+        word = rs_oracle.rs_encode(ref_spec, rng.integers(0, 16, k))
+        pos = rng.choice(15, 2, replace=False)
+        word[pos] ^= rng.integers(1, 16, 2).astype(np.uint8)
+        words.append(word)
+    prefix, one_zero = [], []
+    for word in words:
+        synd = _syndromes(k, word)
+        if 3 <= _geometric_prefix(synd) < nsyn:
+            prefix.append(word)
+        if synd.count(0) == 1:
+            one_zero.append(word)
+    assert prefix and one_zero, (len(prefix), len(one_zero))
+    _assert_same_as_oracle(k, prefix + one_zero)
