@@ -44,22 +44,6 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit LCG mu
 _CHUNK = 64  # frames whose uniforms are thresholded in one call
 
 
-@dataclass(frozen=True)
-class InputBiasModel:
-    """Bernoulli source for message bits.
-
-    The experiments default to ones_ratio = 0.9, which is not the worst
-    case: unscrambled (256,158) frames spread wider at 0.1 (exact
-    ones-fraction sd 0.0763, against 0.0674 at 0.9).
-    """
-
-    ones_ratio: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 <= self.ones_ratio <= 1.0:
-            raise ValueError("ones_ratio must lie in [0, 1]")
-
-
 def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
     """init * mult**k mod 2**32 for k = 0 .. n-1, as an (n, 1) uint32 column."""
     consts = [init]
@@ -198,13 +182,18 @@ def run_dist_experiment(
     *,
     encoder: str = "nspe",
     scrambled: bool = True,
-    bias: InputBiasModel = InputBiasModel(0.9),
+    p1: float = 0.9,
     frames: int = 10000,
     master_seed: int = DEFAULT_MASTER_SEED,
     scrambler: ScramblerSpec = ScramblerSpec(),
     batch: int = 2048,
 ) -> DistStats:
-    """Encode `frames` random frames and collect ones-density statistics."""
+    """Encode `frames` frames of Bernoulli(p1) message bits; collect ones-density statistics.
+
+    p1 = 0.9 is not the worst case: unscrambled (256,158) frames spread wider at
+    0.1 (exact ones-fraction sd 0.0763, against 0.0674 at 0.9)."""
+    if not 0.0 <= p1 <= 1.0:
+        raise ValueError("p1 must lie in [0, 1]")
     if frames <= 0:
         raise ValueError("frame count must be positive")
     if encoder == "nspe":
@@ -220,7 +209,7 @@ def run_dist_experiment(
     max_run = 0
     for lo in range(0, frames, batch):
         hi = min(lo + batch, frames)
-        msgs, _ = _draw_frames(master_seed, lo, hi, spec.K, bias.ones_ratio)
+        msgs, _ = _draw_frames(master_seed, lo, hi, spec.K, p1)
         if ks is not None:
             msgs ^= ks
         x = enc(spec, msgs)
@@ -228,17 +217,8 @@ def run_dist_experiment(
         hist += np.bincount(w, minlength=spec.N + 1)
         samples[lo:hi] = w / spec.N
         max_run = max(max_run, bitstream.max_run_length(x))
-    return DistStats(
-        encoder=encoder,
-        scrambled=scrambled,
-        N=spec.N,
-        K=spec.K,
-        p1=bias.ones_ratio,
-        frames=frames,
-        samples=samples,
-        weight_hist=hist,
-        max_run_length=max_run,
-    )
+    return DistStats(encoder=encoder, scrambled=scrambled, N=spec.N, K=spec.K, p1=p1,
+                     frames=frames, samples=samples, weight_hist=hist, max_run_length=max_run)
 
 
 @dataclass

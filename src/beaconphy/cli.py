@@ -1,9 +1,11 @@
 """Command-line entry points: code construction, pipeline stages, experiments.
 
 Text bitstreams on stdin/stdout use '0'/'1' characters, index 0 first.
-Experiment subcommands write their fully resolved configuration to a JSON
-sidecar next to the output; re-running with --config <sidecar> reproduces
-the output byte for byte (for simulate-ber, whatever --workers says).
+An experiment subcommand takes each setting from its flag, else from the
+--config sidecar, else from DIST_DEFAULTS or BER_DEFAULTS, and writes the
+resolved settings to a JSON sidecar next to its output; re-running with
+--config <sidecar> reproduces the output byte for byte (for simulate-ber,
+whatever --workers says).  Bad paths and configs exit 2 with an error line.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import numpy as np
 from . import bitstream
 from .analysis import (
     DEFAULT_MASTER_SEED,
-    InputBiasModel,
     PolarLink,
     RsLink,
     UncodedLink,
@@ -82,9 +83,74 @@ def _parse_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-def _load_config(path) -> dict:
-    with open(path, "r", encoding="ascii") as fh:
-        return json.load(fh)
+# Each experiment's settings and defaults; the keys are its sidecar's, besides "command".
+DIST_DEFAULTS = {
+    "sizes": [[DEFAULT_N, DEFAULT_K]],
+    "encoders": ["nspe"],
+    "scramble": "both",
+    "p1": 0.9,
+    "frames": 10000,
+    "eps": DEFAULT_EPS,
+    "poly": DEFAULT_POLY,
+    "scrambler_seed": DEFAULT_SEED,
+    "master_seed": DEFAULT_MASTER_SEED,
+    "out_dir": "dist_out",
+}
+BER_DEFAULTS = {
+    "codes": list(BER_CODES),
+    "ebn0": {name: _parse_sweep(text) for name, text in DEFAULT_SWEEPS.items()},
+    "N": DEFAULT_N,
+    "K": DEFAULT_K,
+    "eps": DEFAULT_EPS,
+    "poly": DEFAULT_POLY,
+    "scrambler_seed": DEFAULT_SEED,
+    "amplitude": 1.0,
+    "min_errors": 100,
+    "max_frames": DEFAULT_MAX_FRAMES,
+    "batch": 1000,
+    "master_seed": DEFAULT_MASTER_SEED,
+    "exact_f": False,
+    "workers": None,
+    "out": "ber.csv",
+}
+_FLAG_PARSERS = {"sizes": _parse_sizes, "encoders": _parse_list, "codes": _parse_list,
+                 "ebn0": _parse_sweep}
+
+
+def _from_sidecar(key: str, value, default):
+    """A sidecar value checked, nested items too, against its default's JSON type."""
+    # an int passes for a float, and for the worker count, whose default is None
+    kinds = {float: (float, int), type(None): (type(None), int)}.get(type(default))
+    if type(value) not in (kinds or (type(default),)):
+        want = "int or null" if default is None else type(default).__name__
+        raise ValueError(f"config setting {key!r} must be {want}, got {json.dumps(value)}")
+    if isinstance(default, float):
+        return float(value)
+    if isinstance(value, list) and default:
+        return [_from_sidecar(key, v, default[0]) for v in value]
+    if isinstance(value, dict) and default:  # ebn0: one sweep per code
+        return {k: _from_sidecar(key, v, [*default.values()][0]) for k, v in value.items()}
+    return value
+
+
+def _settings(args, defaults: dict) -> dict:
+    """Each setting from its flag if given, else from the --config sidecar, else its default."""
+    cfg = {}
+    if args.config:
+        with open(args.config, "r", encoding="ascii") as fh:
+            cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ValueError(f"config {args.config} is not a JSON object")
+    settings = {}
+    for key, default in defaults.items():
+        if key in args:
+            value = getattr(args, key)
+            settings[key] = _FLAG_PARSERS[key](value) if key in _FLAG_PARSERS else value
+        elif key in cfg:
+            settings[key] = _from_sidecar(key, cfg[key], default)
+        else:
+            settings[key] = default
+    return settings
 
 
 def _write_json(path, doc: dict) -> None:
@@ -96,14 +162,6 @@ def _write_json(path, doc: dict) -> None:
 def _write_lines(path, lines) -> None:
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _resolve(cli_value, cfg: dict | None, key: str, default):
-    if cli_value is not None:
-        return cli_value
-    if cfg is not None and key in cfg:
-        return cfg[key]
-    return default
 
 
 def _stdin_bits(expected: int | None = None) -> np.ndarray:
@@ -153,76 +211,39 @@ def cmd_decode(args) -> int:
 
 
 def cmd_simulate_dist(args) -> int:
-    cfg = _load_config(args.config) if args.config else None
-    sizes = _resolve(_parse_sizes(args.sizes) if args.sizes else None, cfg, "sizes",
-                     [[DEFAULT_N, DEFAULT_K]])
-    encoders = _resolve(_parse_list(args.encoders) if args.encoders else None, cfg,
-                        "encoders", ["nspe"])
-    scramble_mode = _resolve(args.scramble, cfg, "scramble", "both")
-    p1 = _resolve(args.p1, cfg, "p1", 0.9)
-    frames = _resolve(args.frames, cfg, "frames", 10000)
-    eps = _resolve(args.eps, cfg, "eps", DEFAULT_EPS)
-    poly = _resolve(args.poly, cfg, "poly", DEFAULT_POLY)
-    scr_seed = _resolve(args.scrambler_seed, cfg, "scrambler_seed", DEFAULT_SEED)
-    master_seed = _resolve(args.master_seed, cfg, "master_seed", DEFAULT_MASTER_SEED)
-    out_dir = _resolve(args.out_dir, cfg, "out_dir", "dist_out")
-
-    for enc in encoders:
+    st = _settings(args, DIST_DEFAULTS)
+    for enc in st["encoders"]:
         if enc not in ("nspe", "systematic"):
             raise ValueError(f"unknown encoder {enc!r}")
-    if scramble_mode not in ("on", "off", "both"):
+    if st["scramble"] not in ("on", "off", "both"):
         raise ValueError("scramble must be on, off or both")
-    scramble_opts = ["on", "off"] if scramble_mode == "both" else [scramble_mode]
+    scramble_opts = ["on", "off"] if st["scramble"] == "both" else [st["scramble"]]
+    p1, frames = st["p1"], st["frames"]
 
     def write_lines(name, lines):
         # the directory appears with the first file, so a rejected run leaves none
-        os.makedirs(out_dir, exist_ok=True)
-        _write_lines(os.path.join(out_dir, name), lines)
+        os.makedirs(st["out_dir"], exist_ok=True)
+        _write_lines(os.path.join(st["out_dir"], name), lines)
 
-    scrambler = ScramblerSpec(poly_mask=poly, seed=scr_seed)
+    scrambler = ScramblerSpec(poly_mask=st["poly"], seed=st["scrambler_seed"])
     summary = ["encoder,scramble,N,K,p1,frames,min,max,mean"]
-    for n_bits, k_bits in sizes:
-        spec = construct(n_bits, k_bits, eps)
-        for enc in encoders:
+    for n_bits, k_bits in st["sizes"]:
+        spec = construct(n_bits, k_bits, st["eps"])
+        for enc in st["encoders"]:
             for scr in scramble_opts:
                 stats = run_dist_experiment(
-                    spec,
-                    encoder=enc,
-                    scrambled=(scr == "on"),
-                    bias=InputBiasModel(p1),
-                    frames=frames,
-                    master_seed=master_seed,
-                    scrambler=scrambler,
-                )
+                    spec, encoder=enc, scrambled=(scr == "on"), p1=p1, frames=frames,
+                    master_seed=st["master_seed"], scrambler=scrambler)
                 rows = ["frame_index,ones_fraction"]
                 rows += [f"{i},{float(v)!r}" for i, v in enumerate(stats.samples)]
                 write_lines(f"dist_{enc}_{scr}_{n_bits}x{k_bits}.csv", rows)
-                summary.append(
-                    f"{enc},{scr},{n_bits},{k_bits},{p1!r},{frames},"
-                    f"{stats.min!r},{stats.max!r},{stats.mean!r}"
-                )
-                print(
-                    f"{enc} scramble={scr} ({n_bits},{k_bits}) p1={p1:g}: "
-                    f"min={stats.min:.6f} max={stats.max:.6f} mean={stats.mean:.6f} "
-                    f"max_run={stats.max_run_length}"
-                )
+                summary.append(f"{enc},{scr},{n_bits},{k_bits},{p1!r},{frames},"
+                               f"{stats.min!r},{stats.max!r},{stats.mean!r}")
+                print(f"{enc} scramble={scr} ({n_bits},{k_bits}) p1={p1:g}: "
+                      f"min={stats.min:.6f} max={stats.max:.6f} mean={stats.mean:.6f} "
+                      f"max_run={stats.max_run_length}")
     write_lines("summary.csv", summary)
-    _write_json(
-        os.path.join(out_dir, "config.json"),
-        {
-            "command": "simulate-dist",
-            "sizes": sizes,
-            "encoders": encoders,
-            "scramble": scramble_mode,
-            "p1": p1,
-            "frames": frames,
-            "eps": eps,
-            "poly": poly,
-            "scrambler_seed": scr_seed,
-            "master_seed": master_seed,
-            "out_dir": out_dir,
-        },
-    )
+    _write_json(os.path.join(st["out_dir"], "config.json"), {"command": args.command, **st})
     return 0
 
 
@@ -232,83 +253,39 @@ def _make_link(name: str, n_bits: int, k_bits: int, eps: float,
         return PolarLink(construct(n_bits, k_bits, eps), scrambler, exact=exact)
     if name.startswith("rs15_"):
         return RsLink(int(name.split("_")[1]), frame_bits=k_bits)
-    if name == "uncoded":
-        return UncodedLink(frame_bits=k_bits)
-    raise ValueError(f"unknown code {name!r}")
+    return UncodedLink(frame_bits=k_bits)
 
 
 def cmd_simulate_ber(args) -> int:
-    cfg = _load_config(args.config) if args.config else None
-    codes = _resolve(_parse_list(args.codes) if args.codes else None, cfg, "codes",
-                     list(BER_CODES))
+    st = _settings(args, BER_DEFAULTS)
+    codes, sweeps = st["codes"], st["ebn0"]
+    if isinstance(sweeps, list):  # --ebn0 gives every code the same sweep
+        sweeps = dict.fromkeys(codes, sweeps)
     for name in codes:
         if name not in BER_CODES:
             raise ValueError(f"unknown code {name!r}; choose from {', '.join(BER_CODES)}")
-    n_bits = _resolve(args.N, cfg, "N", DEFAULT_N)
-    k_bits = _resolve(args.K, cfg, "K", DEFAULT_K)
-    eps = _resolve(args.eps, cfg, "eps", DEFAULT_EPS)
-    poly = _resolve(args.poly, cfg, "poly", DEFAULT_POLY)
-    scr_seed = _resolve(args.scrambler_seed, cfg, "scrambler_seed", DEFAULT_SEED)
-    amplitude = _resolve(args.amplitude, cfg, "amplitude", 1.0)
-    min_errors = _resolve(args.min_errors, cfg, "min_errors", 100)
-    max_frames = _resolve(args.max_frames, cfg, "max_frames", DEFAULT_MAX_FRAMES)
-    batch = _resolve(args.batch, cfg, "batch", 1000)
-    master_seed = _resolve(args.master_seed, cfg, "master_seed", DEFAULT_MASTER_SEED)
-    exact = _resolve(args.exact_f or None, cfg, "exact_f", False)
-    workers = _resolve(args.workers, cfg, "workers", None)
-    out = _resolve(args.out, cfg, "out", "ber.csv")
+        if name not in sweeps:
+            raise ValueError(f"config setting 'ebn0' has no sweep for code {name!r}")
+    st["ebn0"] = {name: sweeps[name] for name in codes}
+    out_dir = os.path.dirname(st["out"]) or "."
+    if not os.path.isdir(out_dir):
+        raise ValueError(f"output directory {out_dir!r} does not exist")
 
-    if args.ebn0:
-        sweep = _parse_sweep(args.ebn0)
-        ebn0 = {name: sweep for name in codes}
-    elif cfg is not None and "ebn0" in cfg:
-        ebn0 = {name: list(cfg["ebn0"][name]) for name in codes}
-    else:
-        ebn0 = {name: _parse_sweep(DEFAULT_SWEEPS[name]) for name in codes}
-
-    scrambler = ScramblerSpec(poly_mask=poly, seed=scr_seed)
+    scrambler = ScramblerSpec(poly_mask=st["poly"], seed=st["scrambler_seed"])
     rows = ["code,ebn0_db,bits,bit_errors,frames,frame_errors,ber"]
     for name in codes:
-        link = _make_link(name, n_bits, k_bits, eps, scrambler, exact)
+        link = _make_link(name, st["N"], st["K"], st["eps"], scrambler, st["exact_f"])
         points = run_ber_experiment(
-            link,
-            ebn0[name],
-            amplitude=amplitude,
-            min_errors=min_errors,
-            max_frames=max_frames,
-            master_seed=master_seed,
-            batch=batch,
-            workers=workers,
-        )
+            link, st["ebn0"][name], amplitude=st["amplitude"], min_errors=st["min_errors"],
+            max_frames=st["max_frames"], master_seed=st["master_seed"], batch=st["batch"],
+            workers=st["workers"])
         for p in points:
-            rows.append(
-                f"{name},{p.ebn0_db!r},{p.bits_sent},{p.bit_errors},"
-                f"{p.frames_sent},{p.frame_errors},{p.ber!r}"
-            )
+            rows.append(f"{name},{p.ebn0_db!r},{p.bits_sent},{p.bit_errors},"
+                        f"{p.frames_sent},{p.frame_errors},{p.ber!r}")
             print(f"{name} {p.ebn0_db:g} dB: ber={p.ber:.3e} "
                   f"({p.bit_errors}/{p.bits_sent} bits, {p.frames_sent} frames)")
-    _write_lines(out, rows)
-    _write_json(
-        out + ".config.json",
-        {
-            "command": "simulate-ber",
-            "codes": codes,
-            "ebn0": ebn0,
-            "N": n_bits,
-            "K": k_bits,
-            "eps": eps,
-            "poly": poly,
-            "scrambler_seed": scr_seed,
-            "amplitude": amplitude,
-            "min_errors": min_errors,
-            "max_frames": max_frames,
-            "batch": batch,
-            "master_seed": master_seed,
-            "exact_f": exact,
-            "workers": workers,
-            "out": out,
-        },
-    )
+    _write_lines(st["out"], rows)
+    _write_json(st["out"] + ".config.json", {"command": args.command, **st})
     return 0
 
 
@@ -358,40 +335,46 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="emit the re-encoded N-bit codeword instead of the message")
     p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("simulate-dist", help="ones-density distribution experiment")
+    d = DIST_DEFAULTS
+    p = sub.add_parser("simulate-dist", help="ones-density distribution experiment",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--sizes", help="comma list of N:K pairs (default 256:158)")
     p.add_argument("--encoders", help="comma list from {nspe,systematic} (default nspe)")
     p.add_argument("--scramble", choices=("on", "off", "both"),
-                   help="scrambler setting (default both)")
-    p.add_argument("--p1", type=float, help="message ones ratio (default 0.9)")
-    p.add_argument("--frames", type=int, help="frames per configuration (default 10000)")
-    p.add_argument("--eps", type=float, help="construction design parameter (default 0.5)")
+                   help=f"scrambler setting (default {d['scramble']})")
+    p.add_argument("--p1", type=float, help=f"message ones ratio (default {d['p1']})")
+    p.add_argument("--frames", type=int, help=f"frames per configuration (default {d['frames']})")
+    p.add_argument("--eps", type=float, help=f"construction design parameter (default {d['eps']})")
     p.add_argument("--poly", type=_hex_int, help="scrambler polynomial mask, hex")
     p.add_argument("--scrambler-seed", type=_hex_int, help="scrambler seed, hex")
     p.add_argument("--master-seed", type=int)
-    p.add_argument("--out-dir", help="output directory (default dist_out)")
-    p.add_argument("--config", help="rerun from a config sidecar")
+    p.add_argument("--out-dir", help=f"output directory (default {d['out_dir']})")
+    p.add_argument("--config", default=None, help="rerun from a config sidecar")
     p.set_defaults(func=cmd_simulate_dist)
 
-    p = sub.add_parser("simulate-ber", help="Monte-Carlo BER curves over OOK/AWGN")
+    d = BER_DEFAULTS
+    p = sub.add_parser("simulate-ber", help="Monte-Carlo BER curves over OOK/AWGN",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--codes", help=f"comma list from {{{','.join(BER_CODES)}}} (default all)")
     p.add_argument("--ebn0", help="start:step:stop sweep in dB applied to every code "
                                   "(default: per-code sweep)")
-    p.add_argument("--N", type=int, help="polar codeword length (default 256)")
-    p.add_argument("--K", type=int, help="message bits per frame (default 158)")
-    p.add_argument("--eps", type=float, help="construction design parameter (default 0.5)")
+    p.add_argument("--N", type=int, help=f"polar codeword length (default {d['N']})")
+    p.add_argument("--K", type=int, help=f"message bits per frame (default {d['K']})")
+    p.add_argument("--eps", type=float, help=f"construction design parameter (default {d['eps']})")
     p.add_argument("--poly", type=_hex_int, help="scrambler polynomial mask, hex")
     p.add_argument("--scrambler-seed", type=_hex_int, help="scrambler seed, hex")
-    p.add_argument("--amplitude", type=float, help="OOK on-level (default 1.0)")
-    p.add_argument("--min-errors", type=int, help="bit errors collected per point (default 100)")
-    p.add_argument("--max-frames", type=int, help="frame cap per point (default 200000)")
-    p.add_argument("--batch", type=int, help="frames per work unit (default 1000)")
+    p.add_argument("--amplitude", type=float, help=f"OOK on-level (default {d['amplitude']})")
+    p.add_argument("--min-errors", type=int,
+                   help=f"bit errors collected per point (default {d['min_errors']})")
+    p.add_argument("--max-frames", type=int,
+                   help=f"frame cap per point (default {d['max_frames']})")
+    p.add_argument("--batch", type=int, help=f"frames per work unit (default {d['batch']})")
     p.add_argument("--master-seed", type=int)
     p.add_argument("--workers", type=int, help="worker processes; never changes results")
     p.add_argument("--exact-f", action="store_true",
                    help="use the exact tanh check-node update instead of min-sum")
-    p.add_argument("--out", help="output CSV path (default ber.csv)")
-    p.add_argument("--config", help="rerun from a config sidecar")
+    p.add_argument("--out", help=f"output CSV path (default {d['out']})")
+    p.add_argument("--config", default=None, help="rerun from a config sidecar")
     p.set_defaults(func=cmd_simulate_ber)
 
     p = sub.add_parser("mftp", help="frame time against the 5 ms flicker limit")
@@ -406,7 +389,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

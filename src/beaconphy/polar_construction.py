@@ -117,6 +117,8 @@ def to_dict(spec: PolarSpec) -> dict:
 
 
 def from_dict(doc: dict) -> PolarSpec:
+    if not isinstance(doc, dict):
+        raise ValueError("code description must be a JSON object")
     try:
         return PolarSpec(
             n=int(doc["n"]),

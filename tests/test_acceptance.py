@@ -19,7 +19,6 @@ import pytest
 from beaconphy import cli
 from beaconphy.analysis import (
     DEFAULT_MASTER_SEED,
-    InputBiasModel,
     PolarLink,
     RsLink,
     UncodedLink,
@@ -136,11 +135,11 @@ def test_criterion_05_headline_distribution_256():
     """
     t0 = time.perf_counter()
     spec = construct(256, 158, 0.5)
-    bias = InputBiasModel(0.9)
+    p1 = 0.9
     frames = 10_000
-    scr = run_dist_experiment(spec, encoder="nspe", scrambled=True, bias=bias,
+    scr = run_dist_experiment(spec, encoder="nspe", scrambled=True, p1=p1,
                               frames=frames, master_seed=DEFAULT_MASTER_SEED)
-    unscr = run_dist_experiment(spec, encoder="nspe", scrambled=False, bias=bias,
+    unscr = run_dist_experiment(spec, encoder="nspe", scrambled=False, p1=p1,
                                 frames=frames, master_seed=DEFAULT_MASTER_SEED)
     elapsed = time.perf_counter() - t0
     print(f"criterion 5: scrambled min={scr.min:.4f} max={scr.max:.4f}, "
@@ -154,7 +153,7 @@ def test_criterion_05_headline_distribution_256():
     for label, stats, ks in runs:
         mean, var = ones_density_moments(
             spec.N, spec.info_set,
-            message_ones_probabilities(bias.ones_ratio, spec.K, ks))
+            message_ones_probabilities(p1, spec.K, ks))
         sd = math.sqrt(var)
         z_mean, z_sd = moment_z_scores(stats.samples, mean, var)
         oracle.append(f"{label} mean={mean:.6f} sd={sd:.6f}, 0.80 at "
@@ -179,10 +178,10 @@ def test_criterion_05_headline_distribution_256():
 def test_criterion_06_long_code_distribution_2048():
     spec = construct(2048, 1024, 0.5)
     high = run_dist_experiment(spec, encoder="nspe", scrambled=False,
-                               bias=InputBiasModel(0.9), frames=10_000,
+                               p1=0.9, frames=10_000,
                                master_seed=DEFAULT_MASTER_SEED)
     half = run_dist_experiment(spec, encoder="nspe", scrambled=False,
-                               bias=InputBiasModel(0.5), frames=10_000,
+                               p1=0.5, frames=10_000,
                                master_seed=DEFAULT_MASTER_SEED)
     print(f"criterion 6: p1=0.9 range=({high.min:.4f}, {high.max:.4f}), "
           f"p1=0.5 range=({half.min:.4f}, {half.max:.4f})")
@@ -199,7 +198,7 @@ def test_criterion_06_long_code_distribution_2048():
 def test_criterion_07_systematic_drift():
     spec = construct(256, 158, 0.5)
     stats = run_dist_experiment(spec, encoder="systematic", scrambled=False,
-                                bias=InputBiasModel(0.9), frames=10_000,
+                                p1=0.9, frames=10_000,
                                 master_seed=DEFAULT_MASTER_SEED)
     print(f"criterion 7: systematic unscrambled mean={stats.mean:.6f}")
     assert stats.mean >= 0.75

@@ -9,7 +9,6 @@ from beaconphy.analysis import (
     DEFAULT_MASTER_SEED,
     BerPoint,
     DistStats,
-    InputBiasModel,
     PolarLink,
     RsLink,
     UncodedLink,
@@ -29,11 +28,11 @@ from beaconphy.scrambler import ScramblerSpec
 
 
 def test_bias_model_validation_and_sampling():
-    with pytest.raises(ValueError):
-        InputBiasModel(1.5)
-    with pytest.raises(ValueError):
-        InputBiasModel(-0.1)
-    v, _ = _draw_frames(5, 0, 1, 100000, InputBiasModel(0.9).ones_ratio)
+    spec = construct(16, 8)
+    for p1 in (1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="p1"):
+            run_dist_experiment(spec, p1=p1, frames=1)
+    v, _ = _draw_frames(5, 0, 1, 100000, 0.9)
     assert abs(v.mean() - 0.9) < 0.01
 
 
@@ -53,7 +52,7 @@ def test_dist_stats_derived_from_histogram():
 
 def test_dist_experiment_reproducible_and_batch_independent():
     spec = construct(32, 20)
-    kw = dict(encoder="nspe", scrambled=True, bias=InputBiasModel(0.9),
+    kw = dict(encoder="nspe", scrambled=True, p1=0.9,
               frames=300, master_seed=1234)
     a = run_dist_experiment(spec, **kw, batch=7)
     b = run_dist_experiment(spec, **kw, batch=128)
@@ -76,7 +75,7 @@ def test_dist_samples_rebuild_from_numpy_streams():
     # drawing K uniforms, a bit being 1 below p1.  Rebuilt with numpy alone.
     spec = construct(64, 40)
     seed, p1, frames = 99, 0.8, 150
-    stats = run_dist_experiment(spec, scrambled=False, bias=InputBiasModel(p1),
+    stats = run_dist_experiment(spec, scrambled=False, p1=p1,
                                 frames=frames, master_seed=seed, batch=64)
     msgs = np.array([np.random.default_rng((seed, f)).random(spec.K) < p1
                      for f in range(frames)], dtype=np.uint8)
@@ -86,11 +85,11 @@ def test_dist_samples_rebuild_from_numpy_streams():
 def test_dist_experiment_degenerate_bias():
     spec = construct(16, 8)
     # p1 = 0 unscrambled: every frame is the all-zero codeword.
-    stats = run_dist_experiment(spec, scrambled=False, bias=InputBiasModel(0.0),
+    stats = run_dist_experiment(spec, scrambled=False, p1=0.0,
                                 frames=50)
     assert stats.min == 0.0 and stats.max == 0.0
     # Scrambled, the message becomes the fixed keystream: one codeword.
-    stats = run_dist_experiment(spec, scrambled=True, bias=InputBiasModel(0.0),
+    stats = run_dist_experiment(spec, scrambled=True, p1=0.0,
                                 frames=50)
     assert stats.min == stats.max
 
@@ -99,9 +98,9 @@ def test_dist_experiment_scrambling_invariant_at_balanced_input():
     # A Bernoulli(1/2) message XOR a fixed keystream is still Bernoulli(1/2),
     # so scrambling must not move the mean.
     spec = construct(64, 40)
-    on = run_dist_experiment(spec, scrambled=True, bias=InputBiasModel(0.5),
+    on = run_dist_experiment(spec, scrambled=True, p1=0.5,
                              frames=2000)
-    off = run_dist_experiment(spec, scrambled=False, bias=InputBiasModel(0.5),
+    off = run_dist_experiment(spec, scrambled=False, p1=0.5,
                               frames=2000)
     assert abs(on.mean - off.mean) < 0.01
     assert abs(on.mean - 0.5) < 0.01

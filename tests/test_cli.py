@@ -297,3 +297,121 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path, monkeypatch, capsys):
     assert run_cli(base + ["--out", plain], capsys=capsys)[0] == 0
     assert json.load(open(exact + ".config.json"))["exact_f"] is True
     assert json.load(open(plain + ".config.json"))["exact_f"] is False
+
+
+def _write_config(path, doc):
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    return str(path)
+
+
+def test_missing_or_unwritable_files_exit_2(tmp_path, monkeypatch, capsys):
+    missing = str(tmp_path / "missing.json")
+    for argv in (["simulate-dist", "--config", missing, "--out-dir", str(tmp_path / "d")],
+                 ["simulate-ber", "--config", missing, "--out", str(tmp_path / "b.csv")],
+                 ["encode", "--spec", missing],
+                 ["construct", "--out", str(tmp_path / "nodir" / "c.json")]):
+        code, out, err = run_cli(argv, monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 2 and out == "" and err.startswith("error: "), argv
+    assert sorted(os.listdir(tmp_path)) == []
+
+
+def test_config_that_is_not_an_object_exits_2(tmp_path, monkeypatch, capsys):
+    cfg = _write_config(tmp_path / "list.json", [["sizes", [[16, 8]]]])
+    out_dir = tmp_path / "d"
+    code, out, err = run_cli(["simulate-dist", "--config", cfg, "--out-dir", str(out_dir)],
+                             monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and out == "" and "not a JSON object" in err
+    assert not out_dir.exists()
+
+
+def test_sidecar_ebn0_lacking_a_chosen_code_exits_2(tmp_path, monkeypatch, capsys):
+    cfg = _write_config(tmp_path / "c.json", {"codes": ["uncoded"], "ebn0": {"polar": [10.0]}})
+    out = tmp_path / "x.csv"
+    code, stdout, err = run_cli(["simulate-ber", "--config", cfg, "--out", str(out)],
+                                monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and stdout == "" and "'ebn0'" in err and "'uncoded'" in err
+    assert not out.exists()
+
+
+def test_code_description_that_is_not_an_object_exits_2(tmp_path, monkeypatch, capsys):
+    spec = _write_config(tmp_path / "spec.json", [])
+    with pytest.raises(ValueError, match="JSON object"):
+        load(spec)
+    code, out, err = run_cli(["encode", "--spec", spec], stdin_text="0" * 8,
+                             monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and out == "" and "JSON object" in err
+
+
+def test_simulate_ber_missing_output_directory_fails_before_the_sweep(
+        tmp_path, monkeypatch, capsys):
+    out = tmp_path / "nodir" / "x.csv"
+    code, stdout, err = run_cli(
+        ["simulate-ber", "--codes", "uncoded", "--ebn0", "10:1:10", "--max-frames", "10",
+         "--out", str(out)],
+        monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and stdout == "" and err.startswith("error: ")
+    assert not (tmp_path / "nodir").exists()
+
+
+@pytest.mark.parametrize("command, setting, value", [
+    ("simulate-dist", "frames", "ten"),
+    ("simulate-dist", "sizes", 5),
+    ("simulate-dist", "sizes", [[16, "8"]]),
+    ("simulate-ber", "exact_f", 1),
+    ("simulate-ber", "workers", "two"),
+])
+def test_sidecar_value_of_the_wrong_type_exits_2(tmp_path, monkeypatch, capsys,
+                                                  command, setting, value):
+    cfg = _write_config(tmp_path / "c.json", {setting: value})
+    out_flag = "--out-dir" if command == "simulate-dist" else "--out"
+    code, out, err = run_cli([command, "--config", cfg, out_flag, str(tmp_path / "o")],
+                             monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: config setting {setting!r} must be ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_sidecar_int_passes_for_a_float_setting(tmp_path, monkeypatch, capsys):
+    cfg = _write_config(tmp_path / "c.json", {"sizes": [[16, 8]], "scramble": "off",
+                                              "frames": 10, "p1": 1})
+    out_dir = tmp_path / "d"
+    code, out, _ = run_cli(["simulate-dist", "--config", cfg, "--out-dir", str(out_dir)],
+                           monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0 and "p1=1:" in out
+    assert json.load(open(out_dir / "config.json"))["p1"] == 1.0
+    assert open(out_dir / "summary.csv").read().splitlines()[1].split(",")[4] == "1.0"
+
+
+def test_flag_overrides_sidecar_which_overrides_default(tmp_path, monkeypatch, capsys):
+    # simulate-dist: --frames over the sidecar's frames; the sidecar's sizes over the default
+    first = tmp_path / "a"
+    base = ["simulate-dist", "--sizes", "16:8", "--scramble", "on"]
+    assert run_cli(base + ["--frames", "30", "--out-dir", str(first)],
+                   monkeypatch=monkeypatch, capsys=capsys)[0] == 0
+    second = tmp_path / "b"
+    code, _, _ = run_cli(["simulate-dist", "--config", str(first / "config.json"),
+                          "--frames", "50", "--out-dir", str(second)],
+                         monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0
+    rows = open(second / "dist_nspe_on_16x8.csv").read().splitlines()
+    assert len(rows) == 51
+    cfg = json.load(open(second / "config.json"))
+    assert cfg["frames"] == 50 and cfg["sizes"] == [[16, 8]] and cfg["scramble"] == "on"
+    assert cfg["out_dir"] == str(second) and cfg["p1"] == 0.9
+
+    # simulate-ber: --min-errors over the sidecar's value changes where each point stops
+    one = str(tmp_path / "one.csv")
+    argv = ["simulate-ber", "--codes", "uncoded", "--ebn0", "11:1:11", "--min-errors", "5",
+            "--batch", "100", "--out", one]
+    assert run_cli(argv, monkeypatch=monkeypatch, capsys=capsys)[0] == 0
+    two = str(tmp_path / "two.csv")
+    code, _, _ = run_cli(["simulate-ber", "--config", one + ".config.json",
+                          "--min-errors", "200", "--out", two],
+                         monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0
+    frames = [int(open(path).read().splitlines()[1].split(",")[4]) for path in (one, two)]
+    assert frames[1] > frames[0]
+    cfg = json.load(open(two + ".config.json"))
+    assert cfg["min_errors"] == 200 and cfg["ebn0"] == {"uncoded": [11.0]}
+    assert cfg["batch"] == 100 and cfg["max_frames"] == cli.DEFAULT_MAX_FRAMES
