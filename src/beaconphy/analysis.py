@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 import operator
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import starmap
 from multiprocessing import Pool
 
 import numpy as np
@@ -145,53 +147,51 @@ def _draw_frames(master_seed: int, lo: int, hi: int, n_bits: int, p_one: float,
 
 @dataclass
 class DistStats:
-    """Ones-density statistics of encoded frames.
+    """Ones-density statistics of encoded frames: weights[f] is frame f's codeword weight.
 
-    weight_hist[w] counts frames whose codeword weight is exactly w, one bin
-    per achievable weight (bin width 1/N on the fraction axis).  min, max and
-    mean are derived from the integer histogram, so merge order can never
-    change them.
-    """
+    min, max and mean are derived from the integer weights, so they are exact."""
 
-    encoder: str
-    scrambled: bool
     N: int
-    K: int
-    p1: float
-    frames: int
-    samples: np.ndarray
-    weight_hist: np.ndarray
+    weights: np.ndarray
     max_run_length: int
 
     @property
+    def frames(self) -> int:
+        return self.weights.size
+
+    @property
+    def samples(self) -> np.ndarray:
+        return self.weights / self.N
+
+    @property
     def min(self) -> float:
-        return int(np.flatnonzero(self.weight_hist)[0]) / self.N
+        return int(self.weights.min()) / self.N
 
     @property
     def max(self) -> float:
-        return int(np.flatnonzero(self.weight_hist)[-1]) / self.N
+        return int(self.weights.max()) / self.N
 
     @property
     def mean(self) -> float:
-        total = int(np.arange(self.N + 1, dtype=np.int64) @ self.weight_hist)
-        return total / (self.frames * self.N)
+        return int(self.weights.sum()) / (self.frames * self.N)
 
 
 def run_dist_experiment(
     spec: PolarSpec,
     *,
     encoder: str = "nspe",
-    scrambled: bool = True,
+    scrambler: ScramblerSpec | None = ScramblerSpec(),
     p1: float = 0.9,
     frames: int = 10000,
     master_seed: int = DEFAULT_MASTER_SEED,
-    scrambler: ScramblerSpec = ScramblerSpec(),
     batch: int = 2048,
 ) -> DistStats:
     """Encode `frames` frames of Bernoulli(p1) message bits; collect ones-density statistics.
 
-    p1 = 0.9 is not the worst case: unscrambled (256,158) frames spread wider at
-    0.1 (exact ones-fraction sd 0.0763, against 0.0674 at 0.9)."""
+    The messages are XORed with the scrambler's keystream first, unless
+    scrambler is None.  p1 = 0.9 is not the worst case: unscrambled (256,158)
+    frames spread wider at 0.1 (exact ones-fraction sd 0.0763, against 0.0674
+    at 0.9)."""
     if not 0.0 <= p1 <= 1.0:
         raise ValueError("p1 must lie in [0, 1]")
     if frames <= 0:
@@ -203,9 +203,8 @@ def run_dist_experiment(
     else:
         raise ValueError("encoder must be 'nspe' or 'systematic'")
 
-    ks = keystream(scrambler, spec.K) if scrambled else None
-    hist = np.zeros(spec.N + 1, dtype=np.int64)
-    samples = np.empty(frames, dtype=np.float64)
+    ks = None if scrambler is None else keystream(scrambler, spec.K)
+    weights = np.empty(frames, dtype=np.int64)
     max_run = 0
     for lo in range(0, frames, batch):
         hi = min(lo + batch, frames)
@@ -213,12 +212,9 @@ def run_dist_experiment(
         if ks is not None:
             msgs ^= ks
         x = enc(spec, msgs)
-        w = x.sum(axis=1, dtype=np.int64)
-        hist += np.bincount(w, minlength=spec.N + 1)
-        samples[lo:hi] = w / spec.N
+        x.sum(axis=1, dtype=np.int64, out=weights[lo:hi])
         max_run = max(max_run, bitstream.max_run_length(x))
-    return DistStats(encoder=encoder, scrambled=scrambled, N=spec.N, K=spec.K, p1=p1,
-                     frames=frames, samples=samples, weight_hist=hist, max_run_length=max_run)
+    return DistStats(spec.N, weights, max_run)
 
 
 @dataclass
@@ -347,34 +343,15 @@ def _run_batch(link, params: ChannelParams, lo: int, hi: int, master_seed: int):
     )
 
 
-def _run_batch_args(args):
-    return _run_batch(*args)
-
-
 def _imap_bounded(pool, tasks, depth: int):
     """pool.imap over tasks in order, with at most depth tasks submitted ahead."""
     pending = deque()
     for task in tasks:
-        pending.append(pool.apply_async(_run_batch_args, (task,)))
+        pending.append(pool.apply_async(_run_batch, task))
         if len(pending) >= depth:
             yield pending.popleft().get()
     while pending:
         yield pending.popleft().get()
-
-
-def _run_point(link, ebn0_db, params, min_errors, max_frames, master_seed, batch, pool, workers):
-    spans = [(lo, min(lo + batch, max_frames)) for lo in range(0, max_frames, batch)]
-    tasks = ((link, params, lo, hi, master_seed) for lo, hi in spans)
-    results = map(_run_batch_args, tasks) if pool is None else _imap_bounded(pool, tasks, workers)
-    bits = errors = frames = frame_errors = 0
-    for nbits, nerr, nframes, nferr in results:
-        bits += nbits
-        errors += nerr
-        frames += nframes
-        frame_errors += nferr
-        if errors >= min_errors:
-            break
-    return BerPoint(ebn0_db, bits, errors, frames, frame_errors)
 
 
 def run_ber_experiment(
@@ -400,21 +377,24 @@ def run_ber_experiment(
     if min_errors <= 0 or max_frames <= 0 or batch <= 0:
         raise ValueError("min_errors, max_frames and batch must be positive")
     points = []
-
-    def sweep(pool):
+    with Pool(workers) if workers and workers > 1 else nullcontext() as pool:
         for db in ebn0_db_points:
             params = ChannelParams.from_ebn0_db(db, link.rate, amplitude)
-            point = _run_point(link, db, params, min_errors, max_frames, master_seed, batch,
-                               pool, workers)
+            tasks = ((link, params, lo, min(lo + batch, max_frames), master_seed)
+                     for lo in range(0, max_frames, batch))
+            results = (starmap(_run_batch, tasks) if pool is None
+                       else _imap_bounded(pool, tasks, workers))
+            point = BerPoint(db, 0, 0, 0, 0)
             points.append(point)
+            for nbits, nerr, nframes, nferr in results:
+                point.bits_sent += nbits
+                point.bit_errors += nerr
+                point.frames_sent += nframes
+                point.frame_errors += nferr
+                if point.bit_errors >= min_errors:
+                    break
             if point.bit_errors == 0:
                 break
-
-    if workers and workers > 1:
-        with Pool(workers) as pool:
-            sweep(pool)
-    else:
-        sweep(None)
     return points
 
 

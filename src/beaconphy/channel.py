@@ -18,16 +18,18 @@ class ChannelParams:
     noise_var: float = 1.0
 
     def __post_init__(self):
-        if self.amplitude <= 0:
-            raise ValueError("amplitude must be positive")
-        if self.noise_var <= 0:
-            raise ValueError("noise variance must be positive")
+        if not 0 < self.amplitude < math.inf:
+            raise ValueError("amplitude must be finite and positive")
+        if not 0 < self.noise_var < math.inf:
+            raise ValueError("noise variance must be finite and positive")
 
     @classmethod
     def from_ebn0_db(cls, ebn0_db: float, rate: float, amplitude: float = 1.0) -> "ChannelParams":
         """Channel for a given per-information-bit SNR and code rate."""
         if rate <= 0:
             raise ValueError("code rate must be positive")
+        if not abs(ebn0_db) <= 3000.0:  # keeps 10^(x/10) a normal float; NaN fails too
+            raise ValueError(f"Eb/N0 must be finite and within 3000 dB of 0, got {ebn0_db} dB")
         ebn0 = 10.0 ** (ebn0_db / 10.0)
         return cls(amplitude=amplitude, noise_var=amplitude * amplitude / (2.0 * rate * ebn0))
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -71,8 +72,10 @@ def _parse_sizes(text: str) -> list[list[int]]:
 def _parse_sweep(text: str) -> list[float]:
     try:
         start, step, stop = (float(v) for v in text.split(":"))
+        if not all(map(math.isfinite, (start, step, stop))):
+            raise ValueError
     except ValueError:
-        raise ValueError(f"bad sweep {text!r}, expected start:step:stop")
+        raise ValueError(f"bad sweep {text!r}, expected finite start:step:stop")
     if step <= 0 or stop < start:
         raise ValueError("sweep needs step > 0 and stop >= start")
     count = int((stop - start) / step + 1e-9) + 1
@@ -134,13 +137,21 @@ def _from_sidecar(key: str, value, default):
 
 
 def _settings(args, defaults: dict) -> dict:
-    """Each setting from its flag if given, else from the --config sidecar, else its default."""
+    """Each setting from its flag if given, else from the --config sidecar, else its default.
+
+    A sidecar of another command, or with a key not a setting nor "command", is rejected."""
     cfg = {}
     if args.config:
         with open(args.config, "r", encoding="ascii") as fh:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise ValueError(f"config {args.config} is not a JSON object")
+        if cfg.get("command", args.command) != args.command:
+            raise ValueError(f"config {args.config} is for {cfg['command']}, not {args.command}")
+        # older simulate-dist sidecars carry "workers", which that command ignores
+        unknown = sorted(cfg.keys() - defaults.keys() - {"command", "workers"})
+        if unknown:
+            raise ValueError(f"config setting {unknown[0]!r} is not a {args.command} setting")
     settings = {}
     for key, default in defaults.items():
         if key in args:
@@ -212,6 +223,9 @@ def cmd_decode(args) -> int:
 
 def cmd_simulate_dist(args) -> int:
     st = _settings(args, DIST_DEFAULTS)
+    for pair in st["sizes"]:
+        if len(pair) != 2:
+            raise ValueError(f"config setting 'sizes' must be [N, K] pairs, got {pair}")
     for enc in st["encoders"]:
         if enc not in ("nspe", "systematic"):
             raise ValueError(f"unknown encoder {enc!r}")
@@ -232,8 +246,8 @@ def cmd_simulate_dist(args) -> int:
         for enc in st["encoders"]:
             for scr in scramble_opts:
                 stats = run_dist_experiment(
-                    spec, encoder=enc, scrambled=(scr == "on"), p1=p1, frames=frames,
-                    master_seed=st["master_seed"], scrambler=scrambler)
+                    spec, encoder=enc, scrambler=scrambler if scr == "on" else None, p1=p1,
+                    frames=frames, master_seed=st["master_seed"])
                 rows = ["frame_index,ones_fraction"]
                 rows += [f"{i},{float(v)!r}" for i, v in enumerate(stats.samples)]
                 write_lines(f"dist_{enc}_{scr}_{n_bits}x{k_bits}.csv", rows)
@@ -266,6 +280,8 @@ def cmd_simulate_ber(args) -> int:
             raise ValueError(f"unknown code {name!r}; choose from {', '.join(BER_CODES)}")
         if name not in sweeps:
             raise ValueError(f"config setting 'ebn0' has no sweep for code {name!r}")
+        if not all(map(math.isfinite, sweeps[name])):
+            raise ValueError(f"config setting 'ebn0' for {name!r} is not finite: {sweeps[name]}")
     st["ebn0"] = {name: sweeps[name] for name in codes}
     out_dir = os.path.dirname(st["out"]) or "."
     if not os.path.isdir(out_dir):

@@ -137,9 +137,9 @@ def test_criterion_05_headline_distribution_256():
     spec = construct(256, 158, 0.5)
     p1 = 0.9
     frames = 10_000
-    scr = run_dist_experiment(spec, encoder="nspe", scrambled=True, p1=p1,
+    scr = run_dist_experiment(spec, encoder="nspe", scrambler=ScramblerSpec(), p1=p1,
                               frames=frames, master_seed=DEFAULT_MASTER_SEED)
-    unscr = run_dist_experiment(spec, encoder="nspe", scrambled=False, p1=p1,
+    unscr = run_dist_experiment(spec, encoder="nspe", scrambler=None, p1=p1,
                                 frames=frames, master_seed=DEFAULT_MASTER_SEED)
     elapsed = time.perf_counter() - t0
     print(f"criterion 5: scrambled min={scr.min:.4f} max={scr.max:.4f}, "
@@ -177,10 +177,10 @@ def test_criterion_05_headline_distribution_256():
 
 def test_criterion_06_long_code_distribution_2048():
     spec = construct(2048, 1024, 0.5)
-    high = run_dist_experiment(spec, encoder="nspe", scrambled=False,
+    high = run_dist_experiment(spec, encoder="nspe", scrambler=None,
                                p1=0.9, frames=10_000,
                                master_seed=DEFAULT_MASTER_SEED)
-    half = run_dist_experiment(spec, encoder="nspe", scrambled=False,
+    half = run_dist_experiment(spec, encoder="nspe", scrambler=None,
                                p1=0.5, frames=10_000,
                                master_seed=DEFAULT_MASTER_SEED)
     print(f"criterion 6: p1=0.9 range=({high.min:.4f}, {high.max:.4f}), "
@@ -197,7 +197,7 @@ def test_criterion_06_long_code_distribution_2048():
 
 def test_criterion_07_systematic_drift():
     spec = construct(256, 158, 0.5)
-    stats = run_dist_experiment(spec, encoder="systematic", scrambled=False,
+    stats = run_dist_experiment(spec, encoder="systematic", scrambler=None,
                                 p1=0.9, frames=10_000,
                                 master_seed=DEFAULT_MASTER_SEED)
     print(f"criterion 7: systematic unscrambled mean={stats.mean:.6f}")

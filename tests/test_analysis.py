@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from beaconphy import analysis
 from beaconphy.analysis import (
     DEFAULT_MASTER_SEED,
     BerPoint,
@@ -18,13 +19,12 @@ from beaconphy.analysis import (
     run_ber_experiment,
     run_dist_experiment,
     _draw_frames,
-    _run_point,
 )
 from beaconphy.channel import ChannelParams, modulate_ook
 from beaconphy.polar_codec import encode_nspe
 from beaconphy.polar_construction import construct
 from beaconphy.reed_solomon import N_SYMBOLS, rs_decode, RsSpec
-from beaconphy.scrambler import ScramblerSpec
+from beaconphy.scrambler import ScramblerSpec, keystream
 
 
 def test_bias_model_validation_and_sampling():
@@ -37,27 +37,23 @@ def test_bias_model_validation_and_sampling():
 
 
 def test_dist_stats_derived_from_histogram():
-    hist = np.zeros(9, dtype=np.int64)
-    hist[2] = 3  # three frames of weight 2
-    hist[6] = 1  # one frame of weight 6
-    stats = DistStats(
-        encoder="nspe", scrambled=True, N=8, K=4, p1=0.5, frames=4,
-        samples=np.array([0.25, 0.25, 0.25, 0.75]), weight_hist=hist,
-        max_run_length=3,
-    )
+    # three frames of weight 2, one of weight 6
+    stats = DistStats(N=8, weights=np.array([2, 2, 2, 6], dtype=np.int64), max_run_length=3)
+    assert stats.frames == 4
+    assert stats.samples.tolist() == [0.25, 0.25, 0.25, 0.75]
     assert stats.min == 0.25
     assert stats.max == 0.75
-    assert stats.mean == pytest.approx((3 * 2 + 6) / (4 * 8))
+    assert stats.mean == (3 * 2 + 6) / (4 * 8)
 
 
 def test_dist_experiment_reproducible_and_batch_independent():
     spec = construct(32, 20)
-    kw = dict(encoder="nspe", scrambled=True, p1=0.9,
+    kw = dict(encoder="nspe", scrambler=ScramblerSpec(), p1=0.9,
               frames=300, master_seed=1234)
     a = run_dist_experiment(spec, **kw, batch=7)
     b = run_dist_experiment(spec, **kw, batch=128)
     assert np.array_equal(a.samples, b.samples)
-    assert np.array_equal(a.weight_hist, b.weight_hist)
+    assert np.array_equal(a.weights, b.weights)
     assert a.max_run_length == b.max_run_length
     c = run_dist_experiment(spec, **kw)
     assert np.array_equal(a.samples, c.samples)
@@ -75,7 +71,7 @@ def test_dist_samples_rebuild_from_numpy_streams():
     # drawing K uniforms, a bit being 1 below p1.  Rebuilt with numpy alone.
     spec = construct(64, 40)
     seed, p1, frames = 99, 0.8, 150
-    stats = run_dist_experiment(spec, scrambled=False, p1=p1,
+    stats = run_dist_experiment(spec, scrambler=None, p1=p1,
                                 frames=frames, master_seed=seed, batch=64)
     msgs = np.array([np.random.default_rng((seed, f)).random(spec.K) < p1
                      for f in range(frames)], dtype=np.uint8)
@@ -85,11 +81,11 @@ def test_dist_samples_rebuild_from_numpy_streams():
 def test_dist_experiment_degenerate_bias():
     spec = construct(16, 8)
     # p1 = 0 unscrambled: every frame is the all-zero codeword.
-    stats = run_dist_experiment(spec, scrambled=False, p1=0.0,
+    stats = run_dist_experiment(spec, scrambler=None, p1=0.0,
                                 frames=50)
     assert stats.min == 0.0 and stats.max == 0.0
     # Scrambled, the message becomes the fixed keystream: one codeword.
-    stats = run_dist_experiment(spec, scrambled=True, p1=0.0,
+    stats = run_dist_experiment(spec, scrambler=ScramblerSpec(), p1=0.0,
                                 frames=50)
     assert stats.min == stats.max
 
@@ -98,12 +94,25 @@ def test_dist_experiment_scrambling_invariant_at_balanced_input():
     # A Bernoulli(1/2) message XOR a fixed keystream is still Bernoulli(1/2),
     # so scrambling must not move the mean.
     spec = construct(64, 40)
-    on = run_dist_experiment(spec, scrambled=True, p1=0.5,
+    on = run_dist_experiment(spec, scrambler=ScramblerSpec(), p1=0.5,
                              frames=2000)
-    off = run_dist_experiment(spec, scrambled=False, p1=0.5,
+    off = run_dist_experiment(spec, scrambler=None, p1=0.5,
                               frames=2000)
     assert abs(on.mean - off.mean) < 0.01
     assert abs(on.mean - 0.5) < 0.01
+
+
+def test_dist_experiment_scrambles_with_the_given_spec():
+    # A non-default scrambler: the weights are those of encode_nspe applied
+    # to the drawn messages XOR that scrambler's keystream.
+    spec = construct(64, 40)
+    scrambler = ScramblerSpec(poly_mask=0x25, seed=0x1B)
+    assert not np.array_equal(keystream(scrambler, spec.K), keystream(ScramblerSpec(), spec.K))
+    stats = run_dist_experiment(spec, scrambler=scrambler, p1=0.8, frames=200,
+                                master_seed=31, batch=64)
+    msgs, _ = _draw_frames(31, 0, 200, spec.K, 0.8)
+    want = encode_nspe(spec, msgs ^ keystream(scrambler, spec.K)).sum(axis=1)
+    assert np.array_equal(stats.weights, want)
 
 
 def test_dist_experiment_validation():
@@ -385,6 +394,12 @@ class _CountingPool:
     def __init__(self):
         self.submitted = self.consumed = self.max_ahead = 0
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
     def apply_async(self, func, args):
         self.submitted += 1
         self.max_ahead = max(self.max_ahead, self.submitted - self.consumed)
@@ -398,13 +413,14 @@ class _CountingPool:
         return Result()
 
 
-def test_run_point_keeps_at_most_workers_batches_in_flight():
+def test_run_point_keeps_at_most_workers_batches_in_flight(monkeypatch):
     link = UncodedLink()
-    params = ChannelParams.from_ebn0_db(11.0, link.rate)
-    serial = _run_point(link, 11.0, params, 40, 4000, 777, 250, None, 1)
+    kw = dict(min_errors=40, max_frames=4000, master_seed=777, batch=250)
+    [serial] = run_ber_experiment(link, [11.0], workers=1, **kw)
     for workers in (2, 3):
         pool = _CountingPool()
-        pooled = _run_point(link, 11.0, params, 40, 4000, 777, 250, pool, workers)
+        monkeypatch.setattr(analysis, "Pool", lambda n: pool)
+        [pooled] = run_ber_experiment(link, [11.0], workers=workers, **kw)
         assert pooled == serial
         assert serial.frames_sent < 4000
         assert pool.max_ahead <= workers

@@ -22,6 +22,25 @@ def test_params_validation():
         ChannelParams.from_ebn0_db(5.0, rate=0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite_values(bad):
+    with pytest.raises(ValueError, match="amplitude must be finite and positive"):
+        ChannelParams(amplitude=bad)
+    with pytest.raises(ValueError, match="noise variance must be finite and positive"):
+        ChannelParams(noise_var=bad)
+    with pytest.raises(ValueError, match="Eb/N0 must be finite"):
+        ChannelParams.from_ebn0_db(bad, rate=0.5)
+    with pytest.raises(ValueError):
+        ChannelParams.from_ebn0_db(5.0, rate=0.5, amplitude=bad)
+
+
+@pytest.mark.parametrize("ebn0_db", [-4000.0, 4000.0])
+def test_from_ebn0_db_rejects_out_of_range_values(ebn0_db):
+    # 10^(x/10) would round to 0 or overflow a float
+    with pytest.raises(ValueError, match="within 3000 dB of 0"):
+        ChannelParams.from_ebn0_db(ebn0_db, rate=0.5)
+
+
 def test_from_ebn0_db_hand_values():
     # Rate 1, 0 dB: noise_var = A^2 / 2.
     p = ChannelParams.from_ebn0_db(0.0, rate=1.0, amplitude=1.0)

@@ -33,6 +33,9 @@ def test_parse_sweep():
         cli._parse_sweep("5:1")
     with pytest.raises(ValueError):
         cli._parse_sweep("8:1:5")
+    for text in ("0:inf:12", "0:1:inf", "nan:1:3", "-inf:1:3"):
+        with pytest.raises(ValueError, match="bad sweep"):
+            cli._parse_sweep(text)
 
 
 def test_parse_sizes():
@@ -360,6 +363,7 @@ def test_simulate_ber_missing_output_directory_fails_before_the_sweep(
     ("simulate-dist", "sizes", [[16, "8"]]),
     ("simulate-ber", "exact_f", 1),
     ("simulate-ber", "workers", "two"),
+    ("simulate-dist", "sizes", [[16]]),
 ])
 def test_sidecar_value_of_the_wrong_type_exits_2(tmp_path, monkeypatch, capsys,
                                                   command, setting, value):
@@ -415,3 +419,57 @@ def test_flag_overrides_sidecar_which_overrides_default(tmp_path, monkeypatch, c
     cfg = json.load(open(two + ".config.json"))
     assert cfg["min_errors"] == 200 and cfg["ebn0"] == {"uncoded": [11.0]}
     assert cfg["batch"] == 100 and cfg["max_frames"] == cli.DEFAULT_MAX_FRAMES
+
+
+def test_sidecar_with_an_unknown_key_exits_2(tmp_path, monkeypatch, capsys):
+    cfg = _write_config(tmp_path / "typo.json", {"sizes": [[16, 8]], "frame": 5})
+    out_dir = tmp_path / "d"
+    code, out, err = run_cli(["simulate-dist", "--config", cfg, "--out-dir", str(out_dir)],
+                             monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and out == ""
+    assert err == "error: config setting 'frame' is not a simulate-dist setting\n"
+    assert not out_dir.exists()
+
+
+def test_sidecar_of_the_other_command_exits_2(tmp_path, monkeypatch, capsys):
+    dist_dir = tmp_path / "d"
+    argv = ["simulate-dist", "--sizes", "16:8", "--frames", "5", "--out-dir", str(dist_dir)]
+    assert run_cli(argv, monkeypatch=monkeypatch, capsys=capsys)[0] == 0
+    out = tmp_path / "x.csv"
+    code, stdout, err = run_cli(
+        ["simulate-ber", "--config", str(dist_dir / "config.json"), "--out", str(out)],
+        monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and stdout == ""
+    assert "simulate-dist" in err and "simulate-ber" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [
+    ["--ebn0", "0:inf:12"],
+    ["--ebn0", "0:1:inf"],
+    ["--ebn0", "10:1:10", "--amplitude", "nan"],
+    ["--ebn0", "10:1:10", "--amplitude", "inf"],
+    ["--ebn0=-4000:1:-4000"],
+    ["--ebn0", "4000:1:4000"],
+])
+def test_simulate_ber_rejects_non_finite_ebn0_or_amplitude(tmp_path, monkeypatch, capsys,
+                                                          extra):
+    out = tmp_path / "x.csv"
+    code, stdout, err = run_cli(
+        ["simulate-ber", "--codes", "uncoded", "--max-frames", "10", *extra, "--out", str(out)],
+        monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and stdout == "" and err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_sidecar_nan_ebn0_exits_2(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "c.json"
+    # the NaN on the second code is found before the first code's point is simulated
+    cfg.write_text('{"codes": ["uncoded", "rs15_7"], '
+                   '"ebn0": {"uncoded": [10.0], "rs15_7": [NaN]}, "max_frames": 10}')
+    out = tmp_path / "x.csv"
+    code, stdout, err = run_cli(["simulate-ber", "--config", str(cfg), "--out", str(out)],
+                                monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and stdout == ""
+    assert err == "error: config setting 'ebn0' for 'rs15_7' is not finite: [nan]\n"
+    assert not out.exists()

@@ -52,7 +52,7 @@ def test_oracle_hand_values():
 ])
 def test_dist_experiment_moments_match_oracle(N, K, p1, scrambled):
     spec = construct(N, K, 0.5)
-    stats = run_dist_experiment(spec, scrambled=scrambled,
+    stats = run_dist_experiment(spec, scrambler=ScramblerSpec() if scrambled else None,
                                 p1=p1, frames=4000,
                                 master_seed=7)
     ks = keystream(ScramblerSpec(), K) if scrambled else None
