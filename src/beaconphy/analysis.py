@@ -240,10 +240,7 @@ class PolarLink:
         self.exact = exact
         self.frame_bits = spec.K
         self.tx_bits = spec.N
-
-    @property
-    def rate(self) -> float:
-        return self.frame_bits / self.tx_bits
+        self.rate = self.frame_bits / self.tx_bits
 
     def encode(self, msgs: np.ndarray) -> np.ndarray:
         if self.key is not None:
@@ -275,10 +272,7 @@ class RsLink:
         self.blocks = -(-msg_symbols // k)
         self.padded_symbols = self.blocks * k
         self.tx_bits = self.blocks * N_SYMBOLS * SYMBOL_BITS
-
-    @property
-    def rate(self) -> float:
-        return self.frame_bits / self.tx_bits
+        self.rate = self.frame_bits / self.tx_bits
 
     def encode(self, msgs: np.ndarray) -> np.ndarray:
         nframes = msgs.shape[0]
@@ -315,10 +309,7 @@ class UncodedLink:
             raise ValueError("frame_bits must be positive")
         self.frame_bits = frame_bits
         self.tx_bits = frame_bits
-
-    @property
-    def rate(self) -> float:
-        return 1.0
+        self.rate = self.frame_bits / self.tx_bits
 
     def encode(self, msgs: np.ndarray) -> np.ndarray:
         return msgs

@@ -1,12 +1,12 @@
 """Command-line entry points: code construction, pipeline stages, experiments.
 
 Text bitstreams on stdin/stdout use '0'/'1' characters, index 0 first.
-An experiment subcommand takes each setting from its flag, else from the
---config sidecar, else from DIST_DEFAULTS or BER_DEFAULTS, and writes the
-resolved settings to a JSON sidecar next to its output; re-running with
---config <sidecar> reproduces the output byte for byte (for simulate-ber,
-whatever --workers says).  Bad paths and configs exit 2 with an error line.
-"""
+An experiment subcommand takes each setting, a row of DIST_SETTINGS or
+BER_SETTINGS, from its flag, else from the --config sidecar, else from the
+row's default, and writes the resolved settings to a JSON sidecar next to its
+output; re-running with --config <sidecar> reproduces the output byte for byte
+(for simulate-ber, whatever --workers says).  Bad flags, paths and configs
+exit 2 with an error line."""
 
 from __future__ import annotations
 
@@ -37,17 +37,11 @@ DEFAULT_N = 256
 DEFAULT_K = 158
 DEFAULT_EPS = 0.5
 
-BER_CODES = ("polar", "rs15_11", "rs15_7", "rs15_3", "uncoded")
-# Per-code default sweeps chosen so every curve brackets BER 1e-4 under the
-# default master seed, frame cap and 100-error stopping rule.  The RS
-# waterfalls are steep enough to need half-dB steps near the knee.
-DEFAULT_SWEEPS = {
-    "polar": "8:1:12",
-    "rs15_11": "12:1:15",
-    "rs15_7": "12:0.5:15.5",
-    "rs15_3": "15:0.5:17.5",
-    "uncoded": "10:1:15",
-}
+# The BER codes and their default sweeps, chosen so every curve brackets BER
+# 1e-4 under the default master seed, frame cap and 100-error stopping rule.
+# The RS waterfalls are steep enough to need half-dB steps near the knee.
+DEFAULT_SWEEPS = {"polar": "8:1:12", "rs15_11": "12:1:15", "rs15_7": "12:0.5:15.5",
+                  "rs15_3": "15:0.5:17.5", "uncoded": "10:1:15"}
 DEFAULT_MAX_FRAMES = 200_000
 
 
@@ -86,38 +80,53 @@ def _parse_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-# Each experiment's settings and defaults; the keys are its sidecar's, besides "command".
-DIST_DEFAULTS = {
-    "sizes": [[DEFAULT_N, DEFAULT_K]],
-    "encoders": ["nspe"],
-    "scramble": "both",
-    "p1": 0.9,
-    "frames": 10000,
-    "eps": DEFAULT_EPS,
-    "poly": DEFAULT_POLY,
-    "scrambler_seed": DEFAULT_SEED,
-    "master_seed": DEFAULT_MASTER_SEED,
-    "out_dir": "dist_out",
+# One row per experiment setting, key: (default, parser of the flag's text, help).  The key
+# is the sidecar's and, with '-' for '_', the flag's; a parser of None marks an on/off flag.
+DIST_SETTINGS = {
+    "sizes": ([[DEFAULT_N, DEFAULT_K]], _parse_sizes, "comma list of N:K pairs"),
+    "encoders": (["nspe"], _parse_list, "comma list from {nspe,systematic}"),
+    "scramble": ("both", str, "scrambler setting: on, off or both"),
+    "p1": (0.9, float, "message ones ratio"),
+    "frames": (10000, int, "frames per configuration"),
+    "eps": (DEFAULT_EPS, float, "construction design parameter"),
+    "poly": (DEFAULT_POLY, _hex_int, "scrambler polynomial mask, hex"),
+    "scrambler_seed": (DEFAULT_SEED, _hex_int, "scrambler seed, hex"),
+    "master_seed": (DEFAULT_MASTER_SEED, int, "seed of every frame's random stream"),
+    "out_dir": ("dist_out", str, "output directory"),
 }
-BER_DEFAULTS = {
-    "codes": list(BER_CODES),
-    "ebn0": {name: _parse_sweep(text) for name, text in DEFAULT_SWEEPS.items()},
-    "N": DEFAULT_N,
-    "K": DEFAULT_K,
-    "eps": DEFAULT_EPS,
-    "poly": DEFAULT_POLY,
-    "scrambler_seed": DEFAULT_SEED,
-    "amplitude": 1.0,
-    "min_errors": 100,
-    "max_frames": DEFAULT_MAX_FRAMES,
-    "batch": 1000,
-    "master_seed": DEFAULT_MASTER_SEED,
-    "exact_f": False,
-    "workers": None,
-    "out": "ber.csv",
+BER_SETTINGS = {
+    "codes": (list(DEFAULT_SWEEPS), _parse_list, "comma list of codes"),
+    "ebn0": ({name: _parse_sweep(text) for name, text in DEFAULT_SWEEPS.items()}, _parse_sweep,
+             "start:step:stop sweep in dB applied to every code"),
+    "N": (DEFAULT_N, int, "polar codeword length"),
+    "K": (DEFAULT_K, int, "message bits per frame"),
+    "eps": DIST_SETTINGS["eps"],
+    "poly": DIST_SETTINGS["poly"],
+    "scrambler_seed": DIST_SETTINGS["scrambler_seed"],
+    "amplitude": (1.0, float, "OOK on-level"),
+    "min_errors": (100, int, "bit errors collected per point"),
+    "max_frames": (DEFAULT_MAX_FRAMES, int, "frame cap per point"),
+    "batch": (1000, int, "frames per work unit"),
+    "master_seed": DIST_SETTINGS["master_seed"],
+    "exact_f": (False, None, "use the exact tanh check-node update instead of min-sum"),
+    "workers": (None, int, "worker processes; never changes results"),
+    "out": ("ber.csv", str, "output CSV path"),
 }
-_FLAG_PARSERS = {"sizes": _parse_sizes, "encoders": _parse_list, "codes": _parse_list,
-                 "ebn0": _parse_sweep}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _help(default, parse, text: str) -> str:
+    """A row's help text, with its default shown as flag text."""
+    if parse is _hex_int:
+        default = f"{default:x}"
+    elif isinstance(default, dict):  # ebn0: one sweep per code
+        default = "per code: " + ", ".join(f"{k} {v}" for k, v in DEFAULT_SWEEPS.items())
+    elif isinstance(default, list):
+        default = ",".join(v if isinstance(v, str) else ":".join(map(str, v)) for v in default)
+    return text if parse is None or default is None else f"{text} (default {default})"
 
 
 def _from_sidecar(key: str, value, default):
@@ -136,8 +145,8 @@ def _from_sidecar(key: str, value, default):
     return value
 
 
-def _settings(args, defaults: dict) -> dict:
-    """Each setting from its flag if given, else from the --config sidecar, else its default.
+def _settings(args, table: dict) -> dict:
+    """Each setting from its flag's text if given, else from the --config sidecar, else its default.
 
     A sidecar of another command, or with a key not a setting nor "command", is rejected."""
     cfg = {}
@@ -149,14 +158,16 @@ def _settings(args, defaults: dict) -> dict:
         if cfg.get("command", args.command) != args.command:
             raise ValueError(f"config {args.config} is for {cfg['command']}, not {args.command}")
         # older simulate-dist sidecars carry "workers", which that command ignores
-        unknown = sorted(cfg.keys() - defaults.keys() - {"command", "workers"})
+        unknown = sorted(cfg.keys() - table.keys() - {"command", "workers"})
         if unknown:
             raise ValueError(f"config setting {unknown[0]!r} is not a {args.command} setting")
     settings = {}
-    for key, default in defaults.items():
+    for key, (default, parse, _) in table.items():
         if key in args:
-            value = getattr(args, key)
-            settings[key] = _FLAG_PARSERS[key](value) if key in _FLAG_PARSERS else value
+            try:
+                settings[key] = getattr(args, key) if parse is None else parse(getattr(args, key))
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ValueError(f"argument {_flag(key)}: {exc}") from None
         elif key in cfg:
             settings[key] = _from_sidecar(key, cfg[key], default)
         else:
@@ -222,7 +233,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_simulate_dist(args) -> int:
-    st = _settings(args, DIST_DEFAULTS)
+    st = _settings(args, DIST_SETTINGS)
     for pair in st["sizes"]:
         if len(pair) != 2:
             raise ValueError(f"config setting 'sizes' must be [N, K] pairs, got {pair}")
@@ -240,9 +251,10 @@ def cmd_simulate_dist(args) -> int:
         _write_lines(os.path.join(st["out_dir"], name), lines)
 
     scrambler = ScramblerSpec(poly_mask=st["poly"], seed=st["scrambler_seed"])
+    # every size is built before the first run, so a bad later size leaves no output
+    specs = [construct(n_bits, k_bits, st["eps"]) for n_bits, k_bits in st["sizes"]]
     summary = ["encoder,scramble,N,K,p1,frames,min,max,mean"]
-    for n_bits, k_bits in st["sizes"]:
-        spec = construct(n_bits, k_bits, st["eps"])
+    for (n_bits, k_bits), spec in zip(st["sizes"], specs):
         for enc in st["encoders"]:
             for scr in scramble_opts:
                 stats = run_dist_experiment(
@@ -261,36 +273,34 @@ def cmd_simulate_dist(args) -> int:
     return 0
 
 
-def _make_link(name: str, n_bits: int, k_bits: int, eps: float,
-               scrambler: ScramblerSpec, exact: bool):
-    if name == "polar":
-        return PolarLink(construct(n_bits, k_bits, eps), scrambler, exact=exact)
-    if name.startswith("rs15_"):
-        return RsLink(int(name.split("_")[1]), frame_bits=k_bits)
-    return UncodedLink(frame_bits=k_bits)
-
-
 def cmd_simulate_ber(args) -> int:
-    st = _settings(args, BER_DEFAULTS)
+    st = _settings(args, BER_SETTINGS)
     codes, sweeps = st["codes"], st["ebn0"]
     if isinstance(sweeps, list):  # --ebn0 gives every code the same sweep
         sweeps = dict.fromkeys(codes, sweeps)
+    scrambler = ScramblerSpec(poly_mask=st["poly"], seed=st["scrambler_seed"])
+    links = []  # every link is built before the first point, so a bad size loses no results
     for name in codes:
-        if name not in BER_CODES:
-            raise ValueError(f"unknown code {name!r}; choose from {', '.join(BER_CODES)}")
+        if name not in DEFAULT_SWEEPS:
+            raise ValueError(f"unknown code {name!r}; choose from {', '.join(DEFAULT_SWEEPS)}")
         if name not in sweeps:
             raise ValueError(f"config setting 'ebn0' has no sweep for code {name!r}")
         if not all(map(math.isfinite, sweeps[name])):
             raise ValueError(f"config setting 'ebn0' for {name!r} is not finite: {sweeps[name]}")
+        if name == "polar":
+            link = PolarLink(construct(st["N"], st["K"], st["eps"]), scrambler, exact=st["exact_f"])
+        elif name.startswith("rs15_"):
+            link = RsLink(int(name.split("_")[1]), frame_bits=st["K"])
+        else:
+            link = UncodedLink(frame_bits=st["K"])
+        links.append(link)
     st["ebn0"] = {name: sweeps[name] for name in codes}
     out_dir = os.path.dirname(st["out"]) or "."
     if not os.path.isdir(out_dir):
         raise ValueError(f"output directory {out_dir!r} does not exist")
 
-    scrambler = ScramblerSpec(poly_mask=st["poly"], seed=st["scrambler_seed"])
     rows = ["code,ebn0_db,bits,bit_errors,frames,frame_errors,ber"]
-    for name in codes:
-        link = _make_link(name, st["N"], st["K"], st["eps"], scrambler, st["exact_f"])
+    for name, link in zip(codes, links):
         points = run_ber_experiment(
             link, st["ebn0"][name], amplitude=st["amplitude"], min_errors=st["min_errors"],
             max_frames=st["max_frames"], master_seed=st["master_seed"], batch=st["batch"],
@@ -351,47 +361,15 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="emit the re-encoded N-bit codeword instead of the message")
     p.set_defaults(func=cmd_decode)
 
-    d = DIST_DEFAULTS
-    p = sub.add_parser("simulate-dist", help="ones-density distribution experiment",
-                       argument_default=argparse.SUPPRESS)
-    p.add_argument("--sizes", help="comma list of N:K pairs (default 256:158)")
-    p.add_argument("--encoders", help="comma list from {nspe,systematic} (default nspe)")
-    p.add_argument("--scramble", choices=("on", "off", "both"),
-                   help=f"scrambler setting (default {d['scramble']})")
-    p.add_argument("--p1", type=float, help=f"message ones ratio (default {d['p1']})")
-    p.add_argument("--frames", type=int, help=f"frames per configuration (default {d['frames']})")
-    p.add_argument("--eps", type=float, help=f"construction design parameter (default {d['eps']})")
-    p.add_argument("--poly", type=_hex_int, help="scrambler polynomial mask, hex")
-    p.add_argument("--scrambler-seed", type=_hex_int, help="scrambler seed, hex")
-    p.add_argument("--master-seed", type=int)
-    p.add_argument("--out-dir", help=f"output directory (default {d['out_dir']})")
-    p.add_argument("--config", default=None, help="rerun from a config sidecar")
-    p.set_defaults(func=cmd_simulate_dist)
-
-    d = BER_DEFAULTS
-    p = sub.add_parser("simulate-ber", help="Monte-Carlo BER curves over OOK/AWGN",
-                       argument_default=argparse.SUPPRESS)
-    p.add_argument("--codes", help=f"comma list from {{{','.join(BER_CODES)}}} (default all)")
-    p.add_argument("--ebn0", help="start:step:stop sweep in dB applied to every code "
-                                  "(default: per-code sweep)")
-    p.add_argument("--N", type=int, help=f"polar codeword length (default {d['N']})")
-    p.add_argument("--K", type=int, help=f"message bits per frame (default {d['K']})")
-    p.add_argument("--eps", type=float, help=f"construction design parameter (default {d['eps']})")
-    p.add_argument("--poly", type=_hex_int, help="scrambler polynomial mask, hex")
-    p.add_argument("--scrambler-seed", type=_hex_int, help="scrambler seed, hex")
-    p.add_argument("--amplitude", type=float, help=f"OOK on-level (default {d['amplitude']})")
-    p.add_argument("--min-errors", type=int,
-                   help=f"bit errors collected per point (default {d['min_errors']})")
-    p.add_argument("--max-frames", type=int,
-                   help=f"frame cap per point (default {d['max_frames']})")
-    p.add_argument("--batch", type=int, help=f"frames per work unit (default {d['batch']})")
-    p.add_argument("--master-seed", type=int)
-    p.add_argument("--workers", type=int, help="worker processes; never changes results")
-    p.add_argument("--exact-f", action="store_true",
-                   help="use the exact tanh check-node update instead of min-sum")
-    p.add_argument("--out", help=f"output CSV path (default {d['out']})")
-    p.add_argument("--config", default=None, help="rerun from a config sidecar")
-    p.set_defaults(func=cmd_simulate_ber)
+    for name, table, func, text in (
+        ("simulate-dist", DIST_SETTINGS, cmd_simulate_dist, "ones-density distribution experiment"),
+        ("simulate-ber", BER_SETTINGS, cmd_simulate_ber, "Monte-Carlo BER curves over OOK/AWGN")):
+        p = sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
+        for key, (default, parse, help_text) in table.items():
+            p.add_argument(_flag(key), action="store" if parse else "store_true",
+                           help=_help(default, parse, help_text))
+        p.add_argument("--config", default=None, help="rerun from a config sidecar")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("mftp", help="frame time against the 5 ms flicker limit")
     p.add_argument("--frame-bits", type=int, default=DEFAULT_N)

@@ -473,3 +473,103 @@ def test_sidecar_nan_ebn0_exits_2(tmp_path, monkeypatch, capsys):
     assert code == 2 and stdout == ""
     assert err == "error: config setting 'ebn0' for 'rs15_7' is not finite: [nan]\n"
     assert not out.exists()
+
+
+# Per setting, a flag's text and the sidecar value it stands for; out and out_dir take a path.
+ROW_SAMPLES = {
+    "sizes": ("16:8,32:20", [[16, 8], [32, 20]]),
+    "encoders": ("nspe,systematic", ["nspe", "systematic"]),
+    "scramble": ("off", "off"),
+    "p1": ("0.25", 0.25),
+    "frames": ("7", 7),
+    "eps": ("0.375", 0.375),
+    "poly": ("1d", 0x1D),
+    "scrambler_seed": ("a", 0xA),
+    "master_seed": ("12", 12),
+    "codes": ("uncoded,rs15_7", ["uncoded", "rs15_7"]),
+    "ebn0": ("10:0.5:11", {"uncoded": [10.0, 10.5, 11.0]}),
+    "N": ("32", 32),
+    "K": ("20", 20),
+    "amplitude": ("2", 2.0),
+    "min_errors": ("5", 5),
+    "max_frames": ("30", 30),
+    "batch": ("7", 7),
+    "exact_f": (True, True),  # an on/off flag takes no text
+    "workers": ("1", 1),
+}
+
+
+def _argv(flags: dict) -> list:
+    argv = []
+    for key, text in flags.items():
+        flag = "--" + key.replace("_", "-")
+        argv += [flag] if text is True else [flag, text]
+    return argv
+
+
+@pytest.mark.parametrize("command, key", [
+    *(("simulate-dist", key) for key in cli.DIST_SETTINGS),
+    *(("simulate-ber", key) for key in cli.BER_SETTINGS),
+])
+def test_flag_text_and_sidecar_value_resolve_to_the_same_setting(
+        tmp_path, monkeypatch, capsys, command, key):
+    out = str(tmp_path / "out")
+    if command == "simulate-dist":
+        base = {"sizes": "16:8", "frames": "5", "out_dir": out}
+        written = os.path.join(out, "config.json")
+    else:
+        base = {"codes": "uncoded", "ebn0": "10:1:10", "max_frames": "20", "batch": "10",
+                "workers": "1", "out": out}
+        written = out + ".config.json"
+    base.pop(key, None)
+    text, value = ROW_SAMPLES.get(key, (out, out))
+
+    code, by_flag_out, _ = run_cli([command, *_argv(base), *_argv({key: text})],
+                                   monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0
+    by_flag = json.load(open(written))
+    cfg = _write_config(tmp_path / "c.json", {key: value})
+    code, by_sidecar_out, _ = run_cli([command, *_argv(base), "--config", cfg],
+                                      monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0
+    by_sidecar = json.load(open(written))
+    assert by_flag[key] == value
+    assert by_flag == by_sidecar and by_flag_out == by_sidecar_out
+
+
+@pytest.mark.parametrize("command, flag, text, want", [
+    ("simulate-dist", "--frames", "ten", "error: argument --frames: invalid literal for int()"),
+    ("simulate-ber", "--amplitude", "loud",
+     "error: argument --amplitude: could not convert string to float: 'loud'"),
+    ("simulate-dist", "--poly", "zz", "error: argument --poly: not a hex value: 'zz'"),
+    ("simulate-ber", "--ebn0", "10:1", "error: argument --ebn0: bad sweep '10:1'"),
+    ("simulate-dist", "--sizes", "16-8", "error: argument --sizes: bad size '16-8'"),
+    ("simulate-dist", "--scramble", "bogus", "error: scramble must be on, off or both"),
+])
+def test_bad_flag_text_exits_2_naming_the_flag(tmp_path, monkeypatch, capsys,
+                                               command, flag, text, want):
+    out = tmp_path / "o"
+    out_flag = "--out-dir" if command == "simulate-dist" else "--out"
+    code, stdout, err = run_cli([command, flag, text, out_flag, str(out)],
+                                monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and stdout == "" and err.startswith(want)
+    assert not out.exists()
+
+
+def test_simulate_ber_bad_polar_size_fails_before_the_first_point(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "x.csv"
+    code, stdout, err = run_cli(
+        ["simulate-ber", "--codes", "uncoded,polar", "--N", "100", "--ebn0", "10:1:11",
+         "--max-frames", "20000", "--out", str(out)],
+        monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and stdout == "" and err == "error: N must be a power of two\n"
+    assert not out.exists()
+
+
+def test_simulate_dist_bad_later_size_leaves_no_output(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "d"
+    code, stdout, err = run_cli(
+        ["simulate-dist", "--sizes", "16:8,100:50", "--frames", "50", "--out-dir", str(out)],
+        monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and stdout == "" and err == "error: N must be a power of two\n"
+    assert not out.exists()
