@@ -365,8 +365,8 @@ def run_ber_experiment(
     early once a point collects zero errors, since every later point would
     only be quieter.
     """
-    if min_errors <= 0 or max_frames <= 0 or batch <= 0:
-        raise ValueError("min_errors, max_frames and batch must be positive")
+    if min_errors <= 0 or max_frames <= 0 or batch <= 0 or (workers is not None and workers <= 0):
+        raise ValueError("min_errors, max_frames, batch and workers must be positive")
     points = []
     with Pool(workers) if workers and workers > 1 else nullcontext() as pool:
         for db in ebn0_db_points:

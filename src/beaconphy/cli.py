@@ -29,6 +29,7 @@ from .analysis import (
     run_ber_experiment,
     run_dist_experiment,
 )
+from .channel import ChannelParams
 from .polar_codec import encode_nspe, encode_systematic, sc_decode
 from .polar_construction import construct, load, save
 from .scrambler import DEFAULT_POLY, DEFAULT_SEED, ScramblerSpec, scramble
@@ -293,6 +294,8 @@ def cmd_simulate_ber(args) -> int:
             link = RsLink(int(name.split("_")[1]), frame_bits=st["K"])
         else:
             link = UncodedLink(frame_bits=st["K"])
+        for db in sweeps[name]:  # the range rule lives in channel.py
+            ChannelParams.from_ebn0_db(db, link.rate, st["amplitude"])
         links.append(link)
     st["ebn0"] = {name: sweeps[name] for name in codes}
     out_dir = os.path.dirname(st["out"]) or "."
@@ -383,7 +386,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

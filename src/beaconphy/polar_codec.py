@@ -7,8 +7,8 @@ transform costs exactly (N/2) log2 N single-bit XORs and is its own inverse.
 LLR convention throughout: positive means bit 0 is more likely.
 
 sc_decode makes the decisions of plain successive cancellation (SC) in the
-simplified-SC way (Alamdar-Yazdi & Kschischang, 2011).  A node plan built
-once per code skips rate-0 subtrees (all frozen: their partial sums are the
+simplified-SC way (Alamdar-Yazdi & Kschischang, 2011), recursing over the
+code tree.  It skips rate-0 subtrees (all frozen: their partial sums are the
 zeros the buffer starts with, and a parent's g step becomes a + b) and
 decides a rate-1 subtree (all info) by the hard decision of its LLRs.  That
 shortcut equals SC under min-sum only when every LLR reaching the node is
@@ -77,51 +77,50 @@ def encode_nspe(spec: PolarSpec, msg) -> np.ndarray:
 def encode_systematic(spec: PolarSpec, msg) -> np.ndarray:
     """Systematic encode: the codeword restricted to info_set equals msg.
 
-    Two-pass method: transform the message placed at the info positions,
-    zero the frozen positions, transform again.  The result is a valid
-    codeword of the same (N, K, info_set) code.
+    Two-pass method: the non-systematic codeword of msg, its frozen
+    positions zeroed, transformed again.  The result is a valid codeword of
+    the same (N, K, info_set) code.
     """
-    msg = _check_msg(spec, msg)
-    v = np.zeros(msg.shape[:-1] + (spec.N,), dtype=np.uint8)
-    idx = spec.info_indices()
-    v[..., idx] = msg
-    _butterfly(v)
-    frozen = ~spec.info_mask()
-    v[..., frozen] = 0
+    v = encode_nspe(spec, msg)
+    v[..., ~spec.info_mask()] = 0
     _butterfly(v)
     return v
 
 
-_F, _G, _G0, _COMBINE, _RATE1 = range(5)
-
-
-def _build_plan(cum: list, lo: int, k: int, ops: list) -> None:
-    """Append the (kind, k, lo) ops that decode the node of size 2^k at lo.
-
-    ``cum[i]`` counts the info positions below i.  Rate-0 nodes emit nothing.
-    """
-    m, h = 1 << k, (1 << k) >> 1
-    info = cum[lo + m] - cum[lo]
-    if info == m:
-        ops.append((_RATE1, k, lo))
-    elif info:
-        if cum[lo + h] > cum[lo]:
-            ops.append((_F, k, lo))
-            _build_plan(cum, lo, k - 1, ops)
-            ops.append((_G, k, lo))
-        else:
-            ops.append((_G0, k, lo))
-        if cum[lo + m] > cum[lo + h]:
-            _build_plan(cum, lo + h, k - 1, ops)
-            ops.append((_COMBINE, k, lo))
-
-
 @lru_cache(maxsize=32)
-def _plan(spec: PolarSpec) -> tuple:
-    """The SSC op list of ``spec``, last op first."""
-    ops: list = []
-    _build_plan([0, *itertools.accumulate(spec.info_mask().tolist())], 0, spec.n, ops)
-    return tuple(ops[::-1])
+def _cum(spec: PolarSpec) -> tuple:
+    """``_cum(spec)[i]`` counts the info positions below i."""
+    return (0, *itertools.accumulate(spec.info_mask().tolist()))
+
+
+def _decide(cum: tuple, l: np.ndarray, bits: np.ndarray, lo: int, exact: bool) -> None:
+    """Decide the node whose (m, batch) LLRs are ``l`` and first position ``lo``.
+
+    Writes the node's partial sums into ``bits[lo : lo + m]``.
+    """
+    m, h = len(l), len(l) >> 1
+    info = cum[lo + m] - cum[lo]
+    if not info:  # rate 0: its partial sums are the zeros bits starts with
+        return
+    if info == m and (m == 1 or not exact and np.abs(l).min(initial=np.inf) > 0):
+        np.less(l, 0.0, out=bits[lo : lo + m])  # rate 1 with no tie or NaN
+        return
+    a, b, out = l[:h], l[h:], np.empty((h, l.shape[1]))
+    left = cum[lo + h] > cum[lo]
+    if left:
+        if exact:
+            out[:] = 2.0 * np.arctanh(np.tanh(a / 2.0) * np.tanh(b / 2.0))
+        else:
+            # a * b carries sign(a) sign(b), also when it underflows to +-0;
+            # it is NaN only where min(|a|, |b|) is 0 or NaN.
+            np.copysign(np.minimum(np.abs(a), np.abs(b), out=out), a * b, out=out)
+        _decide(cum, out, bits, lo, exact)
+    if cum[lo + m] > cum[lo + h]:
+        np.add(b, a, out=out)
+        if left:
+            np.subtract(b, a, out=out, where=bits[lo : lo + h])
+        _decide(cum, out, bits, lo + h, exact)
+        bits[lo : lo + h] ^= bits[lo + h : lo + m]
 
 
 def sc_decode(spec: PolarSpec, llr, *, exact: bool = False) -> np.ndarray:
@@ -141,36 +140,10 @@ def sc_decode(spec: PolarSpec, llr, *, exact: bool = False) -> np.ndarray:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != spec.N:
         raise ValueError(f"LLR input must have length N={spec.N}")
-    todo, batch = list(_plan(spec)), arr.shape[0]
-    # Position-major buffers: llrs[k] holds the LLRs of the active node of
-    # size 2^k, bits the partial sums of each decided node at its positions.
-    llrs = [np.empty((1 << k, batch)) for k in range(spec.n)] + [np.ascontiguousarray(arr.T)]
-    bits = np.zeros((spec.N, batch), dtype=bool)
+    # Position-major: row i holds position i of every frame.
+    bits = np.zeros((spec.N, arr.shape[0]), dtype=bool)
     with np.errstate(all="ignore"):  # inf - inf gives NaN, as in plain SC
-        while todo:
-            kind, k, lo = todo.pop()
-            h, l = (1 << k) >> 1, llrs[k]
-            if kind == _COMBINE:
-                left = bits[lo : lo + h]
-                left ^= bits[lo + h : lo + 2 * h]
-                continue
-            a, b, out = l[:h], l[h:], llrs[k - 1]
-            if kind == _RATE1 and k and (exact or not np.abs(l).min(initial=np.inf) > 0):
-                # A tie or NaN, or the tanh rule: split as plain SC does.
-                todo += ((_COMBINE, k, lo), (_RATE1, k - 1, lo + h), (_G, k, lo),
-                         (_RATE1, k - 1, lo), (_F, k, lo))
-            elif kind == _RATE1:
-                np.less(l, 0.0, out=bits[lo : lo + (1 << k)])
-            elif kind == _F and exact:
-                out[:] = 2.0 * np.arctanh(np.tanh(a / 2.0) * np.tanh(b / 2.0))
-            elif kind == _F:
-                # a * b carries sign(a) sign(b), also when it underflows to
-                # +-0; it is NaN only where min(|a|, |b|) is 0 or NaN.
-                np.copysign(np.minimum(np.abs(a), np.abs(b), out=out), a * b, out=out)
-            else:
-                np.add(b, a, out=out)
-                if kind == _G:
-                    np.subtract(b, a, out=out, where=bits[lo : lo + h])
+        _decide(_cum(spec), np.ascontiguousarray(arr.T), bits, 0, exact)
     x = bits.T.astype(np.uint8, order="C")
     _butterfly(x)
     msg = x[:, spec.info_indices()]

@@ -339,6 +339,8 @@ def test_ber_experiment_validation():
         run_ber_experiment(UncodedLink(), [10.0], max_frames=0)
     with pytest.raises(ValueError):
         run_ber_experiment(UncodedLink(), [10.0], batch=-5)
+    with pytest.raises(ValueError):
+        run_ber_experiment(UncodedLink(), [10.0], workers=0)
 
 
 def test_uncoded_ber_matches_analytic_value():

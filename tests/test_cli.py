@@ -462,16 +462,43 @@ def test_simulate_ber_rejects_non_finite_ebn0_or_amplitude(tmp_path, monkeypatch
     assert not out.exists()
 
 
-def test_sidecar_nan_ebn0_exits_2(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("value, message", [
+    ("NaN", "config setting 'ebn0' for 'rs15_7' is not finite: [nan]"),
+    ("4000.0", "Eb/N0 must be finite and within 3000 dB of 0, got 4000.0 dB"),
+], ids=["nan", "4000"])
+def test_sidecar_nan_ebn0_exits_2(tmp_path, monkeypatch, capsys, value, message):
     cfg = tmp_path / "c.json"
-    # the NaN on the second code is found before the first code's point is simulated
+    # the bad value on the second code is found before the first code's point is simulated
     cfg.write_text('{"codes": ["uncoded", "rs15_7"], '
-                   '"ebn0": {"uncoded": [10.0], "rs15_7": [NaN]}, "max_frames": 10}')
+                   f'"ebn0": {{"uncoded": [10.0], "rs15_7": [{value}]}}, "max_frames": 10}}')
     out = tmp_path / "x.csv"
     code, stdout, err = run_cli(["simulate-ber", "--config", str(cfg), "--out", str(out)],
                                 monkeypatch=monkeypatch, capsys=capsys)
     assert code == 2 and stdout == ""
-    assert err == "error: config setting 'ebn0' for 'rs15_7' is not finite: [nan]\n"
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_simulate_ber_rejects_a_worker_count_below_one(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "z.csv"
+    code, stdout, err = run_cli(
+        ["simulate-ber", "--codes", "uncoded", "--workers", "-3", "--out", str(out)],
+        monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and stdout == ""
+    assert err == "error: min_errors, max_frames, batch and workers must be positive\n"
+    assert not out.exists()
+
+
+def test_simulate_ber_frame_too_large_for_memory_exits_2(tmp_path, monkeypatch, capsys):
+    # 2^58 one-byte bits per frame: beyond the 57-bit virtual address space of
+    # any 64-bit machine, so the allocation fails and is never granted.
+    out = tmp_path / "y.csv"
+    code, stdout, err = run_cli(
+        ["simulate-ber", "--codes", "uncoded", "--K", str(2**58), "--max-frames", "1",
+         "--batch", "1", "--out", str(out)],
+        monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and stdout == "" and err.startswith("error: ")
+    assert "Traceback" not in err
     assert not out.exists()
 
 

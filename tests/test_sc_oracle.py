@@ -105,6 +105,12 @@ def test_random_exact_zeros_and_all_zero_row(exact):
     llr[1] = -0.0
     assert_matches_oracle(spec, llr, exact)
     assert not sc_decode(spec, np.zeros(spec.N), exact=exact).any()
+    # NaN channel LLRs: scattered NaNs decide as plain SC does, an all-NaN row 0.
+    llr = awgn_llr(spec, rng, 200, 0.7)
+    for row, p in enumerate(np.linspace(0.001, 0.5, 200)):
+        llr[row, rng.random(spec.N) < p] = np.nan
+    assert_matches_oracle(spec, llr, exact)
+    assert not sc_decode(spec, np.full(spec.N, np.nan), exact=exact).any()
 
 
 @pytest.mark.parametrize("exact", MODES)
