@@ -434,7 +434,7 @@ def mftp_check(frame_bits: int, clock_hz: float, limit_s: float = MFTP_LIMIT_S) 
     """Time to clock out one frame, against the maximum flickering time period."""
     if frame_bits <= 0:
         raise ValueError("frame_bits must be positive")
-    if clock_hz <= 0:
-        raise ValueError("clock_hz must be positive")
+    if not 0 < clock_hz < math.inf:  # NaN fails too
+        raise ValueError("clock_hz must be finite and positive")
     frame_time = frame_bits / clock_hz
     return MftpReport(frame_bits, clock_hz, frame_time, limit_s, frame_time < limit_s)

@@ -1,12 +1,12 @@
 """Command-line entry points: code construction, pipeline stages, experiments.
 
 Text bitstreams on stdin/stdout use '0'/'1' characters, index 0 first.
-An experiment subcommand takes each setting, a row of DIST_SETTINGS or
-BER_SETTINGS, from its flag, else from the --config sidecar, else from the
-row's default, and writes the resolved settings to a JSON sidecar next to its
-output; re-running with --config <sidecar> reproduces the output byte for byte
-(for simulate-ber, whatever --workers says).  Bad flags, paths and configs
-exit 2 with an error line."""
+Each subcommand takes each setting, a row of its table in COMMANDS, from its
+flag, else (for the two experiments) from the --config sidecar, else from the
+row's default.  An experiment writes the resolved settings to a JSON sidecar
+next to its output; re-running with --config <sidecar> reproduces the output
+byte for byte (for simulate-ber, whatever --workers says).  Bad flags, paths
+and configs exit 2 with an error line."""
 
 from __future__ import annotations
 
@@ -50,7 +50,7 @@ def _hex_int(text: str) -> int:
     try:
         return int(text, 16)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a hex value: {text!r}")
+        raise ValueError(f"not a hex value: {text!r}") from None
 
 
 def _parse_sizes(text: str) -> list[list[int]]:
@@ -81,8 +81,8 @@ def _parse_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-# One row per experiment setting, key: (default, parser of the flag's text, help).  The key
-# is the sidecar's and, with '-' for '_', the flag's; a parser of None marks an on/off flag.
+# One row per setting of a subcommand, key: (default, parser of the flag's text, help).  The
+# key is the sidecar's and, with '-' for '_', the flag's; a parser of None marks an on/off flag.
 DIST_SETTINGS = {
     "sizes": ([[DEFAULT_N, DEFAULT_K]], _parse_sizes, "comma list of N:K pairs"),
     "encoders": (["nspe"], _parse_list, "comma list from {nspe,systematic}"),
@@ -112,6 +112,25 @@ BER_SETTINGS = {
     "exact_f": (False, None, "use the exact tanh check-node update instead of min-sum"),
     "workers": (None, int, "worker processes; never changes results"),
     "out": ("ber.csv", str, "output CSV path"),
+}
+CONSTRUCT_SETTINGS = {
+    "N": BER_SETTINGS["N"],
+    "K": BER_SETTINGS["K"],
+    "eps": DIST_SETTINGS["eps"],
+    "out": ("polar_spec.json", str, "code description JSON path"),
+}
+SCRAMBLE_SETTINGS = {"poly": DIST_SETTINGS["poly"], "seed": DIST_SETTINGS["scrambler_seed"]}
+ENCODE_SETTINGS = {
+    "spec": (None, str, f"code description JSON (default: built-in {DEFAULT_N}:{DEFAULT_K})"),
+    "encoder": ("nspe", str, "nspe or systematic"),
+}
+DECODE_SETTINGS = {
+    "spec": ENCODE_SETTINGS["spec"],
+    "emit_codeword": (False, None, "emit the re-encoded N-bit codeword instead of the message"),
+}
+MFTP_SETTINGS = {
+    "frame_bits": (DEFAULT_N, int, "bits per frame"),
+    "clock_hz": (200e3, float, "OOK clock rate in Hz"),
 }
 
 
@@ -149,15 +168,16 @@ def _from_sidecar(key: str, value, default):
 def _settings(args, table: dict) -> dict:
     """Each setting from its flag's text if given, else from the --config sidecar, else its default.
 
-    A sidecar of another command, or with a key not a setting nor "command", is rejected."""
-    cfg = {}
-    if args.config:
-        with open(args.config, "r", encoding="ascii") as fh:
+    The one place flag text is parsed.  A sidecar of another command, or with a key not a
+    setting nor "command", is rejected."""
+    cfg, path = {}, getattr(args, "config", None)  # only the experiments take --config
+    if path:
+        with open(path, "r", encoding="ascii") as fh:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
-            raise ValueError(f"config {args.config} is not a JSON object")
+            raise ValueError(f"config {path} is not a JSON object")
         if cfg.get("command", args.command) != args.command:
-            raise ValueError(f"config {args.config} is for {cfg['command']}, not {args.command}")
+            raise ValueError(f"config {path} is for {cfg['command']}, not {args.command}")
         # older simulate-dist sidecars carry "workers", which that command ignores
         unknown = sorted(cfg.keys() - table.keys() - {"command", "workers"})
         if unknown:
@@ -167,7 +187,7 @@ def _settings(args, table: dict) -> dict:
         if key in args:
             try:
                 settings[key] = getattr(args, key) if parse is None else parse(getattr(args, key))
-            except (ValueError, argparse.ArgumentTypeError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"argument {_flag(key)}: {exc}") from None
         elif key in cfg:
             settings[key] = _from_sidecar(key, cfg[key], default)
@@ -194,53 +214,53 @@ def _stdin_bits(expected: int | None = None) -> np.ndarray:
     return bits
 
 
-def _spec_from_args(args):
-    if args.spec is not None:
-        return load(args.spec)
-    return construct(DEFAULT_N, DEFAULT_K, DEFAULT_EPS)
+def _spec(path):
+    return construct(DEFAULT_N, DEFAULT_K, DEFAULT_EPS) if path is None else load(path)
 
 
-def cmd_construct(args) -> int:
-    spec = construct(args.N, args.K, args.eps)
-    save(spec, args.out)
-    _write_json(args.out + ".config.json",
-                {"command": "construct", "N": args.N, "K": args.K, "eps": args.eps})
-    print(f"wrote {args.out}: N={spec.N} K={spec.K} rate={spec.rate:.4f}")
+def _encoder(name: str):
+    """The polar encoder a name stands for; every encoder setting is checked here."""
+    if name not in ("nspe", "systematic"):
+        raise ValueError(f"unknown encoder {name!r}; choose from nspe, systematic")
+    return encode_systematic if name == "systematic" else encode_nspe
+
+
+def cmd_construct(st) -> int:
+    spec = construct(st["N"], st["K"], st["eps"])
+    out = st.pop("out")  # the sidecar records the code, not where it was written
+    save(spec, out)
+    _write_json(out + ".config.json", {"command": "construct", **st})
+    print(f"wrote {out}: N={spec.N} K={spec.K} rate={spec.rate:.4f}")
     return 0
 
 
-def cmd_scramble(args) -> int:
-    spec = ScramblerSpec(poly_mask=args.poly, seed=args.seed)
+def cmd_scramble(st) -> int:
+    spec = ScramblerSpec(poly_mask=st["poly"], seed=st["seed"])
     print(bitstream.to_text(scramble(spec, _stdin_bits())))
     return 0
 
 
-def cmd_encode(args) -> int:
-    spec = _spec_from_args(args)
-    msg = _stdin_bits(spec.K)
-    enc = encode_systematic if args.encoder == "systematic" else encode_nspe
-    print(bitstream.to_text(enc(spec, msg)))
+def cmd_encode(st) -> int:
+    enc = _encoder(st["encoder"])
+    spec = _spec(st["spec"])
+    print(bitstream.to_text(enc(spec, _stdin_bits(spec.K))))
     return 0
 
 
-def cmd_decode(args) -> int:
-    spec = _spec_from_args(args)
-    hard = _stdin_bits(spec.N)
-    llr = np.where(hard == 0, np.inf, -np.inf)
-    msg = sc_decode(spec, llr)
-    out = encode_nspe(spec, msg) if args.emit_codeword else msg
+def cmd_decode(st) -> int:
+    spec = _spec(st["spec"])
+    msg = sc_decode(spec, np.where(_stdin_bits(spec.N) == 0, np.inf, -np.inf))
+    out = encode_nspe(spec, msg) if st["emit_codeword"] else msg
     print(bitstream.to_text(out))
     return 0
 
 
-def cmd_simulate_dist(args) -> int:
-    st = _settings(args, DIST_SETTINGS)
+def cmd_simulate_dist(st) -> int:
     for pair in st["sizes"]:
         if len(pair) != 2:
             raise ValueError(f"config setting 'sizes' must be [N, K] pairs, got {pair}")
     for enc in st["encoders"]:
-        if enc not in ("nspe", "systematic"):
-            raise ValueError(f"unknown encoder {enc!r}")
+        _encoder(enc)
     if st["scramble"] not in ("on", "off", "both"):
         raise ValueError("scramble must be on, off or both")
     scramble_opts = ["on", "off"] if st["scramble"] == "both" else [st["scramble"]]
@@ -254,6 +274,8 @@ def cmd_simulate_dist(args) -> int:
     scrambler = ScramblerSpec(poly_mask=st["poly"], seed=st["scrambler_seed"])
     # every size is built before the first run, so a bad later size leaves no output
     specs = [construct(n_bits, k_bits, st["eps"]) for n_bits, k_bits in st["sizes"]]
+    if os.path.exists(st["out_dir"]) and not os.path.isdir(st["out_dir"]):
+        raise ValueError(f"output directory {st['out_dir']!r} is not a directory")
     summary = ["encoder,scramble,N,K,p1,frames,min,max,mean"]
     for (n_bits, k_bits), spec in zip(st["sizes"], specs):
         for enc in st["encoders"]:
@@ -270,12 +292,11 @@ def cmd_simulate_dist(args) -> int:
                       f"min={stats.min:.6f} max={stats.max:.6f} mean={stats.mean:.6f} "
                       f"max_run={stats.max_run_length}")
     write_lines("summary.csv", summary)
-    _write_json(os.path.join(st["out_dir"], "config.json"), {"command": args.command, **st})
+    _write_json(os.path.join(st["out_dir"], "config.json"), {"command": "simulate-dist", **st})
     return 0
 
 
-def cmd_simulate_ber(args) -> int:
-    st = _settings(args, BER_SETTINGS)
+def cmd_simulate_ber(st) -> int:
     codes, sweeps = st["codes"], st["ebn0"]
     if isinstance(sweeps, list):  # --ebn0 gives every code the same sweep
         sweeps = dict.fromkeys(codes, sweeps)
@@ -301,6 +322,9 @@ def cmd_simulate_ber(args) -> int:
     out_dir = os.path.dirname(st["out"]) or "."
     if not os.path.isdir(out_dir):
         raise ValueError(f"output directory {out_dir!r} does not exist")
+    for path in (st["out"], st["out"] + ".config.json"):
+        if os.path.isdir(path):
+            raise ValueError(f"output {path!r} is a directory")
 
     rows = ["code,ebn0_db,bits,bit_errors,frames,frame_errors,ber"]
     for name, link in zip(codes, links):
@@ -314,19 +338,29 @@ def cmd_simulate_ber(args) -> int:
             print(f"{name} {p.ebn0_db:g} dB: ber={p.ber:.3e} "
                   f"({p.bit_errors}/{p.bits_sent} bits, {p.frames_sent} frames)")
     _write_lines(st["out"], rows)
-    _write_json(st["out"] + ".config.json", {"command": args.command, **st})
+    _write_json(st["out"] + ".config.json", {"command": "simulate-ber", **st})
     return 0
 
 
-def cmd_mftp(args) -> int:
-    report = mftp_check(args.frame_bits, args.clock_hz)
+def cmd_mftp(st) -> int:
+    report = mftp_check(st["frame_bits"], st["clock_hz"])
     verdict = "yes" if report.compliant else "NO"
-    print(
-        f"frame_bits={report.frame_bits} clock_hz={report.clock_hz:g} "
-        f"frame_time_ms={report.frame_time_s * 1e3:g} "
-        f"limit_ms={report.limit_s * 1e3:g} compliant={verdict}"
-    )
+    print(f"frame_bits={report.frame_bits} clock_hz={report.clock_hz:g} "
+          f"frame_time_ms={report.frame_time_s * 1e3:g} "
+          f"limit_ms={report.limit_s * 1e3:g} compliant={verdict}")
     return 0
+
+
+# name: (settings table, command, help), in the order of the usage text
+COMMANDS = {
+    "construct": (CONSTRUCT_SETTINGS, cmd_construct, "build a code description JSON file"),
+    "scramble": (SCRAMBLE_SETTINGS, cmd_scramble, "XOR stdin bits with the LFSR keystream"),
+    "encode": (ENCODE_SETTINGS, cmd_encode, "encode K stdin bits to an N-bit codeword"),
+    "decode": (DECODE_SETTINGS, cmd_decode, "SC-decode N hard stdin bits to K message bits"),
+    "simulate-dist": (DIST_SETTINGS, cmd_simulate_dist, "ones-density distribution experiment"),
+    "simulate-ber": (BER_SETTINGS, cmd_simulate_ber, "Monte-Carlo BER curves over OOK/AWGN"),
+    "mftp": (MFTP_SETTINGS, cmd_mftp, "frame time against the 5 ms flicker limit"),
+}
 
 
 @functools.lru_cache(maxsize=1)
@@ -337,55 +371,22 @@ def _build_parser() -> argparse.ArgumentParser:
         description="DC-balanced channel coding experiments for beacon VLC links",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("construct", help="build a code description JSON file")
-    p.add_argument("--N", type=int, default=DEFAULT_N)
-    p.add_argument("--K", type=int, default=DEFAULT_K)
-    p.add_argument("--eps", type=float, default=DEFAULT_EPS,
-                   help="design erasure probability (default 0.5)")
-    p.add_argument("--out", default="polar_spec.json")
-    p.set_defaults(func=cmd_construct)
-
-    p = sub.add_parser("scramble", help="XOR stdin bits with the LFSR keystream")
-    p.add_argument("--poly", type=_hex_int, default=DEFAULT_POLY,
-                   help="characteristic polynomial mask in hex (default 19)")
-    p.add_argument("--seed", type=_hex_int, default=DEFAULT_SEED,
-                   help="nonzero register seed in hex (default f)")
-    p.set_defaults(func=cmd_scramble)
-
-    p = sub.add_parser("encode", help="encode K stdin bits to an N-bit codeword")
-    p.add_argument("--spec", help="code description JSON (default: built-in 256:158)")
-    p.add_argument("--encoder", choices=("nspe", "systematic"), default="nspe")
-    p.set_defaults(func=cmd_encode)
-
-    p = sub.add_parser("decode", help="SC-decode N hard stdin bits to K message bits")
-    p.add_argument("--spec", help="code description JSON (default: built-in 256:158)")
-    p.add_argument("--emit-codeword", action="store_true",
-                   help="emit the re-encoded N-bit codeword instead of the message")
-    p.set_defaults(func=cmd_decode)
-
-    for name, table, func, text in (
-        ("simulate-dist", DIST_SETTINGS, cmd_simulate_dist, "ones-density distribution experiment"),
-        ("simulate-ber", BER_SETTINGS, cmd_simulate_ber, "Monte-Carlo BER curves over OOK/AWGN")):
+    for name, (table, _, text) in COMMANDS.items():
+        # a flag left out leaves no attribute, so _settings can tell it from a given one
         p = sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
         for key, (default, parse, help_text) in table.items():
             p.add_argument(_flag(key), action="store" if parse else "store_true",
                            help=_help(default, parse, help_text))
-        p.add_argument("--config", default=None, help="rerun from a config sidecar")
-        p.set_defaults(func=func)
-
-    p = sub.add_parser("mftp", help="frame time against the 5 ms flicker limit")
-    p.add_argument("--frame-bits", type=int, default=DEFAULT_N)
-    p.add_argument("--clock-hz", type=float, default=200e3)
-    p.set_defaults(func=cmd_mftp)
-
+        if name.startswith("simulate-"):
+            p.add_argument("--config", default=None, help="rerun from a config sidecar")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    table, command, _ = COMMANDS[args.command]
     try:
-        return args.func(args)
+        return command(_settings(args, table))
     except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -73,8 +73,6 @@ def keystream(spec: ScramblerSpec, n: int) -> np.ndarray:
     if n < 0:
         raise ValueError("keystream length must be nonnegative")
     cyc = _cycle(spec.poly_mask, spec.seed)
-    if n == 0:
-        return np.zeros(0, dtype=np.uint8)
     reps = -(-n // cyc.size)
     return np.tile(cyc, reps)[:n]
 

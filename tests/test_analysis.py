@@ -385,8 +385,9 @@ def test_mftp_check_values():
     assert not mftp_check(1000, 200e3).compliant
     with pytest.raises(ValueError):
         mftp_check(0, 200e3)
-    with pytest.raises(ValueError):
-        mftp_check(100, 0.0)
+    for clock in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            mftp_check(100, clock)
 
 
 class _CountingPool:

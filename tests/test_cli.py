@@ -52,7 +52,8 @@ def test_construct_writes_loadable_spec(tmp_path, monkeypatch, capsys):
         monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0
     assert load(out) == construct(32, 20)
-    assert os.path.exists(out + ".config.json")
+    assert json.load(open(out + ".config.json")) == {
+        "command": "construct", "N": 32, "K": 20, "eps": 0.5}
     assert "N=32" in stdout
 
 
@@ -78,6 +79,22 @@ def test_scramble_pipeline_identity(monkeypatch, capsys):
                             monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0
     assert out2.strip() == zeros
+
+
+def test_scramble_and_mftp_flags_take_hex_and_float_text(tmp_path, monkeypatch, capsys):
+    code, out, _ = run_cli(["scramble", "--poly", "1d", "--seed", "a"], stdin_text="0" * 40,
+                           monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0
+    assert out.strip() == "".join(map(str, keystream(ScramblerSpec(0x1D, 0xA), 40)))
+    code, out, _ = run_cli(["mftp", "--clock-hz", "1e6", "--frame-bits=5000"],
+                           monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0 and out == ("frame_bits=5000 clock_hz=1e+06 frame_time_ms=5 "
+                                 "limit_ms=5 compliant=NO\n")
+    spec = str(tmp_path / "c.json")
+    assert run_cli(["construct", "--N", "16", "--K", "8", "--eps", "0.25", "--out", spec],
+                   monkeypatch=monkeypatch, capsys=capsys)[0] == 0
+    assert load(spec) == construct(16, 8, 0.25)
+    assert json.load(open(spec + ".config.json"))["eps"] == 0.25
 
 
 def test_encode_decode_roundtrip(monkeypatch, capsys):
@@ -282,13 +299,20 @@ def test_mftp_output(monkeypatch, capsys):
     assert "frame_time_ms=10.24" in out and "compliant=NO" in out
 
 
+@pytest.mark.parametrize("clock", ["nan", "inf", "0"])
+def test_mftp_rejects_a_clock_that_is_not_finite_and_positive(monkeypatch, capsys, clock):
+    code, out, err = run_cli(["mftp", "--clock-hz", clock], monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and out == ""
+    assert err == "error: clock_hz must be finite and positive\n"
+
+
 def test_parser_is_built_once_and_keeps_no_state(tmp_path, monkeypatch, capsys):
     assert cli._build_parser() is cli._build_parser()
     # a usage error, then a clean call through the same parser
     with pytest.raises(SystemExit) as exc:
-        cli.main(["mftp", "--frame-bits", "many"])
+        cli.main(["mftp", "--bogus"])
     assert exc.value.code == 2
-    assert "invalid int value" in capsys.readouterr().err
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
     code, out, _ = run_cli(["mftp"], monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0 and "frame_bits=256 " in out
 
@@ -581,6 +605,50 @@ def test_bad_flag_text_exits_2_naming_the_flag(tmp_path, monkeypatch, capsys,
                                 monkeypatch=monkeypatch, capsys=capsys)
     assert code == 2 and stdout == "" and err.startswith(want)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["construct", "--N", "ten"], "error: argument --N: invalid literal for int()"),
+    (["scramble", "--poly", "zz"], "error: argument --poly: not a hex value: 'zz'"),
+    (["scramble", "--seed", "zz"], "error: argument --seed: not a hex value: 'zz'"),
+    (["encode", "--encoder", "bogus"], "error: unknown encoder 'bogus'"),
+    (["mftp", "--frame-bits", "many"], "error: argument --frame-bits: invalid literal for int()"),
+    (["mftp", "--clock-hz", "x"], "error: argument --clock-hz: could not convert string to float"),
+], ids=["construct-N", "scramble-poly", "scramble-seed", "encode-encoder", "mftp-frame-bits",
+        "mftp-clock-hz"])
+def test_pipeline_bad_flag_text_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys,
+                                                            argv, want):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run_cli(argv, stdin_text="0" * 158, monkeypatch=monkeypatch,
+                                capsys=capsys)
+    assert code == 2 and stdout == "" and err.startswith(want)
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("taken", ["x.csv", "x.csv.config.json"])
+def test_simulate_ber_output_that_is_a_directory_fails_before_the_sweep(
+        tmp_path, monkeypatch, capsys, taken):
+    (tmp_path / taken).mkdir()
+    code, stdout, err = run_cli(
+        ["simulate-ber", "--codes", "uncoded", "--ebn0", "10:1:10", "--max-frames", "10",
+         "--out", str(tmp_path / "x.csv")],
+        monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and stdout == ""
+    assert err == f"error: output {str(tmp_path / taken)!r} is a directory\n"
+    assert os.listdir(tmp_path) == [taken] and os.listdir(tmp_path / taken) == []
+
+
+def test_simulate_dist_out_dir_that_is_a_file_fails_before_the_first_run(
+        tmp_path, monkeypatch, capsys):
+    out = tmp_path / "d"
+    out.write_text("kept\n")
+    code, stdout, err = run_cli(
+        ["simulate-dist", "--sizes", "16:8", "--frames", "5", "--out-dir", str(out)],
+        monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and stdout == ""
+    assert err == f"error: output directory {str(out)!r} is not a directory\n"
+    assert os.listdir(tmp_path) == ["d"] and out.read_text() == "kept\n"
 
 
 def test_simulate_ber_bad_polar_size_fails_before_the_first_point(tmp_path, monkeypatch, capsys):
