@@ -202,6 +202,12 @@ def _write_json(path, doc: dict) -> None:
         fh.write("\n")
 
 
+def _reject_directories(paths) -> None:
+    for path in paths:
+        if os.path.isdir(path):
+            raise ValueError(f"output {path!r} is a directory")
+
+
 def _write_lines(path, lines) -> None:
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -272,25 +278,30 @@ def cmd_simulate_dist(st) -> int:
         _write_lines(os.path.join(st["out_dir"], name), lines)
 
     scrambler = ScramblerSpec(poly_mask=st["poly"], seed=st["scrambler_seed"])
-    # every size is built before the first run, so a bad later size leaves no output
+    # every size is built and every output path checked before the first run
     specs = [construct(n_bits, k_bits, st["eps"]) for n_bits, k_bits in st["sizes"]]
-    if os.path.exists(st["out_dir"]) and not os.path.isdir(st["out_dir"]):
-        raise ValueError(f"output directory {st['out_dir']!r} is not a directory")
+    runs = [(size, spec, enc, scr) for size, spec in zip(st["sizes"], specs)
+            for enc in st["encoders"] for scr in scramble_opts]
+    names = [f"dist_{enc}_{scr}_{n_bits}x{k_bits}.csv" for (n_bits, k_bits), _, enc, scr in runs]
+    out_dir = parent = st["out_dir"]
+    while parent and not os.path.exists(parent):  # makedirs needs a directory at the base
+        parent = os.path.dirname(parent)
+    if parent and not os.path.isdir(parent):
+        raise ValueError(f"output directory {parent!r} is not a directory")
+    _reject_directories(os.path.join(out_dir, n) for n in names + ["summary.csv", "config.json"])
     summary = ["encoder,scramble,N,K,p1,frames,min,max,mean"]
-    for (n_bits, k_bits), spec in zip(st["sizes"], specs):
-        for enc in st["encoders"]:
-            for scr in scramble_opts:
-                stats = run_dist_experiment(
-                    spec, encoder=enc, scrambler=scrambler if scr == "on" else None, p1=p1,
-                    frames=frames, master_seed=st["master_seed"])
-                rows = ["frame_index,ones_fraction"]
-                rows += [f"{i},{float(v)!r}" for i, v in enumerate(stats.samples)]
-                write_lines(f"dist_{enc}_{scr}_{n_bits}x{k_bits}.csv", rows)
-                summary.append(f"{enc},{scr},{n_bits},{k_bits},{p1!r},{frames},"
-                               f"{stats.min!r},{stats.max!r},{stats.mean!r}")
-                print(f"{enc} scramble={scr} ({n_bits},{k_bits}) p1={p1:g}: "
-                      f"min={stats.min:.6f} max={stats.max:.6f} mean={stats.mean:.6f} "
-                      f"max_run={stats.max_run_length}")
+    for ((n_bits, k_bits), spec, enc, scr), name in zip(runs, names):
+        stats = run_dist_experiment(
+            spec, encoder=enc, scrambler=scrambler if scr == "on" else None, p1=p1,
+            frames=frames, master_seed=st["master_seed"])
+        rows = ["frame_index,ones_fraction"]
+        rows += [f"{i},{float(v)!r}" for i, v in enumerate(stats.samples)]
+        write_lines(name, rows)
+        summary.append(f"{enc},{scr},{n_bits},{k_bits},{p1!r},{frames},"
+                       f"{stats.min!r},{stats.max!r},{stats.mean!r}")
+        print(f"{enc} scramble={scr} ({n_bits},{k_bits}) p1={p1:g}: "
+              f"min={stats.min:.6f} max={stats.max:.6f} mean={stats.mean:.6f} "
+              f"max_run={stats.max_run_length}")
     write_lines("summary.csv", summary)
     _write_json(os.path.join(st["out_dir"], "config.json"), {"command": "simulate-dist", **st})
     return 0
@@ -322,9 +333,7 @@ def cmd_simulate_ber(st) -> int:
     out_dir = os.path.dirname(st["out"]) or "."
     if not os.path.isdir(out_dir):
         raise ValueError(f"output directory {out_dir!r} does not exist")
-    for path in (st["out"], st["out"] + ".config.json"):
-        if os.path.isdir(path):
-            raise ValueError(f"output {path!r} is a directory")
+    _reject_directories((st["out"], st["out"] + ".config.json"))
 
     rows = ["code,ebn0_db,bits,bit_errors,frames,frame_errors,ber"]
     for name, link in zip(codes, links):

@@ -9,15 +9,15 @@ alpha^1 .. alpha^(n-k).
 
 Bulk work is done on arrays of any leading shape: rs_encode is one lookup
 in a 16x16 multiplication table against a k x (n-k) parity matrix followed
-by an XOR reduction, and rs_screen marks the words with a nonzero syndrome
-in one gather from a table of nibble-packed syndromes.  Only those dirty
-words need rs_decode, the per-word decoder, which works on table lookups.
-A word with exactly one symbol error (the nu = 1 case of
-Peterson-Gorenstein-Zierler) is corrected in closed form: its syndromes
-are S_j = e X^j, so X = S_2 / S_1 and e = S_1 / X, and the word qualifies
-when every S_j matches e X^j.  Every other dirty word goes through
-Berlekamp-Massey, Chien search and Forney.  A detected uncorrectable word
-is reported as None; that is a value, not a fault.
+by an XOR reduction, and rs_screen returns each word's nibble-packed
+syndromes from one gather, 0 for a codeword.  _PAIRS, indexed by S_1 ..
+S_4, names the one of the 225 one-error and 23,625 two-error patterns that
+the roots alpha^1 .. alpha^4 of RS(15, 11), d = 5, tell apart, and
+RsLink.decode applies it when all n-k syndromes match: the word is then
+within distance 2 of a codeword, which as d >= 5 for every k is the one
+bounded-distance decoding returns.  Other dirty words go to rs_decode,
+Berlekamp-Massey, Chien search and Forney per word.  A detected
+uncorrectable word is reported as None; that is a value, not a fault.
 """
 
 from __future__ import annotations
@@ -73,6 +73,23 @@ _POSITIONS = np.arange(N_SYMBOLS)
 # _EVAL[i][poly[i]] over an ascending polynomial evaluates it at every Chien
 # point alpha^-d at once; nibble d is the value at alpha^-d.
 _EVAL = _packed(-np.outer(np.arange(_MAX_SYN), np.arange(N_SYMBOLS)))
+
+
+def _error_tables():
+    """Row 1 + 15p + e - 1 of one_error is symbol e at position p alone, and
+    one_syn holds its packed syndromes; row 0 is no error.  pairs[S_1 .. S_4]
+    is a1 | a2 << 8 for the pattern of rows a1 < a2 with those syndromes, or 0."""
+    pos = (np.arange(226) - 1) // 15  # row 0 comes before every position
+    one_error = np.zeros((226, N_SYMBOLS), dtype=np.uint8)
+    one_error[np.arange(1, 226), pos[1:]] = np.arange(225) % 15 + 1
+    one_syn = np.concatenate([[0], _SYN_NP[:, 1:].ravel()])
+    first, second = np.nonzero(pos[:, None] < pos)
+    pairs = np.zeros(1 << 16, dtype="<u2")  # little-endian: a uint8 view reads a1, a2
+    pairs[(one_syn[first] ^ one_syn[second]) & 0xFFFF] = first | second << 8
+    return one_error, one_syn, pairs
+
+
+_ONE_ERROR, _ONE_SYN, _PAIRS = _error_tables()
 
 
 @dataclass(frozen=True)
@@ -148,10 +165,10 @@ def rs_encode(spec: RsSpec, msg) -> np.ndarray:
 
 
 def rs_screen(spec: RsSpec, words) -> np.ndarray:
-    """True where a (..., n) received word has a nonzero syndrome."""
+    """Packed S_1 .. S_(n-k) of each (..., n) received word; 0 for a codeword."""
     words = _check_symbols(words, spec.n)
-    packed = np.bitwise_xor.reduce(_SYN_NP[_POSITIONS, words], axis=-1)
-    return (packed & spec.syndrome_mask) != 0
+    return np.bitwise_xor.reduce(_SYN_NP[_POSITIONS, words], axis=-1) & spec.syndrome_mask
+
 
 
 def _berlekamp_massey(synd: list[int]) -> list[int]:
@@ -208,18 +225,6 @@ def rs_decode(spec: RsSpec, recv):
     packed &= mask
     if not packed:
         return np.array(recv[:k], dtype=np.uint8)
-
-    # One error e at x^lx gives S_j = e alpha^(j lx): lx = log S_2 - log S_1,
-    # e = S_1 alpha^-lx.  If all of S_1 .. S_(n-k) match, the word is at
-    # distance 1 from a codeword and d >= 5, so that codeword is the one
-    # BM/Chien/Forney would return.
-    s1, s2 = packed & 15, (packed >> 4) & 15
-    if s1 and s2:
-        lx = (_LOG[s2] - _LOG[s1]) % 15
-        pos, err = N_SYMBOLS - 1 - lx, _EXP[_LOG[s1] - lx + 15]
-        if packed == _SYN[pos][err] & mask:
-            recv[pos] ^= err
-            return np.array(recv[:k], dtype=np.uint8)
 
     synd = [(packed >> 4 * j) & 15 for j in range(nsyn)]
     sigma = _berlekamp_massey(synd)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from beaconphy import cli
+from beaconphy import analysis, cli
 from beaconphy.polar_codec import encode_nspe
 from beaconphy.polar_construction import construct, load
 from beaconphy.scrambler import ScramblerSpec, keystream
@@ -668,3 +668,60 @@ def test_simulate_dist_bad_later_size_leaves_no_output(tmp_path, monkeypatch, ca
         monkeypatch=monkeypatch, capsys=capsys)
     assert code == 2 and stdout == "" and err == "error: N must be a power of two\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("taken", ["summary.csv", "config.json", "dist_nspe_on_16x8.csv"])
+def test_simulate_dist_output_file_that_is_a_directory_fails_before_the_first_run(
+        tmp_path, monkeypatch, capsys, taken):
+    out = tmp_path / "d"
+    (out / taken).mkdir(parents=True)
+    code, stdout, err = run_cli(
+        ["simulate-dist", "--sizes", "16:8", "--frames", "5", "--out-dir", str(out)],
+        monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and stdout == ""
+    assert err == f"error: output {str(out / taken)!r} is a directory\n"
+    assert os.listdir(out) == [taken] and os.listdir(out / taken) == []
+
+
+def test_simulate_dist_out_dir_under_a_file_fails_before_the_first_run(
+        tmp_path, monkeypatch, capsys):
+    blocker = tmp_path / "afile"
+    blocker.write_text("kept\n")
+    out = blocker / "sub" / "deeper"
+    code, stdout, err = run_cli(
+        ["simulate-dist", "--sizes", "16:8", "--frames", "5", "--out-dir", str(out)],
+        monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and stdout == ""
+    assert err == f"error: output directory {str(blocker)!r} is not a directory\n"
+    assert os.listdir(tmp_path) == ["afile"] and blocker.read_text() == "kept\n"
+
+
+def test_simulate_ber_rs_csv_matches_pinned_bytes(tmp_path, monkeypatch, capsys):
+    # data/ber_rs_pinned.csv was written by the decoder that sent every dirty
+    # block through rs_decode, before the syndrome table; every point but
+    # rs15_11 at 14 dB mixes blocks the table corrects with blocks it leaves
+    # to Berlekamp-Massey, and the run must exercise both paths
+    calls = {"dirty": 0, "miss": 0}
+    screen, decode = analysis.rs_screen, analysis.rs_decode
+
+    def counting_screen(spec, words):
+        packed = screen(spec, words)
+        calls["dirty"] += int(np.count_nonzero(packed))
+        return packed
+
+    def counting_decode(spec, word):
+        calls["miss"] += 1
+        return decode(spec, word)
+
+    monkeypatch.setattr(analysis, "rs_screen", counting_screen)
+    monkeypatch.setattr(analysis, "rs_decode", counting_decode)
+    out = tmp_path / "rs.csv"
+    code, _, _ = run_cli(
+        ["simulate-ber", "--codes", "rs15_11,rs15_7,rs15_3", "--ebn0", "12:1:14",
+         "--max-frames", "300", "--min-errors", "1000000", "--batch", "128", "--workers", "1",
+         "--out", str(out)],
+        monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0
+    pinned = os.path.join(os.path.dirname(__file__), "data", "ber_rs_pinned.csv")
+    assert out.read_bytes() == open(pinned, "rb").read()
+    assert 0 < calls["miss"] < calls["dirty"] - 1000, calls

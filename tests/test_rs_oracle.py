@@ -8,9 +8,18 @@ import numpy as np
 import pytest
 
 import rs_oracle
+from beaconphy import analysis
 from beaconphy.analysis import RsLink
 from beaconphy.channel import ChannelParams
-from beaconphy.reed_solomon import RsSpec, rs_decode, rs_encode, rs_screen
+from beaconphy.reed_solomon import (
+    _ONE_ERROR,
+    _ONE_SYN,
+    _PAIRS,
+    RsSpec,
+    rs_decode,
+    rs_encode,
+    rs_screen,
+)
 
 KS = (11, 7, 3)
 CODEWORDS = 3000
@@ -36,10 +45,12 @@ def _received_words(k: int, seed: int) -> np.ndarray:
 def test_decode_and_screen_agree_with_oracle(k):
     spec, ref_spec = RsSpec(k), rs_oracle.RsSpec(k)
     words = _received_words(k, 1000 + k)
-    dirty = rs_screen(spec, words)
+    packed = rs_screen(spec, words)
     outcomes = {"clean": 0, "corrected": 0, "failed": 0}
-    for word, flag in zip(words, dirty):
-        assert flag == rs_oracle.has_nonzero_syndrome(ref_spec, word), word
+    for word, syn in zip(words, packed):
+        flag = rs_oracle.has_nonzero_syndrome(ref_spec, word)
+        assert bool(syn) == flag, word
+        assert syn == _packed_syndromes(k, word), word
         got, ref = rs_decode(spec, word), rs_oracle.rs_decode(ref_spec, word)
         if ref is None:
             assert got is None, word
@@ -146,6 +157,10 @@ def _syndromes(k, word):
             for m in range(1, 16 - k)]
 
 
+def _packed_syndromes(k, word):
+    return sum(s << 4 * j for j, s in enumerate(_syndromes(k, word)))
+
+
 def _geometric_prefix(synd):
     """Length of the longest prefix S_1 .. S_m of nonzero syndromes with one log ratio."""
     logs = []
@@ -182,3 +197,121 @@ def test_near_single_error_syndromes_match_oracle(k):
             one_zero.append(word)
     assert prefix and one_zero, (len(prefix), len(one_zero))
     _assert_same_as_oracle(k, prefix + one_zero)
+
+
+def _error_patterns() -> np.ndarray:
+    """All 225 one-error and 23,625 two-error words of length 15."""
+    singles = [(p, e) for p in range(15) for e in range(1, 16)]
+    patterns = np.zeros((225 + 23625, 15), dtype=np.uint8)
+    for i, (p, e) in enumerate(singles):
+        patterns[i, p] = e
+    i = 225
+    for a, (p1, e1) in enumerate(singles):
+        for p2, e2 in singles[a + 1:]:
+            if p2 != p1:
+                patterns[i, [p1, p2]] = e1, e2
+                i += 1
+    assert i == len(patterns)
+    return patterns
+
+
+def _bits(words) -> np.ndarray:
+    """Symbols to OOK intensities, most significant bit first, written out independently."""
+    bits = (np.asarray(words, dtype=np.int64)[..., None] >> np.array([3, 2, 1, 0])) & 1
+    return bits.reshape(len(words), -1).astype(np.float64)
+
+
+def _decode_one_block_frames(k, words, monkeypatch):
+    """RsLink(k) on one-block frames: (message symbols, failed, words sent to rs_decode)."""
+    link = RsLink(k, frame_bits=4 * k)
+    assert link.blocks == 1
+    seen = []
+
+    def recording_rs_decode(spec, word):
+        seen.append(tuple(word))
+        return rs_decode(spec, word)
+
+    monkeypatch.setattr(analysis, "rs_decode", recording_rs_decode)
+    hat, failed = link.decode(_bits(words), ChannelParams.from_ebn0_db(10.0, link.rate))
+    syms = hat.reshape(len(words), k, 4) @ np.array([8, 4, 2, 1])
+    return syms, failed, seen
+
+
+def test_syndrome_table_holds_every_pattern_of_weight_at_most_two():
+    # row r of _ONE_ERROR carries the syndromes _ONE_SYN[r], by the oracle's own arithmetic
+    assert _ONE_ERROR.shape == (226, 15) and not _ONE_ERROR[0].any() and _ONE_SYN[0] == 0
+    for row, syn in zip(_ONE_ERROR, _ONE_SYN):
+        assert syn == _packed_syndromes(3, row)
+    entries = np.flatnonzero(_PAIRS)
+    assert entries.size == 225 + 23625
+    first, second = _PAIRS[entries] & 0xFF, _PAIRS[entries] >> 8
+    assert (second > first).all()
+    # each entry decodes to its own pattern, and the patterns are all distinct
+    assert np.array_equal((_ONE_SYN[first] ^ _ONE_SYN[second]) & 0xFFFF, entries)
+    patterns = _ONE_ERROR[first] | _ONE_ERROR[second]
+    weights = np.count_nonzero(patterns, axis=1)
+    assert np.array_equal(weights, 1 + (first > 0))
+    assert len({p.tobytes() for p in patterns}) == entries.size
+
+
+@pytest.mark.parametrize("k", KS)
+def test_every_pattern_of_weight_at_most_two_matches_oracle(k, monkeypatch):
+    # each pattern on its own random codeword; the link corrects all of them
+    # by table lookup alone, and rs_decode and the oracle agree word by word
+    rng = np.random.default_rng(6000 + k)
+    ref_spec, spec = rs_oracle.RsSpec(k), RsSpec(k)
+    msgs = rng.integers(0, 16, (225 + 23625, k))
+    words = np.array([rs_oracle.rs_encode(ref_spec, m) for m in msgs], dtype=np.uint8)
+    words ^= _error_patterns()
+    syms, failed, seen = _decode_one_block_frames(k, words, monkeypatch)
+    assert not failed.any() and np.array_equal(syms, msgs) and seen == []
+    for word, msg in zip(words, msgs):
+        assert np.array_equal(rs_decode(spec, word), msg), word
+        assert np.array_equal(rs_oracle.rs_decode(ref_spec, word), msg), word
+
+
+@pytest.mark.parametrize("k", (7, 3))
+def test_table_entry_with_other_higher_syndromes_takes_the_miss_path(k, monkeypatch):
+    # words whose S_1 .. S_4 name a table pattern that their S_5 .. S_(n-k)
+    # refute: random words, and codewords with 3 .. t errors
+    rng = np.random.default_rng(7000 + k)
+    ref_spec = rs_oracle.RsSpec(k)
+    words = list(rng.integers(0, 16, (3000, 15), dtype=np.uint8))
+    for _ in range(3000):
+        word = rs_oracle.rs_encode(ref_spec, rng.integers(0, 16, k))
+        nerr = int(rng.integers(3, (15 - k) // 2 + 1))
+        pos = rng.choice(15, nerr, replace=False)
+        word[pos] ^= rng.integers(1, 16, nerr).astype(np.uint8)
+        words.append(word)
+    chosen = []
+    for word in words:
+        entry = int(_PAIRS[_packed_syndromes(k, word) & 0xFFFF])
+        fixed = word ^ _ONE_ERROR[entry & 0xFF] ^ _ONE_ERROR[entry >> 8]
+        if entry and rs_oracle.has_nonzero_syndrome(ref_spec, fixed):
+            chosen.append(word)
+    assert len(chosen) > 1000
+    syms, failed, seen = _decode_one_block_frames(k, np.array(chosen), monkeypatch)
+    assert seen == [tuple(word) for word in chosen]
+    outcomes = set()
+    for word, got, lost in zip(chosen, syms, failed):
+        ref = rs_oracle.rs_decode(ref_spec, word)
+        assert lost == (ref is None), word
+        if ref is not None:
+            assert np.array_equal(got, ref), word
+        outcomes.add(lost)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("k", KS)
+def test_rs_link_decodes_one_frame_at_a_time_as_in_one_batch(k):
+    link = RsLink(k)
+    params = ChannelParams.from_ebn0_db({11: 12.0, 7: 12.5, 3: 15.0}[k], link.rate)
+    rng = np.random.default_rng(8000 + k)
+    msgs = rng.integers(0, 2, (300, link.frame_bits), dtype=np.uint8)
+    y = link.encode(msgs) * params.amplitude + rng.normal(0.0, params.sigma, (300, link.tx_bits))
+    hat, failed = link.decode(y, params)
+    assert failed.any() and not failed.all()
+    for step in (1, 7):
+        parts = [link.decode(y[i : i + step], params) for i in range(0, len(y), step)]
+        assert np.array_equal(np.concatenate([p[0] for p in parts]), hat)
+        assert np.array_equal(np.concatenate([p[1] for p in parts]), failed)
