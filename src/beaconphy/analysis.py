@@ -25,16 +25,12 @@ from .channel import ChannelParams, RngStream, llr_demap, modulate_ook
 from .polar_codec import encode_nspe, encode_systematic, sc_decode
 from .polar_construction import PolarSpec
 from .reed_solomon import (
-    _ONE_ERROR,
-    _ONE_SYN,
-    _PAIRS,
     N_SYMBOLS,
     SYMBOL_BITS,
     RsSpec,
     bits_to_symbols,
     rs_decode,
     rs_encode,
-    rs_screen,
     symbols_to_bits,
 )
 from .scrambler import ScramblerSpec, keystream
@@ -285,30 +281,13 @@ class RsLink:
         return symbols_to_bits(rs_encode(self.spec, syms).reshape(nframes, -1))
 
     def decode(self, y: np.ndarray, params: ChannelParams):
-        """Screen every block at once; one table lookup corrects each block
-        within two symbol errors of a codeword and each other dirty block
-        goes through one rs_decode call.  A failed block decodes to zero."""
+        """Hard-decide, then decode every block in one rs_decode call.  A
+        failed block decodes to zero."""
         nframes = y.shape[0]
         hard = (y > params.amplitude / 2.0).astype(np.uint8)
-        words = bits_to_symbols(hard).reshape(-1, N_SYMBOLS)
-        packed = rs_screen(self.spec, words)
-        miss = dirty = np.flatnonzero(packed)
-        if dirty.size:
-            pair = _PAIRS[packed[dirty] & 0xFFFF].view(np.uint8).reshape(-1, 2)
-            first, second = pair.T
-            hit = ((_ONE_SYN[first] ^ _ONE_SYN[second]) & self.spec.syndrome_mask) == packed[dirty]
-            pair[~hit] = 0
-            words[dirty] ^= _ONE_ERROR[first] | _ONE_ERROR[second]
-            miss = dirty[~hit]
-        failed = np.zeros(nframes, dtype=bool)
-        decoded = [rs_decode(self.spec, word) for word in words[miss].tolist()]
-        if decoded:
-            lost = [dec is None for dec in decoded]
-            failed[miss[lost] // self.blocks] = True
-            blank = np.zeros(self.spec.k, dtype=np.uint8)
-            words[miss, : self.spec.k] = [blank if dec is None else dec for dec in decoded]
-        bits = symbols_to_bits(words[:, : self.spec.k].reshape(nframes, -1))[:, : self.frame_bits]
-        return bits, failed
+        msgs, failed = rs_decode(self.spec, bits_to_symbols(hard).reshape(-1, N_SYMBOLS))
+        bits = symbols_to_bits(msgs.reshape(nframes, -1))[:, : self.frame_bits]
+        return bits, failed.reshape(nframes, self.blocks).any(axis=1)
 
 
 class UncodedLink:

@@ -2,7 +2,8 @@
 
 Bits live in one-dimensional numpy uint8 arrays holding only 0 and 1;
 max_run_length also takes a (batch, n) array of such rows.  Index 0 is
-always the first transmitted bit.
+always the first transmitted bit.  checked_uint8 is the one input check
+for bits and for Reed-Solomon symbols.
 """
 
 from __future__ import annotations
@@ -10,13 +11,26 @@ from __future__ import annotations
 import numpy as np
 
 
+def checked_uint8(values, top: int, what: str) -> np.ndarray:
+    """values as a uint8 array, once each is known to be an integer in [0, top].
+
+    The check comes before the cast, which would wrap -1 to 255 and
+    truncate 1.9 to 1.
+    """
+    arr = np.asarray(values)
+    if arr.size:
+        if arr.dtype.kind not in "biu":
+            raise ValueError(f"{what} must be integers, got {arr.dtype}")
+        if arr.max() > top or (arr.dtype.kind == "i" and arr.min() < 0):
+            raise ValueError(f"{what} must lie in [0, {top + 1})")
+    return arr.astype(np.uint8, copy=False)
+
+
 def as_bits(values) -> np.ndarray:
     """Coerce to a validated 1-D uint8 bit array."""
-    arr = np.asarray(values, dtype=np.uint8)
+    arr = checked_uint8(values, 1, "bits")
     if arr.ndim != 1:
         raise ValueError("bit vector must be one-dimensional")
-    if arr.size and arr.max() > 1:
-        raise ValueError("bit vector may only contain 0 and 1")
     return arr
 
 
@@ -26,13 +40,11 @@ def max_run_length(v) -> int:
     Takes one bit vector or a (batch, n) array.  A fence value at each row's
     edges keeps runs from joining across rows, so one scan serves the batch.
     """
-    rows = np.atleast_2d(np.asarray(v, dtype=np.uint8))
+    rows = np.atleast_2d(checked_uint8(v, 1, "bits"))
     if rows.ndim != 2:
         raise ValueError("bit array must be one- or two-dimensional")
     if rows.size == 0:
         return 0
-    if rows.max() > 1:
-        raise ValueError("bit array may only contain 0 and 1")
     fenced = np.full(rows.size + rows.shape[0] + 1, 2, dtype=np.uint8)
     fenced[:-1].reshape(rows.shape[0], -1)[:, 1:] = rows
     return int(np.diff(np.flatnonzero(fenced[1:] != fenced[:-1])).max())

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bitstream import checked_uint8
+
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -55,10 +57,7 @@ class RngStream:
 
 def modulate_ook(bits, params: ChannelParams) -> np.ndarray:
     """Map bits to intensities: 0 -> 0.0, 1 -> amplitude."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    if bits.size and bits.max() > 1:
-        raise ValueError("modulator input may only contain 0 and 1")
-    return params.amplitude * bits.astype(np.float64)
+    return params.amplitude * checked_uint8(bits, 1, "bits").astype(np.float64)
 
 
 def llr_demap(y, params: ChannelParams) -> np.ndarray:

@@ -23,6 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .bitstream import checked_uint8
 from .polar_construction import PolarSpec
 
 
@@ -43,22 +44,18 @@ def polar_transform(bits) -> np.ndarray:
     Accepts shape (N,) or (batch, N) with N a power of two.  Involution:
     applying it twice returns the input.
     """
-    x = np.array(bits, dtype=np.uint8)
+    x = np.array(checked_uint8(bits, 1, "bits"))
     size = x.shape[-1]
     if size == 0 or size & (size - 1):
         raise ValueError("transform length must be a power of two")
-    if x.size and x.max() > 1:
-        raise ValueError("transform input may only contain 0 and 1")
     _butterfly(x)
     return x
 
 
 def _check_msg(spec: PolarSpec, msg) -> np.ndarray:
-    msg = np.asarray(msg, dtype=np.uint8)
+    msg = checked_uint8(msg, 1, "bits")
     if msg.shape[-1] != spec.K:
         raise ValueError(f"message length {msg.shape[-1]} does not match K={spec.K}")
-    if msg.size and msg.max() > 1:
-        raise ValueError("message may only contain 0 and 1")
     return msg
 
 

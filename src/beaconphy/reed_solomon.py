@@ -7,17 +7,17 @@ r evaluates as r[0] x^14 + ... + r[14].  Encoding is systematic with the
 message in the first k positions.  The generator polynomial has roots
 alpha^1 .. alpha^(n-k).
 
-Bulk work is done on arrays of any leading shape: rs_encode is one lookup
-in a 16x16 multiplication table against a k x (n-k) parity matrix followed
-by an XOR reduction, and rs_screen returns each word's nibble-packed
-syndromes from one gather, 0 for a codeword.  _PAIRS, indexed by S_1 ..
-S_4, names the one of the 225 one-error and 23,625 two-error patterns that
-the roots alpha^1 .. alpha^4 of RS(15, 11), d = 5, tell apart, and
-RsLink.decode applies it when all n-k syndromes match: the word is then
-within distance 2 of a codeword, which as d >= 5 for every k is the one
-bounded-distance decoding returns.  Other dirty words go to rs_decode,
-Berlekamp-Massey, Chien search and Forney per word.  A detected
-uncorrectable word is reported as None; that is a value, not a fault.
+Both entry points take arrays of any leading shape.  rs_encode is one
+lookup in a 16x16 multiplication table against a k x (n-k) parity matrix
+followed by an XOR reduction.  rs_decode gathers every word's nibble-packed
+syndromes at once, 0 for a codeword.  _PAIRS, indexed by S_1 .. S_4, names
+the one of the 225 one-error and 23,625 two-error patterns that the roots
+alpha^1 .. alpha^4 of RS(15, 11), d = 5, tell apart; a dirty word whose
+n-k syndromes all match its pattern's is within distance 2 of a codeword,
+which as d >= 5 for every k is the one bounded-distance decoding returns.
+Only the other dirty words go one by one through Berlekamp-Massey, Chien
+search and Forney.  A detected uncorrectable word is flagged in the
+returned failure array; that is a value, not a fault.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from .bitstream import checked_uint8
 
 N_SYMBOLS = 15
 SYMBOL_BITS = 4
@@ -152,9 +154,7 @@ def _check_symbols(symbols, expected_len: int) -> np.ndarray:
     if arr.ndim == 0 or arr.shape[-1] != expected_len:
         got = arr.shape[-1] if arr.ndim else 0
         raise ValueError(f"expected {expected_len} symbols, got {got}")
-    if arr.size and (arr.min() < 0 or arr.max() > 15):
-        raise ValueError("symbols must lie in [0, 16)")
-    return arr.astype(np.uint8, copy=False)
+    return checked_uint8(arr, 15, "symbols")
 
 
 def rs_encode(spec: RsSpec, msg) -> np.ndarray:
@@ -164,11 +164,37 @@ def rs_encode(spec: RsSpec, msg) -> np.ndarray:
     return np.concatenate([msg, np.bitwise_xor.reduce(prods, axis=-2)], axis=-1)
 
 
-def rs_screen(spec: RsSpec, words) -> np.ndarray:
-    """Packed S_1 .. S_(n-k) of each (..., n) received word; 0 for a codeword."""
-    words = _check_symbols(words, spec.n)
-    return np.bitwise_xor.reduce(_SYN_NP[_POSITIONS, words], axis=-1) & spec.syndrome_mask
+def rs_decode(spec: RsSpec, words):
+    """Decode (..., n) received words; returns (msgs, failed).
 
+    msgs is a (..., k) uint8 array of message symbols and failed a (...)
+    bool array.  Any pattern of up to t symbol errors is corrected.  An
+    inconsistent error locator (wrong root count, zero derivative, or
+    residual syndromes after correction) flags the word as failed instead
+    of giving a wrong answer, and a failed word's symbols are zero.
+    """
+    words = _check_symbols(words, spec.n)
+    flat = words.reshape(-1, N_SYMBOLS)
+    k, mask = spec.k, spec.syndrome_mask
+    packed = np.bitwise_xor.reduce(_SYN_NP[_POSITIONS, flat], axis=-1) & mask
+    msgs = flat[:, :k].copy()
+    failed = np.zeros(len(flat), dtype=bool)
+    dirty = np.flatnonzero(packed)
+    if dirty.size:
+        syn = packed[dirty]
+        pair = _PAIRS[syn & 0xFFFF].view(np.uint8).reshape(-1, 2)
+        first, second = pair.T
+        refuted = ((_ONE_SYN[first] ^ _ONE_SYN[second]) & mask) != syn
+        pair[refuted] = 0
+        msgs[dirty] ^= (_ONE_ERROR[first] | _ONE_ERROR[second])[:, :k]
+        miss = dirty[refuted]
+        decoded = [_correct(spec, word, s)
+                   for word, s in zip(flat[miss].tolist(), syn[refuted].tolist())]
+        if decoded:
+            failed[miss] = [dec is None for dec in decoded]
+            blank = [0] * k
+            msgs[miss] = [blank if dec is None else dec for dec in decoded]
+    return msgs.reshape(words.shape[:-1] + (k,)), failed.reshape(words.shape[:-1])
 
 
 def _berlekamp_massey(synd: list[int]) -> list[int]:
@@ -204,32 +230,15 @@ def _eval_all(poly) -> int:
     return acc
 
 
-def rs_decode(spec: RsSpec, recv):
-    """Decode a received word; returns k message symbols or None on failure.
-
-    Any pattern of up to t symbol errors is corrected.  An inconsistent error
-    locator (wrong root count, zero derivative, or residual syndromes after
-    correction) reports failure instead of a wrong answer.
-    """
-    recv = recv.tolist() if isinstance(recv, np.ndarray) else list(recv)
-    if len(recv) != N_SYMBOLS:
-        raise ValueError(f"expected {N_SYMBOLS} symbols, got {len(recv)}")
-    if min(recv) < 0 or max(recv) > 15:
-        raise ValueError("symbols must lie in [0, 16)")
-    k = spec.k
-    nsyn = N_SYMBOLS - k
-    mask = spec.syndrome_mask
-    packed = 0
-    for p, s in enumerate(recv):
-        packed ^= _SYN[p][s]
-    packed &= mask
-    if not packed:
-        return np.array(recv[:k], dtype=np.uint8)
-
+def _correct(spec: RsSpec, recv: list[int], packed: int) -> list[int] | None:
+    """Berlekamp-Massey, Chien search and Forney on one word of 15 symbols
+    whose packed S_1 .. S_(n-k) are `packed`; its k corrected message
+    symbols, or None on failure."""
+    nsyn = N_SYMBOLS - spec.k
     synd = [(packed >> 4 * j) & 15 for j in range(nsyn)]
     sigma = _berlekamp_massey(synd)
     n_errors = len(sigma) - 1
-    if n_errors == 0 or n_errors > nsyn // 2:
+    if n_errors > nsyn // 2:
         return None
 
     # Chien search: a root alpha^-d locates an error at position 14 - d
@@ -260,9 +269,9 @@ def rs_decode(spec: RsSpec, recv):
         packed ^= _SYN[pos][err]
 
     # S(r + e) = S(r) + S(e), so the residual needs only the error symbols
-    if packed & mask:
+    if packed & spec.syndrome_mask:
         return None
-    return np.array(corrected[:k], dtype=np.uint8)
+    return corrected[: spec.k]
 
 
 def bits_to_symbols(bits) -> np.ndarray:

@@ -215,8 +215,8 @@ def test_criterion_08_rs_exhaustive_double_error():
             recv = zero.copy()
             recv[p1] = m1
             patterns += 1
-            out = rs_decode(spec, recv)
-            if out is None or out.any():
+            out, lost = rs_decode(spec, recv)
+            if lost or out.any():
                 failures += 1
     for p1 in range(N_SYMBOLS):
         for p2 in range(p1 + 1, N_SYMBOLS):
@@ -225,8 +225,8 @@ def test_criterion_08_rs_exhaustive_double_error():
                     recv = zero.copy()
                     recv[p1], recv[p2] = m1, m2
                     patterns += 1
-                    out = rs_decode(spec, recv)
-                    if out is None or out.any():
+                    out, lost = rs_decode(spec, recv)
+                    if lost or out.any():
                         failures += 1
     elapsed = time.perf_counter() - t0
     print(f"criterion 8: {patterns} patterns, failures={failures}, "

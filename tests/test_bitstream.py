@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from beaconphy import bitstream
+from beaconphy.channel import ChannelParams, modulate_ook
+from beaconphy.polar_codec import _check_msg, polar_transform
+from beaconphy.polar_construction import construct
 
 
 def test_as_bits_accepts_lists_and_arrays():
@@ -19,6 +22,26 @@ def test_as_bits_rejects_bad_shapes_and_values():
         bitstream.as_bits([[0, 1], [1, 0]])
     with pytest.raises(ValueError):
         bitstream.as_bits([0, 2, 1])
+
+
+BIT_INPUTS = {
+    "as_bits": bitstream.as_bits,
+    "max_run_length": bitstream.max_run_length,
+    "polar_transform": polar_transform,
+    "_check_msg": lambda bits: _check_msg(construct(8, 4), bits),
+    "modulate_ook": lambda bits: modulate_ook(bits, ChannelParams(1.0, 0.1)),
+}
+
+
+@pytest.mark.parametrize("bits, message", [
+    ([-1, 0, 1, 0], r"bits must lie in \[0, 2\)"),
+    ([1.9, 0, 1, 0], "bits must be integers, got float64"),
+])
+@pytest.mark.parametrize("entry", BIT_INPUTS)
+def test_bit_inputs_are_checked_before_the_cast(entry, bits, message):
+    # a cast first would raise OverflowError on -1 and take 1.9 as 1
+    with pytest.raises(ValueError, match=message):
+        BIT_INPUTS[entry](bits)
 
 
 def test_max_run_length():

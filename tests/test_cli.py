@@ -8,9 +8,10 @@ import sys
 import numpy as np
 import pytest
 
-from beaconphy import analysis, cli
+from beaconphy import analysis, cli, reed_solomon
 from beaconphy.polar_codec import encode_nspe
 from beaconphy.polar_construction import construct, load
+from beaconphy.reed_solomon import rs_encode
 from beaconphy.scrambler import ScramblerSpec, keystream
 
 
@@ -698,23 +699,23 @@ def test_simulate_dist_out_dir_under_a_file_fails_before_the_first_run(
 
 def test_simulate_ber_rs_csv_matches_pinned_bytes(tmp_path, monkeypatch, capsys):
     # data/ber_rs_pinned.csv was written by the decoder that sent every dirty
-    # block through rs_decode, before the syndrome table; every point but
-    # rs15_11 at 14 dB mixes blocks the table corrects with blocks it leaves
-    # to Berlekamp-Massey, and the run must exercise both paths
+    # block through Berlekamp-Massey, before the syndrome table; every point
+    # but rs15_11 at 14 dB mixes blocks the table corrects with blocks it
+    # leaves to Berlekamp-Massey, and the run must exercise both paths
     calls = {"dirty": 0, "miss": 0}
-    screen, decode = analysis.rs_screen, analysis.rs_decode
+    decode, core = analysis.rs_decode, reed_solomon._correct
 
-    def counting_screen(spec, words):
-        packed = screen(spec, words)
-        calls["dirty"] += int(np.count_nonzero(packed))
-        return packed
+    def counting_decode(spec, words):
+        # a systematic word is dirty when it differs from its message's codeword
+        calls["dirty"] += int((rs_encode(spec, words[:, : spec.k]) != words).any(axis=1).sum())
+        return decode(spec, words)
 
-    def counting_decode(spec, word):
+    def counting_core(spec, word, packed):
         calls["miss"] += 1
-        return decode(spec, word)
+        return core(spec, word, packed)
 
-    monkeypatch.setattr(analysis, "rs_screen", counting_screen)
     monkeypatch.setattr(analysis, "rs_decode", counting_decode)
+    monkeypatch.setattr(reed_solomon, "_correct", counting_core)
     out = tmp_path / "rs.csv"
     code, _, _ = run_cli(
         ["simulate-ber", "--codes", "rs15_11,rs15_7,rs15_3", "--ebn0", "12:1:14",

@@ -106,14 +106,24 @@ def test_encode_validation():
         RsSpec(5)
 
 
+def test_non_integer_symbols_are_rejected():
+    # a cast would encode 1.7 as 1 and decode 1.5 as 1
+    with pytest.raises(ValueError, match="symbols must be integers, got float64"):
+        rs_encode(RsSpec(7), [1.7] * 7)
+    with pytest.raises(ValueError, match="symbols must be integers, got float64"):
+        rs_decode(RsSpec(7), [1.5] * 15)
+    with pytest.raises(ValueError, match="symbols must be integers"):
+        rs_decode(RsSpec(7), np.full((2, 3, 15), 2.9))
+
+
 def test_decode_clean_codewords():
     rng = np.random.default_rng(89)
     for k in (3, 7, 11):
         spec = RsSpec(k)
         for _ in range(20):
             msg = rng.integers(0, 16, k)
-            out = rs_decode(spec, rs_encode(spec, msg))
-            assert out is not None and np.array_equal(out, msg)
+            out, lost = rs_decode(spec, rs_encode(spec, msg))
+            assert not lost and np.array_equal(out, msg)
 
 
 def test_decode_corrects_up_to_t_errors():
@@ -128,8 +138,8 @@ def test_decode_corrects_up_to_t_errors():
             recv = cw.copy()
             for p in pos:
                 recv[p] ^= int(rng.integers(1, 16))
-            out = rs_decode(spec, recv)
-            assert out is not None and np.array_equal(out, msg)
+            out, lost = rs_decode(spec, recv)
+            assert not lost and np.array_equal(out, msg)
 
 
 def test_decode_beyond_t_never_returns_transmitted():
@@ -144,9 +154,11 @@ def test_decode_beyond_t_never_returns_transmitted():
         recv = cw.copy()
         for p in pos:
             recv[p] ^= int(rng.integers(1, 16))
-        out = rs_decode(spec, recv)
-        if out is not None:
-            assert out.size == 11
+        out, lost = rs_decode(spec, recv)
+        assert out.shape == (11,)
+        if lost:
+            assert not out.any()
+        else:
             assert not np.array_equal(out, msg)
 
 
@@ -158,7 +170,7 @@ def test_decode_failure_value_occurs():
     for pos in itertools.combinations(range(N_SYMBOLS), 3):
         recv = np.zeros(N_SYMBOLS, dtype=np.uint8)
         recv[list(pos)] = 1
-        if rs_decode(spec, recv) is None:
+        if rs_decode(spec, recv)[1]:
             failures += 1
     assert failures > 0
 
@@ -172,6 +184,8 @@ def test_decode_validation():
 def test_decode_rejects_wrong_length(length):
     with pytest.raises(ValueError, match=f"expected 15 symbols, got {length}"):
         rs_decode(RsSpec(7), [0] * length)
+    with pytest.raises(ValueError, match=f"expected 15 symbols, got {length}"):
+        rs_decode(RsSpec(7), np.zeros((4, 2, length), dtype=np.uint8))
 
 
 @pytest.mark.parametrize("bad", [16, -1])
@@ -180,27 +194,56 @@ def test_decode_rejects_out_of_range_symbols(bad):
         rs_decode(RsSpec(7), [0] * 14 + [bad])
     with pytest.raises(ValueError, match="symbols must lie in"):
         rs_decode(RsSpec(7), np.array([bad] + [0] * 14, dtype=np.int64))
+    batch = np.zeros((3, 2, 15), dtype=np.int64)
+    batch[2, 1, 7] = bad
+    with pytest.raises(ValueError, match="symbols must lie in"):
+        rs_decode(RsSpec(7), batch)
 
 
 def test_decode_input_types_agree():
     # clean, one error, two errors, and a word the decoder gives up on
     spec = RsSpec(11)
-    cw = rs_encode(spec, np.arange(1, 12))
-    words = [cw.copy() for _ in range(3)]
-    words[1][4] ^= 9
-    words[2][0] ^= 3
-    words[2][12] ^= 5
-    words.append(np.array([1, 1, 0, 0, 0, 1] + [0] * 9, dtype=np.uint8))
+    words = np.array([rs_encode(spec, np.arange(1, 12))] * 4)
+    words[1, 4] ^= 9
+    words[2, 0] ^= 3
+    words[2, 12] ^= 5
+    words[3] = [1, 1, 0, 0, 0, 1] + [0] * 9
     outcomes = []
     for word in words:
         outs = [rs_decode(spec, form) for form in
                 (word.tolist(), word.astype(np.uint8), word.astype(np.int64))]
-        if outs[0] is None:
-            assert outs == [None] * 3
-        else:
-            assert all(out.dtype == np.uint8 and np.array_equal(out, outs[0]) for out in outs)
-        outcomes.append(outs[0] is None)
+        for out, lost in outs:
+            assert out.dtype == np.uint8 and np.array_equal(out, outs[0][0])
+            assert lost.dtype == bool and lost == outs[0][1]
+        outcomes.append(bool(outs[0][1]))
     assert outcomes == [False, False, False, True]
+
+
+@pytest.mark.parametrize("k", (3, 7, 11))
+def test_decode_batch_equals_word_by_word(k):
+    spec = RsSpec(k)
+    rng = np.random.default_rng(107 + k)
+    words = rs_encode(spec, rng.integers(0, 16, (6, 5, k)))
+    nerr = rng.integers(0, spec.t + 3, (6, 5))
+    for f, b in np.ndindex(6, 5):
+        pos = rng.choice(N_SYMBOLS, nerr[f, b], replace=False)
+        words[f, b, pos] ^= rng.integers(1, 16, nerr[f, b]).astype(np.uint8)
+    msgs, failed = rs_decode(spec, words)
+    assert msgs.shape == (6, 5, k) and msgs.dtype == np.uint8
+    assert failed.shape == (6, 5) and failed.dtype == bool
+    for f, b in np.ndindex(6, 5):
+        out, lost = rs_decode(spec, words[f, b])
+        assert out.shape == (k,) and lost.shape == ()
+        assert np.array_equal(msgs[f, b], out) and failed[f, b] == lost
+    assert failed.any() and not failed.all()
+    assert not msgs[failed].any()
+
+
+@pytest.mark.parametrize("k", (3, 7, 11))
+def test_decode_empty_batch(k):
+    msgs, failed = rs_decode(RsSpec(k), np.zeros((0, 15), dtype=np.uint8))
+    assert msgs.shape == (0, k) and msgs.dtype == np.uint8
+    assert failed.shape == (0,) and failed.dtype == bool
 
 
 def test_bits_symbols_roundtrip():

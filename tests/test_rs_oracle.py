@@ -8,18 +8,10 @@ import numpy as np
 import pytest
 
 import rs_oracle
-from beaconphy import analysis
+from beaconphy import reed_solomon
 from beaconphy.analysis import RsLink
 from beaconphy.channel import ChannelParams
-from beaconphy.reed_solomon import (
-    _ONE_ERROR,
-    _ONE_SYN,
-    _PAIRS,
-    RsSpec,
-    rs_decode,
-    rs_encode,
-    rs_screen,
-)
+from beaconphy.reed_solomon import _ONE_ERROR, _ONE_SYN, _PAIRS, RsSpec, rs_decode, rs_encode
 
 KS = (11, 7, 3)
 CODEWORDS = 3000
@@ -41,23 +33,39 @@ def _received_words(k: int, seed: int) -> np.ndarray:
     return np.concatenate([words, rng.integers(0, 16, (RANDOM_WORDS, 15), dtype=np.uint8)])
 
 
+def _record_core(monkeypatch):
+    """Log (word, packed syndromes) for each word rs_decode sends to its scalar core."""
+    seen = []
+    core = reed_solomon._correct
+
+    def recording_core(spec, word, packed):
+        seen.append((tuple(word), packed))
+        return core(spec, word, packed)
+
+    monkeypatch.setattr(reed_solomon, "_correct", recording_core)
+    return seen
+
+
 @pytest.mark.parametrize("k", KS)
-def test_decode_and_screen_agree_with_oracle(k):
+def test_decode_and_screen_agree_with_oracle(k, monkeypatch):
     spec, ref_spec = RsSpec(k), rs_oracle.RsSpec(k)
     words = _received_words(k, 1000 + k)
-    packed = rs_screen(spec, words)
+    seen = _record_core(monkeypatch)
+    msgs, failed = rs_decode(spec, words)
+    assert msgs.dtype == np.uint8
+    # the core gets the oracle's syndromes, and only for dirty words
+    assert len(seen) > 50
+    for word, packed in seen:
+        assert packed == _packed_syndromes(k, word) != 0, word
     outcomes = {"clean": 0, "corrected": 0, "failed": 0}
-    for word, syn in zip(words, packed):
-        flag = rs_oracle.has_nonzero_syndrome(ref_spec, word)
-        assert bool(syn) == flag, word
-        assert syn == _packed_syndromes(k, word), word
-        got, ref = rs_decode(spec, word), rs_oracle.rs_decode(ref_spec, word)
+    for word, got, lost in zip(words, msgs, failed):
+        ref = rs_oracle.rs_decode(ref_spec, word)
         if ref is None:
-            assert got is None, word
+            assert lost and not got.any(), word
             outcomes["failed"] += 1
         else:
-            assert got is not None and got.dtype == np.uint8, word
-            assert np.array_equal(got, ref), word
+            assert not lost and np.array_equal(got, ref), word
+            flag = rs_oracle.has_nonzero_syndrome(ref_spec, word)
             outcomes["corrected" if flag else "clean"] += 1
     # every branch of the decoder is exercised
     assert min(outcomes.values()) > 50, outcomes
@@ -84,7 +92,7 @@ def test_batched_encode_validation():
     with pytest.raises(ValueError):
         rs_encode(spec, np.full((4, 7), -1))
     with pytest.raises(ValueError):
-        rs_screen(spec, np.zeros((2, 14), dtype=np.uint8))
+        rs_decode(spec, np.zeros((2, 14), dtype=np.uint8))
 
 
 def _oracle_link_decode(k: int, y: np.ndarray, amplitude: float):
@@ -123,13 +131,14 @@ def test_rs_link_decode_matches_oracle_loop(k):
 
 
 def _assert_same_as_oracle(k, words):
-    spec, ref_spec = RsSpec(k), rs_oracle.RsSpec(k)
-    for word in words:
-        got, ref = rs_decode(spec, word), rs_oracle.rs_decode(ref_spec, word)
+    ref_spec = rs_oracle.RsSpec(k)
+    msgs, failed = rs_decode(RsSpec(k), np.array(words))
+    for word, got, lost in zip(words, msgs, failed):
+        ref = rs_oracle.rs_decode(ref_spec, word)
         if ref is None:
-            assert got is None, word
+            assert lost and not got.any(), word
         else:
-            assert got is not None and np.array_equal(got, ref), word
+            assert not lost and np.array_equal(got, ref), word
 
 
 @pytest.mark.parametrize("k", KS)
@@ -148,8 +157,8 @@ def test_every_single_error_matches_oracle(k):
                 word[pos] ^= err
                 words.append(word)
         _assert_same_as_oracle(k, words)
-        for word in words:
-            assert np.array_equal(rs_decode(RsSpec(k), word), msg)
+        got, failed = rs_decode(RsSpec(k), np.array(words))
+        assert not failed.any() and (got == msg).all()
 
 
 def _syndromes(k, word):
@@ -222,16 +231,10 @@ def _bits(words) -> np.ndarray:
 
 
 def _decode_one_block_frames(k, words, monkeypatch):
-    """RsLink(k) on one-block frames: (message symbols, failed, words sent to rs_decode)."""
+    """RsLink(k) on one-block frames: (message symbols, failed, the core's log)."""
     link = RsLink(k, frame_bits=4 * k)
     assert link.blocks == 1
-    seen = []
-
-    def recording_rs_decode(spec, word):
-        seen.append(tuple(word))
-        return rs_decode(spec, word)
-
-    monkeypatch.setattr(analysis, "rs_decode", recording_rs_decode)
+    seen = _record_core(monkeypatch)
     hat, failed = link.decode(_bits(words), ChannelParams.from_ebn0_db(10.0, link.rate))
     syms = hat.reshape(len(words), k, 4) @ np.array([8, 4, 2, 1])
     return syms, failed, seen
@@ -256,8 +259,8 @@ def test_syndrome_table_holds_every_pattern_of_weight_at_most_two():
 
 @pytest.mark.parametrize("k", KS)
 def test_every_pattern_of_weight_at_most_two_matches_oracle(k, monkeypatch):
-    # each pattern on its own random codeword; the link corrects all of them
-    # by table lookup alone, and rs_decode and the oracle agree word by word
+    # each pattern on its own random codeword; the link and rs_decode correct
+    # all of them by table lookup alone, and the oracle agrees word by word
     rng = np.random.default_rng(6000 + k)
     ref_spec, spec = rs_oracle.RsSpec(k), RsSpec(k)
     msgs = rng.integers(0, 16, (225 + 23625, k))
@@ -265,8 +268,9 @@ def test_every_pattern_of_weight_at_most_two_matches_oracle(k, monkeypatch):
     words ^= _error_patterns()
     syms, failed, seen = _decode_one_block_frames(k, words, monkeypatch)
     assert not failed.any() and np.array_equal(syms, msgs) and seen == []
+    got, failed = rs_decode(spec, words)
+    assert not failed.any() and np.array_equal(got, msgs) and seen == []
     for word, msg in zip(words, msgs):
-        assert np.array_equal(rs_decode(spec, word), msg), word
         assert np.array_equal(rs_oracle.rs_decode(ref_spec, word), msg), word
 
 
@@ -291,7 +295,7 @@ def test_table_entry_with_other_higher_syndromes_takes_the_miss_path(k, monkeypa
             chosen.append(word)
     assert len(chosen) > 1000
     syms, failed, seen = _decode_one_block_frames(k, np.array(chosen), monkeypatch)
-    assert seen == [tuple(word) for word in chosen]
+    assert [word for word, _ in seen] == [tuple(word) for word in chosen]
     outcomes = set()
     for word, got, lost in zip(chosen, syms, failed):
         ref = rs_oracle.rs_decode(ref_spec, word)
