@@ -10,13 +10,14 @@ with the same bytes as building them one by one.
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
 import operator
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import starmap
-from multiprocessing import Pool
+from multiprocessing import get_context
 
 import numpy as np
 
@@ -324,14 +325,14 @@ def _run_batch(link, params: ChannelParams, lo: int, hi: int, master_seed: int):
 
 
 def _imap_bounded(pool, tasks, depth: int):
-    """pool.imap over tasks in order, with at most depth tasks submitted ahead."""
+    """_run_batch over tasks in order on the executor, with at most depth tasks submitted ahead."""
     pending = deque()
     for task in tasks:
-        pending.append(pool.apply_async(_run_batch, task))
+        pending.append(pool.submit(_run_batch, *task))
         if len(pending) >= depth:
-            yield pending.popleft().get()
+            yield pending.popleft().result()
     while pending:
-        yield pending.popleft().get()
+        yield pending.popleft().result()
 
 
 def run_ber_experiment(
@@ -350,14 +351,16 @@ def run_ber_experiment(
     Frames are consumed in whole batches in index order, so the simulated
     set of frames (and hence every count) does not depend on the worker
     count.  With workers > 1 at most `workers` batches are in flight, so
-    few batches are computed past a point's error stop.  The sweep ends
-    early once a point collects zero errors, since every later point would
-    only be quieter.
+    few batches are computed past a point's error stop, and a worker that
+    dies raises BrokenProcessPool.  The sweep ends early once a point
+    collects zero errors, since every later point would only be quieter.
     """
     if min_errors <= 0 or max_frames <= 0 or batch <= 0 or (workers is not None and workers <= 0):
         raise ValueError("min_errors, max_frames, batch and workers must be positive")
     points = []
-    with Pool(workers) if workers and workers > 1 else nullcontext() as pool:
+    # spawn, as fork is unsafe beside the executor's thread; only this path imports the executor
+    with (concurrent.futures.ProcessPoolExecutor(workers, mp_context=get_context("spawn"))
+          if workers and workers > 1 else nullcontext()) as pool:
         for db in ebn0_db_points:
             params = ChannelParams.from_ebn0_db(db, link.rate, amplitude)
             tasks = ((link, params, lo, min(lo + batch, max_frames), master_seed)

@@ -5,8 +5,8 @@ Each subcommand takes each setting, a row of its table in COMMANDS, from its
 flag, else (for the two experiments) from the --config sidecar, else from the
 row's default.  An experiment writes the resolved settings to a JSON sidecar
 next to its output; re-running with --config <sidecar> reproduces the output
-byte for byte (for simulate-ber, whatever --workers says).  Bad flags, paths
-and configs exit 2 with an error line."""
+byte for byte (for simulate-ber, whatever --workers says).  Bad flags, paths,
+configs and a dead simulate-ber worker exit 2 with an error line."""
 
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from concurrent.futures import BrokenExecutor
 
 import numpy as np
 
@@ -396,7 +397,7 @@ def main(argv=None) -> int:
     table, command, _ = COMMANDS[args.command]
     try:
         return command(_settings(args, table))
-    except (OSError, ValueError, MemoryError) as exc:
+    except (OSError, ValueError, MemoryError, BrokenExecutor) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

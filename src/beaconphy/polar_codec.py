@@ -1,8 +1,9 @@
 """Polar transform, encoders and successive-cancellation decoding.
 
 The transform is x = d F^(kron n) over GF(2) with F = [[1, 0], [1, 1]] and d
-a row vector, computed by the in-place butterfly network.  One length-N
-transform costs exactly (N/2) log2 N single-bit XORs and is its own inverse.
+a row vector, computed in place by one butterfly along axis 0 of an (N, batch)
+array, so each stage XORs whole contiguous rows.  One length-N transform costs
+exactly (N/2) log2 N single-bit XORs and is its own inverse.
 
 LLR convention throughout: positive means bit 0 is more likely.
 
@@ -28,28 +29,29 @@ from .polar_construction import PolarSpec
 
 
 def _butterfly(x: np.ndarray) -> None:
-    """In-place transform along the last axis."""
-    size = x.shape[-1]
-    lead = x.shape[:-1]
+    """In-place transform along axis 0 of an (N, ...) uint8 array, which must be
+    C-contiguous, say freshly allocated: reshape copies any other array, and
+    the XORs would be lost with the copy."""
+    size, tail = x.shape[0], x.shape[1:]
     half = 1
     while half < size:
-        v = x.reshape(lead + (size // (2 * half), 2, half))
-        v[..., 0, :] ^= v[..., 1, :]
+        v = x.reshape((size // (2 * half), 2, half) + tail)
+        v[:, 0] ^= v[:, 1]
         half *= 2
 
 
 def polar_transform(bits) -> np.ndarray:
     """Apply the butterfly transform along the last axis.
 
-    Accepts shape (N,) or (batch, N) with N a power of two.  Involution:
-    applying it twice returns the input.
+    Accepts shape (N,) or (..., N) with N a power of two; returns a new
+    C-order array.  Involution: applying it twice returns the input.
     """
-    x = np.array(checked_uint8(bits, 1, "bits"))
-    size = x.shape[-1]
+    x = checked_uint8(bits, 1, "bits").T.copy()  # C order, position-major
+    size = x.shape[0]
     if size == 0 or size & (size - 1):
         raise ValueError("transform length must be a power of two")
     _butterfly(x)
-    return x
+    return x.T.copy()
 
 
 def _check_msg(spec: PolarSpec, msg) -> np.ndarray:
@@ -59,16 +61,21 @@ def _check_msg(spec: PolarSpec, msg) -> np.ndarray:
     return msg
 
 
+def _transformed(spec: PolarSpec, msg) -> np.ndarray:
+    """The position-major (N, ...) transform of msg placed in the info rows, frozen rows zero."""
+    msg = _check_msg(spec, msg)
+    d = np.zeros((spec.N,) + msg.T.shape[1:], dtype=np.uint8)
+    d[spec.info_indices()] = msg.T
+    _butterfly(d)
+    return d
+
+
 def encode_nspe(spec: PolarSpec, msg) -> np.ndarray:
     """Non-systematic encode: message into info positions, frozen bits zero.
 
-    Accepts (K,) or (batch, K); returns the matching (..., N) codeword array.
+    Accepts (K,) or (..., K); returns the matching C-order (..., N) codeword array.
     """
-    msg = _check_msg(spec, msg)
-    d = np.zeros(msg.shape[:-1] + (spec.N,), dtype=np.uint8)
-    d[..., spec.info_indices()] = msg
-    _butterfly(d)
-    return d
+    return _transformed(spec, msg).T.copy()
 
 
 def encode_systematic(spec: PolarSpec, msg) -> np.ndarray:
@@ -78,10 +85,10 @@ def encode_systematic(spec: PolarSpec, msg) -> np.ndarray:
     positions zeroed, transformed again.  The result is a valid codeword of
     the same (N, K, info_set) code.
     """
-    v = encode_nspe(spec, msg)
-    v[..., ~spec.info_mask()] = 0
+    v = _transformed(spec, msg)
+    v[~spec.info_mask()] = 0
     _butterfly(v)
-    return v
+    return v.T.copy()
 
 
 @lru_cache(maxsize=32)
@@ -141,7 +148,6 @@ def sc_decode(spec: PolarSpec, llr, *, exact: bool = False) -> np.ndarray:
     bits = np.zeros((spec.N, arr.shape[0]), dtype=bool)
     with np.errstate(all="ignore"):  # inf - inf gives NaN, as in plain SC
         _decide(_cum(spec), np.ascontiguousarray(arr.T), bits, 0, exact)
-    x = bits.T.astype(np.uint8, order="C")
-    _butterfly(x)
-    msg = x[:, spec.info_indices()]
+    _butterfly(bits.view(np.uint8))
+    msg = bits[spec.info_indices()].T.astype(np.uint8, order="C")
     return msg[0] if single else msg

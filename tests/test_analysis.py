@@ -1,11 +1,11 @@
 """Experiment-harness tests: distributions, BER machinery, frame timing."""
 
+import concurrent.futures
 import math
 
 import numpy as np
 import pytest
 
-from beaconphy import analysis
 from beaconphy.analysis import (
     DEFAULT_MASTER_SEED,
     BerPoint,
@@ -391,8 +391,8 @@ def test_mftp_check_values():
 
 
 class _CountingPool:
-    """Runs each submitted task at once and records how far submission ran
-    ahead of consumption."""
+    """An executor that runs each submitted task at once and records how far
+    submission ran ahead of consumption."""
 
     def __init__(self):
         self.submitted = self.consumed = self.max_ahead = 0
@@ -403,17 +403,17 @@ class _CountingPool:
     def __exit__(self, *exc):
         return False
 
-    def apply_async(self, func, args):
+    def submit(self, func, *args):
         self.submitted += 1
         self.max_ahead = max(self.max_ahead, self.submitted - self.consumed)
         pool, value = self, func(*args)
 
-        class Result:
-            def get(self):
+        class Future:
+            def result(self):
                 pool.consumed += 1
                 return value
 
-        return Result()
+        return Future()
 
 
 def test_run_point_keeps_at_most_workers_batches_in_flight(monkeypatch):
@@ -422,7 +422,7 @@ def test_run_point_keeps_at_most_workers_batches_in_flight(monkeypatch):
     [serial] = run_ber_experiment(link, [11.0], workers=1, **kw)
     for workers in (2, 3):
         pool = _CountingPool()
-        monkeypatch.setattr(analysis, "Pool", lambda n: pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda n, **_: pool)
         [pooled] = run_ber_experiment(link, [11.0], workers=workers, **kw)
         assert pooled == serial
         assert serial.frames_sent < 4000

@@ -3,7 +3,9 @@
 import io
 import json
 import os
+import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -726,3 +728,71 @@ def test_simulate_ber_rs_csv_matches_pinned_bytes(tmp_path, monkeypatch, capsys)
     pinned = os.path.join(os.path.dirname(__file__), "data", "ber_rs_pinned.csv")
     assert out.read_bytes() == open(pinned, "rb").read()
     assert 0 < calls["miss"] < calls["dirty"] - 1000, calls
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def test_simulate_dist_csvs_match_pinned_bytes(tmp_path, monkeypatch, capsys):
+    # data/dist_pinned/ was written by the butterfly that ran along the last
+    # axis of (batch, N); both encoders, scrambled or not, at two sizes
+    pinned = os.path.join(DATA, "dist_pinned")
+    out = tmp_path / "dist"
+    code, _, _ = run_cli(
+        ["simulate-dist", "--sizes", "256:158,32:16", "--encoders", "nspe,systematic",
+         "--scramble", "both", "--frames", "300", "--out-dir", str(out)],
+        monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0
+    names = sorted(os.listdir(pinned))
+    assert len(names) == 9 and sorted(os.listdir(out)) == sorted(names + ["config.json"])
+    for name in names:
+        assert (out / name).read_bytes() == open(os.path.join(pinned, name), "rb").read(), name
+
+
+@pytest.mark.parametrize("batch", ["128", "1"])
+def test_simulate_ber_polar_csv_matches_pinned_bytes(batch, tmp_path, monkeypatch, capsys):
+    # data/ber_polar_pinned.csv was written at batch 128 by the butterfly that
+    # ran along the last axis; 600 frames leave a short last batch, and batch
+    # 1 runs every frame alone through the encoder and SC decoder
+    out = tmp_path / "polar.csv"
+    code, _, _ = run_cli(
+        ["simulate-ber", "--codes", "polar", "--ebn0", "8:0.5:9.5", "--max-frames", "600",
+         "--min-errors", "1000000", "--batch", batch, "--workers", "1", "--out", str(out)],
+        monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0
+    assert out.read_bytes() == open(os.path.join(DATA, "ber_polar_pinned.csv"), "rb").read()
+
+
+def test_simulate_ber_fails_when_a_worker_dies(tmp_path):
+    # The sweep runs in a child process under a timeout, so a pool that waits
+    # for good on a dead worker fails this test instead of hanging the suite.
+    # Its link exits its worker on the short last batch (2100 = 8 * 250 + 100).
+    script = tmp_path / "dying.py"
+    script.write_text(textwrap.dedent("""
+        import os, sys
+        from beaconphy import cli
+        from beaconphy.analysis import UncodedLink
+
+        class DyingLink(UncodedLink):
+            def encode(self, msgs):
+                if len(msgs) == 100:
+                    os._exit(1)
+                return msgs
+
+        if __name__ == "__main__":
+            cli.UncodedLink = DyingLink
+            sys.exit(cli.main(sys.argv[1:]))
+    """))
+    out = tmp_path / "ber.csv"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, str(script), "simulate-ber", "--codes", "uncoded", "--ebn0", "14:1:14",
+         "--min-errors", "1000000", "--max-frames", "2100", "--batch", "250",
+         "--workers", "2", "--out", str(out)],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "terminated abruptly" in proc.stderr
+    assert not out.exists()

@@ -213,3 +213,63 @@ def test_constructed_info_set_beats_complement():
         hat = sc_decode(spec, 2.0 * (1.0 - 2.0 * y) / (2 * 0.45**2))
         errs[spec is good] = int((hat != msgs).sum())
     assert errs[True] < errs[False]
+
+
+def kron_encodings(spec, msgs):
+    """(nspe, systematic) codewords of a (..., K) message array by d @ G % 2 alone."""
+    g = kron_generator(spec.n).astype(np.int64)
+    d = np.zeros(msgs.shape[:-1] + (spec.N,), dtype=np.int64)
+    d[..., spec.info_indices()] = msgs
+    nspe = d @ g % 2
+    v = nspe.copy()
+    v[..., ~spec.info_mask()] = 0
+    return nspe.astype(np.uint8), (v @ g % 2).astype(np.uint8)
+
+
+def layouts(rng, shape):
+    """The same random bits of the given shape as differently laid out arrays."""
+    base = (rng.random(shape[:-1] + (2 * shape[-1],)) < 0.5).astype(np.uint8)
+    c = np.ascontiguousarray(base[..., ::2])
+    return {
+        "C": c,
+        "fortran": np.asfortranarray(c),
+        "strided": base[..., ::2],
+        "transposed": np.ascontiguousarray(c.T).T,
+        "bool": c.astype(bool),
+    }
+
+
+SHAPES = [(), (7,), (1,), (3, 5), (0,)]  # leading shapes: one vector, batch, one frame, 3-D, empty
+
+
+@pytest.mark.parametrize("lead", SHAPES)
+def test_transform_and_encoders_match_kron_oracle_in_every_layout(lead):
+    spec = construct(64, 40)
+    g = kron_generator(6).astype(np.int64)
+    rng = np.random.default_rng(79)
+    for name, msgs in layouts(rng, lead + (40,)).items():
+        before = msgs.copy()
+        nspe, syst = kron_encodings(spec, msgs)
+        for got, want in ((encode_nspe(spec, msgs), nspe), (encode_systematic(spec, msgs), syst),
+                          (polar_transform(nspe), (nspe @ g % 2).astype(np.uint8))):
+            assert got.dtype == np.uint8 and got.flags.c_contiguous, name
+            assert got.shape == lead + (64,), name
+            assert np.array_equal(got, want), name
+        assert np.array_equal(msgs, before), name
+    for name, bits in layouts(rng, lead + (64,)).items():
+        assert np.array_equal(polar_transform(bits), (bits @ g % 2).astype(np.uint8)), name
+
+
+def test_sc_decode_returns_c_order_batch_equal_to_single_decodes():
+    spec = construct(64, 32)
+    rng = np.random.default_rng(89)
+    msgs = (rng.random((20, 32)) < 0.5).astype(np.uint8)
+    x = encode_nspe(spec, msgs).astype(np.float64)
+    llr = 2.0 * (1.0 - 2.0 * (x + rng.normal(0.0, 0.5, x.shape))) / 0.25
+    for arr in (llr, np.asfortranarray(llr), llr[:1], llr[:0]):
+        out = sc_decode(spec, arr)
+        assert out.dtype == np.uint8 and out.flags.c_contiguous
+        assert out.shape == (len(arr), 32)
+        singles = [sc_decode(spec, row) for row in arr]
+        assert all(s.shape == (32,) and s.flags.c_contiguous for s in singles)
+        assert np.array_equal(out, np.array(singles, dtype=np.uint8).reshape(-1, 32))
