@@ -44,6 +44,7 @@ _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit LCG multiplier
 _CHUNK = 64  # frames whose uniforms are thresholded in one call
+ENCODERS = ("nspe", "systematic")
 
 
 def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
@@ -176,6 +177,14 @@ class DistStats:
         return int(self.weights.sum()) / (self.frames * self.N)
 
 
+def polar_encoder(name: str):
+    """The polar encoder a name from ENCODERS stands for, read from this module at each
+    call, so that a wrapper set on analysis.encode_nspe or encode_systematic sees it."""
+    if name not in ENCODERS:
+        raise ValueError(f"unknown encoder {name!r}; choose from {', '.join(ENCODERS)}")
+    return globals()["encode_" + name]
+
+
 def run_dist_experiment(
     spec: PolarSpec,
     *,
@@ -196,13 +205,7 @@ def run_dist_experiment(
         raise ValueError("p1 must lie in [0, 1]")
     if frames <= 0:
         raise ValueError("frame count must be positive")
-    if encoder == "nspe":
-        enc = encode_nspe
-    elif encoder == "systematic":
-        enc = encode_systematic
-    else:
-        raise ValueError("encoder must be 'nspe' or 'systematic'")
-
+    enc = polar_encoder(encoder)
     ks = None if scrambler is None else keystream(scrambler, spec.K)
     weights = np.empty(frames, dtype=np.int64)
     max_run = 0
@@ -285,14 +288,14 @@ class RsLink:
         """Hard-decide, then decode every block in one rs_decode call.  A
         failed block decodes to zero."""
         nframes = y.shape[0]
-        hard = (y > params.amplitude / 2.0).astype(np.uint8)
+        hard = (y > 0.5).astype(np.uint8)
         msgs, failed = rs_decode(self.spec, bits_to_symbols(hard).reshape(-1, N_SYMBOLS))
         bits = symbols_to_bits(msgs.reshape(nframes, -1))[:, : self.frame_bits]
         return bits, failed.reshape(nframes, self.blocks).any(axis=1)
 
 
 class UncodedLink:
-    """Raw OOK reference: no coding, hard threshold at A/2."""
+    """Raw OOK reference: no coding, hard threshold at 1/2."""
 
     def __init__(self, frame_bits: int = DEFAULT_FRAME_BITS):
         if frame_bits <= 0:
@@ -305,7 +308,7 @@ class UncodedLink:
         return msgs
 
     def decode(self, y: np.ndarray, params: ChannelParams):
-        hard = (y > params.amplitude / 2.0).astype(np.uint8)
+        hard = (y > 0.5).astype(np.uint8)
         return hard, np.zeros(y.shape[0], dtype=bool)
 
 
@@ -313,7 +316,7 @@ def _run_batch(link, params: ChannelParams, lo: int, hi: int, master_seed: int):
     nframes = hi - lo
     msgs, noise = _draw_frames(master_seed, lo, hi, link.frame_bits, 0.5,
                                link.tx_bits, params.sigma)
-    y = modulate_ook(link.encode(msgs), params) + noise
+    y = modulate_ook(link.encode(msgs)) + noise
     hat, failed = link.decode(y, params)
     per_frame = np.where(failed, link.frame_bits, (hat != msgs).sum(axis=1))
     return (
@@ -339,7 +342,6 @@ def run_ber_experiment(
     link,
     ebn0_db_points,
     *,
-    amplitude: float = 1.0,
     min_errors: int = 100,
     max_frames: int = 50000,
     master_seed: int = DEFAULT_MASTER_SEED,
@@ -362,7 +364,7 @@ def run_ber_experiment(
     with (concurrent.futures.ProcessPoolExecutor(workers, mp_context=get_context("spawn"))
           if workers and workers > 1 else nullcontext()) as pool:
         for db in ebn0_db_points:
-            params = ChannelParams.from_ebn0_db(db, link.rate, amplitude)
+            params = ChannelParams.from_ebn0_db(db, link.rate)
             tasks = ((link, params, lo, min(lo + batch, max_frames), master_seed)
                      for lo in range(0, max_frames, batch))
             results = (starmap(_run_batch, tasks) if pool is None

@@ -1,7 +1,7 @@
 """Unipolar OOK over AWGN, with reproducible per-frame noise streams.
 
-Intensity levels are 0 for bit 0 and A for bit 1.  With code rate R and
-Eb/N0 given in dB, the noise variance is A^2 / (2 R 10^(EbN0/10)).
+Intensity levels are 0 and 1 (no BER depends on the on-level A, as sigma scales with it).
+With code rate R and Eb/N0 given in dB, the noise variance is 1 / (2 R 10^(EbN0/10)).
 """
 
 from __future__ import annotations
@@ -14,26 +14,22 @@ import numpy as np
 from .bitstream import checked_uint8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ChannelParams:
-    amplitude: float = 1.0
     noise_var: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.amplitude < math.inf:
-            raise ValueError("amplitude must be finite and positive")
         if not 0 < self.noise_var < math.inf:
             raise ValueError("noise variance must be finite and positive")
 
     @classmethod
-    def from_ebn0_db(cls, ebn0_db: float, rate: float, amplitude: float = 1.0) -> "ChannelParams":
+    def from_ebn0_db(cls, ebn0_db: float, rate: float) -> "ChannelParams":
         """Channel for a given per-information-bit SNR and code rate."""
         if rate <= 0:
             raise ValueError("code rate must be positive")
         if not abs(ebn0_db) <= 3000.0:  # keeps 10^(x/10) a normal float; NaN fails too
             raise ValueError(f"Eb/N0 must be finite and within 3000 dB of 0, got {ebn0_db} dB")
-        ebn0 = 10.0 ** (ebn0_db / 10.0)
-        return cls(amplitude=amplitude, noise_var=amplitude * amplitude / (2.0 * rate * ebn0))
+        return cls(noise_var=1.0 / (2.0 * rate * 10.0 ** (ebn0_db / 10.0)))
 
     @property
     def sigma(self) -> float:
@@ -55,16 +51,15 @@ class RngStream:
         return np.random.default_rng((self.master_seed, self.stream_id))
 
 
-def modulate_ook(bits, params: ChannelParams) -> np.ndarray:
-    """Map bits to intensities: 0 -> 0.0, 1 -> amplitude."""
-    return params.amplitude * checked_uint8(bits, 1, "bits").astype(np.float64)
+def modulate_ook(bits) -> np.ndarray:
+    """Map bits to intensities: 0 -> 0.0, 1 -> 1.0."""
+    return checked_uint8(bits, 1, "bits").astype(np.float64)
 
 
 def llr_demap(y, params: ChannelParams) -> np.ndarray:
-    """Exact per-sample LLR log P(y|0)/P(y|1) = (A^2 - 2 A y) / (2 sigma^2).
+    """Exact per-sample LLR log P(y|0)/P(y|1) = (1 - 2 y) / (2 sigma^2).
 
-    Positive means bit 0 is more likely; y = A/2 maps to 0.
+    Positive means bit 0 is more likely; y = 1/2 maps to 0.
     """
     y = np.asarray(y, dtype=np.float64)
-    a = params.amplitude
-    return (a * a - 2.0 * a * y) / (2.0 * params.noise_var)
+    return (1.0 - 2.0 * y) / (2.0 * params.noise_var)

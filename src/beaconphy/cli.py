@@ -23,15 +23,17 @@ import numpy as np
 from . import bitstream
 from .analysis import (
     DEFAULT_MASTER_SEED,
+    ENCODERS,
     PolarLink,
     RsLink,
     UncodedLink,
     mftp_check,
+    polar_encoder,
     run_ber_experiment,
     run_dist_experiment,
 )
 from .channel import ChannelParams
-from .polar_codec import encode_nspe, encode_systematic, sc_decode
+from .polar_codec import encode_nspe, sc_decode
 from .polar_construction import construct, load, save
 from .scrambler import DEFAULT_POLY, DEFAULT_SEED, ScramblerSpec, scramble
 
@@ -86,7 +88,7 @@ def _parse_list(text: str) -> list[str]:
 # key is the sidecar's and, with '-' for '_', the flag's; a parser of None marks an on/off flag.
 DIST_SETTINGS = {
     "sizes": ([[DEFAULT_N, DEFAULT_K]], _parse_sizes, "comma list of N:K pairs"),
-    "encoders": (["nspe"], _parse_list, "comma list from {nspe,systematic}"),
+    "encoders": (["nspe"], _parse_list, "comma list from {" + ",".join(ENCODERS) + "}"),
     "scramble": ("both", str, "scrambler setting: on, off or both"),
     "p1": (0.9, float, "message ones ratio"),
     "frames": (10000, int, "frames per configuration"),
@@ -105,7 +107,6 @@ BER_SETTINGS = {
     "eps": DIST_SETTINGS["eps"],
     "poly": DIST_SETTINGS["poly"],
     "scrambler_seed": DIST_SETTINGS["scrambler_seed"],
-    "amplitude": (1.0, float, "OOK on-level"),
     "min_errors": (100, int, "bit errors collected per point"),
     "max_frames": (DEFAULT_MAX_FRAMES, int, "frame cap per point"),
     "batch": (1000, int, "frames per work unit"),
@@ -123,7 +124,7 @@ CONSTRUCT_SETTINGS = {
 SCRAMBLE_SETTINGS = {"poly": DIST_SETTINGS["poly"], "seed": DIST_SETTINGS["scrambler_seed"]}
 ENCODE_SETTINGS = {
     "spec": (None, str, f"code description JSON (default: built-in {DEFAULT_N}:{DEFAULT_K})"),
-    "encoder": ("nspe", str, "nspe or systematic"),
+    "encoder": ("nspe", str, " or ".join(ENCODERS)),
 }
 DECODE_SETTINGS = {
     "spec": ENCODE_SETTINGS["spec"],
@@ -166,11 +167,16 @@ def _from_sidecar(key: str, value, default):
     return value
 
 
+# Keys older sidecars carry that no command reads, each with the one value at which such a sidecar
+# still reruns byte for byte (None: any): simulate-dist's "workers", simulate-ber's OOK on-level.
+RETIRED_KEYS = {"workers": None, "amplitude": 1.0}
+
+
 def _settings(args, table: dict) -> dict:
     """Each setting from its flag's text if given, else from the --config sidecar, else its default.
 
     The one place flag text is parsed.  A sidecar of another command, or with a key not a
-    setting nor "command", is rejected."""
+    setting, "command" or a retired key at its one value, is rejected."""
     cfg, path = {}, getattr(args, "config", None)  # only the experiments take --config
     if path:
         with open(path, "r", encoding="ascii") as fh:
@@ -179,10 +185,13 @@ def _settings(args, table: dict) -> dict:
             raise ValueError(f"config {path} is not a JSON object")
         if cfg.get("command", args.command) != args.command:
             raise ValueError(f"config {path} is for {cfg['command']}, not {args.command}")
-        # older simulate-dist sidecars carry "workers", which that command ignores
-        unknown = sorted(cfg.keys() - table.keys() - {"command", "workers"})
-        if unknown:
-            raise ValueError(f"config setting {unknown[0]!r} is not a {args.command} setting")
+        for key in sorted(cfg.keys() - table.keys() - {"command"}):
+            if key not in RETIRED_KEYS:
+                raise ValueError(f"config setting {key!r} is not a {args.command} setting")
+            want = RETIRED_KEYS[key]
+            if want is not None and (isinstance(cfg[key], bool) or cfg[key] != want):
+                raise ValueError(f"config setting {key!r} is retired and must be {want}, "
+                                 f"got {json.dumps(cfg[key])}")
     settings = {}
     for key, (default, parse, _) in table.items():
         if key in args:
@@ -225,13 +234,6 @@ def _spec(path):
     return construct(DEFAULT_N, DEFAULT_K, DEFAULT_EPS) if path is None else load(path)
 
 
-def _encoder(name: str):
-    """The polar encoder a name stands for; every encoder setting is checked here."""
-    if name not in ("nspe", "systematic"):
-        raise ValueError(f"unknown encoder {name!r}; choose from nspe, systematic")
-    return encode_systematic if name == "systematic" else encode_nspe
-
-
 def cmd_construct(st) -> int:
     spec = construct(st["N"], st["K"], st["eps"])
     out = st.pop("out")  # the sidecar records the code, not where it was written
@@ -248,7 +250,7 @@ def cmd_scramble(st) -> int:
 
 
 def cmd_encode(st) -> int:
-    enc = _encoder(st["encoder"])
+    enc = polar_encoder(st["encoder"])
     spec = _spec(st["spec"])
     print(bitstream.to_text(enc(spec, _stdin_bits(spec.K))))
     return 0
@@ -263,11 +265,14 @@ def cmd_decode(st) -> int:
 
 
 def cmd_simulate_dist(st) -> int:
+    for key in ("sizes", "encoders"):
+        if not st[key]:
+            raise ValueError(f"setting {key!r} is empty")
     for pair in st["sizes"]:
         if len(pair) != 2:
             raise ValueError(f"config setting 'sizes' must be [N, K] pairs, got {pair}")
     for enc in st["encoders"]:
-        _encoder(enc)
+        polar_encoder(enc)
     if st["scramble"] not in ("on", "off", "both"):
         raise ValueError("scramble must be on, off or both")
     scramble_opts = ["on", "off"] if st["scramble"] == "both" else [st["scramble"]]
@@ -310,6 +315,8 @@ def cmd_simulate_dist(st) -> int:
 
 def cmd_simulate_ber(st) -> int:
     codes, sweeps = st["codes"], st["ebn0"]
+    if not codes:
+        raise ValueError("setting 'codes' is empty")
     if isinstance(sweeps, list):  # --ebn0 gives every code the same sweep
         sweeps = dict.fromkeys(codes, sweeps)
     scrambler = ScramblerSpec(poly_mask=st["poly"], seed=st["scrambler_seed"])
@@ -317,10 +324,8 @@ def cmd_simulate_ber(st) -> int:
     for name in codes:
         if name not in DEFAULT_SWEEPS:
             raise ValueError(f"unknown code {name!r}; choose from {', '.join(DEFAULT_SWEEPS)}")
-        if name not in sweeps:
+        if not sweeps.get(name):  # none, or an empty one from a sidecar
             raise ValueError(f"config setting 'ebn0' has no sweep for code {name!r}")
-        if not all(map(math.isfinite, sweeps[name])):
-            raise ValueError(f"config setting 'ebn0' for {name!r} is not finite: {sweeps[name]}")
         if name == "polar":
             link = PolarLink(construct(st["N"], st["K"], st["eps"]), scrambler, exact=st["exact_f"])
         elif name.startswith("rs15_"):
@@ -328,7 +333,7 @@ def cmd_simulate_ber(st) -> int:
         else:
             link = UncodedLink(frame_bits=st["K"])
         for db in sweeps[name]:  # the range rule lives in channel.py
-            ChannelParams.from_ebn0_db(db, link.rate, st["amplitude"])
+            ChannelParams.from_ebn0_db(db, link.rate)
         links.append(link)
     st["ebn0"] = {name: sweeps[name] for name in codes}
     out_dir = os.path.dirname(st["out"]) or "."
@@ -339,9 +344,8 @@ def cmd_simulate_ber(st) -> int:
     rows = ["code,ebn0_db,bits,bit_errors,frames,frame_errors,ber"]
     for name, link in zip(codes, links):
         points = run_ber_experiment(
-            link, st["ebn0"][name], amplitude=st["amplitude"], min_errors=st["min_errors"],
-            max_frames=st["max_frames"], master_seed=st["master_seed"], batch=st["batch"],
-            workers=st["workers"])
+            link, st["ebn0"][name], min_errors=st["min_errors"], max_frames=st["max_frames"],
+            master_seed=st["master_seed"], batch=st["batch"], workers=st["workers"])
         for p in points:
             rows.append(f"{name},{p.ebn0_db!r},{p.bits_sent},{p.bit_errors},"
                         f"{p.frames_sent},{p.frame_errors},{p.ber!r}")

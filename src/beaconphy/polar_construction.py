@@ -116,19 +116,33 @@ def to_dict(spec: PolarSpec) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is no integer
+
+
+# field of a code description: (check of its JSON value, what the check asks for)
+_FIELDS = {
+    "n": (_is_int, "an integer"),
+    "N": (_is_int, "an integer"),
+    "K": (_is_int, "an integer"),
+    "eps": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "info_set": (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
+}
+
+
 def from_dict(doc: dict) -> PolarSpec:
+    """The spec a code description stands for; a field of the wrong JSON type is rejected,
+    never rounded."""
     if not isinstance(doc, dict):
         raise ValueError("code description must be a JSON object")
-    try:
-        return PolarSpec(
-            n=int(doc["n"]),
-            N=int(doc["N"]),
-            K=int(doc["K"]),
-            eps=float(doc["eps"]),
-            info_set=tuple(int(i) for i in doc["info_set"]),
-        )
-    except KeyError as missing:
-        raise ValueError(f"code description lacks field {missing}") from None
+    for key, (check, want) in _FIELDS.items():
+        if key not in doc:
+            raise ValueError(f"code description lacks field {key!r}")
+        if not check(doc[key]):
+            raise ValueError(f"code description field {key!r} must be {want}, "
+                             f"got {json.dumps(doc[key], default=repr)}")
+    return PolarSpec(n=doc["n"], N=doc["N"], K=doc["K"], eps=float(doc["eps"]),
+                     info_set=tuple(doc["info_set"]))
 
 
 def save(spec: PolarSpec, path) -> None:

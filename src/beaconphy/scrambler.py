@@ -34,6 +34,8 @@ class ScramblerSpec:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
+        if self.poly_mask < 0:
+            raise ValueError("polynomial mask must be nonnegative")
         deg = self.poly_mask.bit_length() - 1
         if deg < 2:
             raise ValueError("polynomial degree must be at least 2")

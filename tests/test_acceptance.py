@@ -249,7 +249,7 @@ def test_criterion_09_coding_gains_at_1e_minus_4():
     for name, link in links.items():
         sweep = cli._parse_sweep(cli.DEFAULT_SWEEPS[name])
         curves[name] = run_ber_experiment(
-            link, sweep, amplitude=1.0, min_errors=100,
+            link, sweep, min_errors=100,
             max_frames=cli.DEFAULT_MAX_FRAMES,
             master_seed=DEFAULT_MASTER_SEED, batch=1000)
     target = 1e-4
@@ -274,13 +274,13 @@ def test_criterion_09_coding_gains_at_1e_minus_4():
 def test_criterion_10_uncoded_matches_analytic_ber():
     link = UncodedLink()
     sweep = [10.5, 11.5, 12.5]  # analytic BER spans about 9e-3 .. 1.4e-3
-    points = run_ber_experiment(link, sweep, amplitude=1.0, min_errors=2000,
+    points = run_ber_experiment(link, sweep, min_errors=2000,
                                 max_frames=50_000,
                                 master_seed=DEFAULT_MASTER_SEED, batch=1000)
     lines = []
     for p in points:
         params = ChannelParams.from_ebn0_db(p.ebn0_db, 1.0)
-        theory = 0.5 * math.erfc(params.amplitude / (2 * params.sigma) / math.sqrt(2))
+        theory = 0.5 * math.erfc(1 / (2 * params.sigma) / math.sqrt(2))
         rel = abs(p.ber - theory) / theory
         lines.append(f"{p.ebn0_db:g} dB measured={p.ber:.3e} "
                      f"theory={theory:.3e} rel={rel:.3f}")

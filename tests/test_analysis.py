@@ -145,8 +145,8 @@ def test_polar_link_noiseless_roundtrip():
     link = PolarLink(construct(64, 40), ScramblerSpec())
     rng = np.random.default_rng(11)
     msgs = (rng.random((20, 40)) < 0.5).astype(np.uint8)
-    params = ChannelParams(amplitude=1.0, noise_var=0.01)
-    y = modulate_ook(link.encode(msgs), params)
+    params = ChannelParams(noise_var=0.01)
+    y = modulate_ook(link.encode(msgs))
     hat, failed = link.decode(y, params)
     assert np.array_equal(hat, msgs)
     assert not failed.any()
@@ -156,18 +156,18 @@ def test_polar_link_without_scrambler():
     link = PolarLink(construct(64, 40), scrambler=None)
     rng = np.random.default_rng(13)
     msgs = (rng.random((5, 40)) < 0.5).astype(np.uint8)
-    params = ChannelParams(amplitude=1.0, noise_var=0.01)
-    hat, _ = link.decode(modulate_ook(link.encode(msgs), params), params)
+    params = ChannelParams(noise_var=0.01)
+    hat, _ = link.decode(modulate_ook(link.encode(msgs)), params)
     assert np.array_equal(hat, msgs)
 
 
 def test_rs_link_noiseless_roundtrip():
     rng = np.random.default_rng(17)
-    params = ChannelParams(amplitude=1.0, noise_var=0.01)
+    params = ChannelParams(noise_var=0.01)
     for k in (3, 7, 11):
         link = RsLink(k)
         msgs = (rng.random((8, 158)) < 0.5).astype(np.uint8)
-        y = modulate_ook(link.encode(msgs), params)
+        y = modulate_ook(link.encode(msgs))
         hat, failed = link.decode(y, params)
         assert np.array_equal(hat, msgs)
         assert not failed.any()
@@ -177,13 +177,13 @@ def test_rs_link_corrects_symbol_errors():
     link = RsLink(11)
     rng = np.random.default_rng(19)
     msgs = (rng.random((1, 158)) < 0.5).astype(np.uint8)
-    params = ChannelParams(amplitude=1.0, noise_var=0.01)
-    y = modulate_ook(link.encode(msgs), params)
+    params = ChannelParams(noise_var=0.01)
+    y = modulate_ook(link.encode(msgs))
     # Two symbol errors in each of the four blocks: all correctable.
     for blk in range(4):
         for sym in (0, 8):
             base = (blk * N_SYMBOLS + sym) * 4
-            y[0, base : base + 4] = params.amplitude - y[0, base : base + 4]
+            y[0, base : base + 4] = 1.0 - y[0, base : base + 4]
     hat, failed = link.decode(y, params)
     assert np.array_equal(hat, msgs)
     assert not failed.any()
@@ -205,20 +205,20 @@ def test_rs_link_flags_failed_frames():
     assert pattern is not None
     link = RsLink(11)
     msgs = np.zeros((1, 158), dtype=np.uint8)
-    params = ChannelParams(amplitude=1.0, noise_var=0.01)
-    y = modulate_ook(link.encode(msgs), params)
+    params = ChannelParams(noise_var=0.01)
+    y = modulate_ook(link.encode(msgs))
     from beaconphy.reed_solomon import symbols_to_bits
 
     bad_bits = symbols_to_bits(pattern)
-    y[0, : 60] = modulate_ook(bad_bits, params)  # overwrite first block
+    y[0, : 60] = modulate_ook(bad_bits)  # overwrite first block
     hat, failed = link.decode(y, params)
     assert failed[0]
 
 
 def test_uncoded_link_threshold():
     link = UncodedLink(frame_bits=4)
-    params = ChannelParams(amplitude=2.0, noise_var=1.0)
-    y = np.array([[0.9, 1.1, 2.5, -0.3]])
+    params = ChannelParams(noise_var=1.0)
+    y = np.array([[0.4, 0.6, 2.5, -0.3]])
     hat, failed = link.decode(y, params)
     assert hat.tolist() == [[0, 1, 1, 0]]
     assert not failed.any()
@@ -226,7 +226,7 @@ def test_uncoded_link_threshold():
 
 def test_ber_experiment_reproducible_across_workers():
     link = UncodedLink()
-    kw = dict(amplitude=1.0, min_errors=40, max_frames=4000,
+    kw = dict(min_errors=40, max_frames=4000,
               master_seed=777, batch=250)
     serial = run_ber_experiment(link, [11.0, 12.0], workers=None, **kw)
     pooled = run_ber_experiment(link, [11.0, 12.0], workers=2, **kw)
@@ -315,7 +315,7 @@ def test_ber_experiment_batch_size_does_not_change_consumed_prefix():
     # Identical frame set whenever the stopping boundary coincides; with
     # min_errors above any single-batch yield both runs hit max_frames.
     link = UncodedLink()
-    kw = dict(amplitude=1.0, min_errors=10**9, max_frames=2000, master_seed=42)
+    kw = dict(min_errors=10**9, max_frames=2000, master_seed=42)
     a = run_ber_experiment(link, [12.0], batch=100, **kw)
     b = run_ber_experiment(link, [12.0], batch=500, **kw)
     assert a[0].bit_errors == b[0].bit_errors
@@ -324,7 +324,7 @@ def test_ber_experiment_batch_size_does_not_change_consumed_prefix():
 
 def test_ber_experiment_stops_after_quiet_point():
     link = UncodedLink()
-    points = run_ber_experiment(link, [25.0, 26.0, 27.0], amplitude=1.0,
+    points = run_ber_experiment(link, [25.0, 26.0, 27.0],
                                 min_errors=10, max_frames=500,
                                 master_seed=7, batch=100)
     # 25 dB is already error-free at these frame counts: sweep ends there.
@@ -344,12 +344,12 @@ def test_ber_experiment_validation():
 
 
 def test_uncoded_ber_matches_analytic_value():
-    # Q(A / (2 sigma)) for hard threshold detection of unipolar OOK.
+    # Q(1 / (2 sigma)) for hard threshold detection of unipolar OOK.
     link = UncodedLink()
-    points = run_ber_experiment(link, [11.0], amplitude=1.0, min_errors=1500,
+    points = run_ber_experiment(link, [11.0], min_errors=1500,
                                 max_frames=20000, master_seed=99, batch=1000)
     params = ChannelParams.from_ebn0_db(11.0, 1.0)
-    theory = 0.5 * math.erfc(params.amplitude / (2 * params.sigma) / math.sqrt(2))
+    theory = 0.5 * math.erfc(1 / (2 * params.sigma) / math.sqrt(2))
     assert points[0].ber == pytest.approx(theory, rel=0.15)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from beaconphy import bitstream
-from beaconphy.channel import ChannelParams, modulate_ook
+from beaconphy.channel import modulate_ook
 from beaconphy.polar_codec import _check_msg, polar_transform
 from beaconphy.polar_construction import construct
 
@@ -29,7 +29,7 @@ BIT_INPUTS = {
     "max_run_length": bitstream.max_run_length,
     "polar_transform": polar_transform,
     "_check_msg": lambda bits: _check_msg(construct(8, 4), bits),
-    "modulate_ook": lambda bits: modulate_ook(bits, ChannelParams(1.0, 0.1)),
+    "modulate_ook": modulate_ook,
 }
 
 

@@ -15,23 +15,20 @@ from beaconphy.channel import (
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        ChannelParams(amplitude=0.0)
-    with pytest.raises(ValueError):
         ChannelParams(noise_var=-1.0)
     with pytest.raises(ValueError):
         ChannelParams.from_ebn0_db(5.0, rate=0.0)
+    # the noise variance is keyword-only, so a positional number (once the on-level) fails
+    with pytest.raises(TypeError):
+        ChannelParams(0.5)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_params_reject_non_finite_values(bad):
-    with pytest.raises(ValueError, match="amplitude must be finite and positive"):
-        ChannelParams(amplitude=bad)
     with pytest.raises(ValueError, match="noise variance must be finite and positive"):
         ChannelParams(noise_var=bad)
     with pytest.raises(ValueError, match="Eb/N0 must be finite"):
         ChannelParams.from_ebn0_db(bad, rate=0.5)
-    with pytest.raises(ValueError):
-        ChannelParams.from_ebn0_db(5.0, rate=0.5, amplitude=bad)
 
 
 @pytest.mark.parametrize("ebn0_db", [-4000.0, 4000.0])
@@ -42,15 +39,13 @@ def test_from_ebn0_db_rejects_out_of_range_values(ebn0_db):
 
 
 def test_from_ebn0_db_hand_values():
-    # Rate 1, 0 dB: noise_var = A^2 / 2.
-    p = ChannelParams.from_ebn0_db(0.0, rate=1.0, amplitude=1.0)
+    # Rate 1, 0 dB: noise_var = 1 / 2.
+    p = ChannelParams.from_ebn0_db(0.0, rate=1.0)
     assert p.noise_var == pytest.approx(0.5)
-    # Rate 1/2, 10 dB: A^2 / (2 * 0.5 * 10) = 0.1.
-    p = ChannelParams.from_ebn0_db(10.0, rate=0.5, amplitude=1.0)
+    assert p.sigma == pytest.approx(math.sqrt(0.5))
+    # Rate 1/2, 10 dB: 1 / (2 * 0.5 * 10) = 0.1.
+    p = ChannelParams.from_ebn0_db(10.0, rate=0.5)
     assert p.noise_var == pytest.approx(0.1)
-    p = ChannelParams.from_ebn0_db(0.0, rate=1.0, amplitude=2.0)
-    assert p.noise_var == pytest.approx(2.0)
-    assert p.sigma == pytest.approx(math.sqrt(2.0))
 
 
 def test_lower_rate_means_more_noise_at_fixed_ebn0():
@@ -60,32 +55,31 @@ def test_lower_rate_means_more_noise_at_fixed_ebn0():
 
 
 def test_modulate_ook():
-    p = ChannelParams(amplitude=2.5, noise_var=1.0)
-    out = modulate_ook([0, 1, 1, 0], p)
+    out = modulate_ook([0, 1, 1, 0])
     assert out.dtype == np.float64
-    assert out.tolist() == [0.0, 2.5, 2.5, 0.0]
+    assert out.tolist() == [0.0, 1.0, 1.0, 0.0]
     with pytest.raises(ValueError):
-        modulate_ook([0, 2], p)
+        modulate_ook([0, 2])
 
 
 def test_llr_demap_hand_values():
-    # A = 1, sigma^2 = 0.5: llr(y) = (1 - 2y).
-    p = ChannelParams(amplitude=1.0, noise_var=0.5)
+    # sigma^2 = 0.5: llr(y) = (1 - 2y).
+    p = ChannelParams(noise_var=0.5)
     y = np.array([0.0, 1.0, 0.5, 0.25])
     assert llr_demap(y, p).tolist() == [1.0, -1.0, 0.0, 0.5]
 
 
 def test_llr_sign_equals_threshold_rule():
     rng = np.random.default_rng(79)
-    p = ChannelParams(amplitude=1.3, noise_var=0.37)
-    y = rng.uniform(-1.0, 2.3, 5000)
+    p = ChannelParams(noise_var=0.37)
+    y = rng.uniform(-1.0, 2.0, 5000)
     llr = llr_demap(y, p)
-    assert np.array_equal(llr < 0, y > p.amplitude / 2)
+    assert np.array_equal(llr < 0, y > 0.5)
 
 
 def test_llr_scales_with_noise_variance():
-    quiet = ChannelParams(amplitude=1.0, noise_var=0.1)
-    loud = ChannelParams(amplitude=1.0, noise_var=1.0)
+    quiet = ChannelParams(noise_var=0.1)
+    loud = ChannelParams(noise_var=1.0)
     y = np.array([0.0, 0.9])
     assert np.allclose(llr_demap(y, quiet), 10.0 * llr_demap(y, loud))
 

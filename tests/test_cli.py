@@ -373,6 +373,32 @@ def test_code_description_that_is_not_an_object_exits_2(tmp_path, monkeypatch, c
     assert code == 2 and out == "" and "JSON object" in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("info_set", 5), ("n", None), ("eps", [0.5]), ("n", 3.7), ("K", 1.9), ("info_set", [7.9]),
+    ("N", True), ("info_set", [3, 5, 6, True]), ("eps", "0.5"),
+], ids=["info_set-int", "n-null", "eps-list", "n-float", "K-float", "info_set-float", "N-bool",
+        "info_set-bool", "eps-text"])
+@pytest.mark.parametrize("command, n_in", [("encode", 4), ("decode", 8)])
+def test_malformed_code_description_exits_2(tmp_path, monkeypatch, capsys, command, n_in,
+                                            key, value):
+    doc = {"n": 3, "N": 8, "K": 4, "eps": 0.5, "info_set": [3, 5, 6, 7]}
+    doc[key] = value
+    spec = _write_config(tmp_path / "bad.json", doc)
+    code, out, err = run_cli([command, "--spec", spec], stdin_text="0" * n_in,
+                             monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: code description field {key!r} must be ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["-19", "-1"])
+def test_scramble_rejects_a_negative_mask(monkeypatch, capsys, text):
+    code, out, err = run_cli(["scramble", f"--poly={text}"], stdin_text="0101",
+                             monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and out == ""
+    assert err == "error: polynomial mask must be nonnegative\n"
+
+
 def test_simulate_ber_missing_output_directory_fails_before_the_sweep(
         tmp_path, monkeypatch, capsys):
     out = tmp_path / "nodir" / "x.csv"
@@ -458,6 +484,84 @@ def test_sidecar_with_an_unknown_key_exits_2(tmp_path, monkeypatch, capsys):
     assert not out_dir.exists()
 
 
+def _ber_run_with_sidecar(tmp_path, monkeypatch, capsys):
+    """A short uncoded simulate-ber run: (csv path, its sidecar as a dict)."""
+    out = str(tmp_path / "run1.csv")
+    code, _, _ = run_cli(["simulate-ber", "--codes", "uncoded", "--ebn0", "11:1:12",
+                          "--min-errors", "20", "--max-frames", "600", "--batch", "200",
+                          "--out", out], monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0
+    return out, json.load(open(out + ".config.json"))
+
+
+@pytest.mark.parametrize("value", [1.0, 1], ids=["float", "int"])
+def test_sidecar_with_the_retired_on_level_at_1_reruns_byte_for_byte(
+        tmp_path, monkeypatch, capsys, value):
+    # sidecars written while the on-level was a setting record "amplitude": 1.0
+    out, cfg = _ber_run_with_sidecar(tmp_path, monkeypatch, capsys)
+    assert "amplitude" not in cfg
+    cfg["amplitude"] = value
+    again = str(tmp_path / "run2.csv")
+    code, _, err = run_cli(["simulate-ber", "--config", _write_config(tmp_path / "old.json", cfg),
+                            "--out", again], monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0 and err == ""
+    assert open(again, "rb").read() == open(out, "rb").read()
+    assert "amplitude" not in json.load(open(again + ".config.json"))
+
+
+@pytest.mark.parametrize("value, shown", [(2.0, "2.0"), (True, "true"), ("1.0", '"1.0"')],
+                         ids=["2.0", "true", "text"])
+def test_sidecar_with_the_retired_on_level_at_another_value_exits_2(
+        tmp_path, monkeypatch, capsys, value, shown):
+    _, cfg = _ber_run_with_sidecar(tmp_path, monkeypatch, capsys)
+    cfg["amplitude"] = value
+    again = tmp_path / "run2.csv"
+    code, stdout, err = run_cli(
+        ["simulate-ber", "--config", _write_config(tmp_path / "old.json", cfg),
+         "--out", str(again)], monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and stdout == ""
+    assert err == f"error: config setting 'amplitude' is retired and must be 1.0, got {shown}\n"
+    assert not again.exists() and not os.path.exists(str(again) + ".config.json")
+
+
+def test_retired_amplitude_flag_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["simulate-ber", "--codes", "uncoded", "--amplitude", "1", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --amplitude 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["simulate-dist", "--encoders", ","], "error: setting 'encoders' is empty\n"),
+    (["simulate-dist", "--encoders", ""], "error: setting 'encoders' is empty\n"),
+    (["simulate-ber", "--codes", ""], "error: setting 'codes' is empty\n"),
+    (["simulate-ber", "--codes", " , "], "error: setting 'codes' is empty\n"),
+], ids=["encoders-comma", "encoders-blank", "codes-blank", "codes-comma"])
+def test_empty_selection_exits_2_before_any_output(tmp_path, monkeypatch, capsys, argv, want):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run_cli(argv, monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and stdout == "" and err == want
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command, doc, want", [
+    ("simulate-dist", {"encoders": []}, "setting 'encoders' is empty"),
+    ("simulate-dist", {"sizes": []}, "setting 'sizes' is empty"),
+    ("simulate-ber", {"codes": []}, "setting 'codes' is empty"),
+    ("simulate-ber", {"codes": ["uncoded"], "ebn0": {"uncoded": []}},
+     "config setting 'ebn0' has no sweep for code 'uncoded'"),
+], ids=["encoders", "sizes", "codes", "ebn0"])
+def test_empty_selection_in_a_sidecar_exits_2(tmp_path, monkeypatch, capsys, command, doc, want):
+    monkeypatch.chdir(tmp_path)
+    cfg = _write_config(tmp_path / "c.json", doc)
+    code, stdout, err = run_cli([command, "--config", cfg], monkeypatch=monkeypatch,
+                                capsys=capsys)
+    assert code == 2 and stdout == "" and err == f"error: {want}\n"
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
 def test_sidecar_of_the_other_command_exits_2(tmp_path, monkeypatch, capsys):
     dist_dir = tmp_path / "d"
     argv = ["simulate-dist", "--sizes", "16:8", "--frames", "5", "--out-dir", str(dist_dir)]
@@ -474,8 +578,8 @@ def test_sidecar_of_the_other_command_exits_2(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("extra", [
     ["--ebn0", "0:inf:12"],
     ["--ebn0", "0:1:inf"],
-    ["--ebn0", "10:1:10", "--amplitude", "nan"],
-    ["--ebn0", "10:1:10", "--amplitude", "inf"],
+    ["--ebn0", "nan:1:12"],
+    ["--ebn0=-inf:1:12"],
     ["--ebn0=-4000:1:-4000"],
     ["--ebn0", "4000:1:4000"],
 ])
@@ -490,7 +594,7 @@ def test_simulate_ber_rejects_non_finite_ebn0_or_amplitude(tmp_path, monkeypatch
 
 
 @pytest.mark.parametrize("value, message", [
-    ("NaN", "config setting 'ebn0' for 'rs15_7' is not finite: [nan]"),
+    ("NaN", "Eb/N0 must be finite and within 3000 dB of 0, got nan dB"),
     ("4000.0", "Eb/N0 must be finite and within 3000 dB of 0, got 4000.0 dB"),
 ], ids=["nan", "4000"])
 def test_sidecar_nan_ebn0_exits_2(tmp_path, monkeypatch, capsys, value, message):
@@ -544,7 +648,6 @@ ROW_SAMPLES = {
     "ebn0": ("10:0.5:11", {"uncoded": [10.0, 10.5, 11.0]}),
     "N": ("32", 32),
     "K": ("20", 20),
-    "amplitude": ("2", 2.0),
     "min_errors": ("5", 5),
     "max_frames": ("30", 30),
     "batch": ("7", 7),
@@ -593,8 +696,8 @@ def test_flag_text_and_sidecar_value_resolve_to_the_same_setting(
 
 @pytest.mark.parametrize("command, flag, text, want", [
     ("simulate-dist", "--frames", "ten", "error: argument --frames: invalid literal for int()"),
-    ("simulate-ber", "--amplitude", "loud",
-     "error: argument --amplitude: could not convert string to float: 'loud'"),
+    ("simulate-ber", "--eps", "loud",
+     "error: argument --eps: could not convert string to float: 'loud'"),
     ("simulate-dist", "--poly", "zz", "error: argument --poly: not a hex value: 'zz'"),
     ("simulate-ber", "--ebn0", "10:1", "error: argument --ebn0: bad sweep '10:1'"),
     ("simulate-dist", "--sizes", "16-8", "error: argument --sizes: bad size '16-8'"),

@@ -95,10 +95,10 @@ def test_batched_encode_validation():
         rs_decode(spec, np.zeros((2, 14), dtype=np.uint8))
 
 
-def _oracle_link_decode(k: int, y: np.ndarray, amplitude: float):
+def _oracle_link_decode(k: int, y: np.ndarray):
     """Per-block scalar decoding with the packing written out independently."""
     spec = rs_oracle.RsSpec(k)
-    hard = (y > amplitude / 2.0).astype(np.int64)
+    hard = (y > 0.5).astype(np.int64)
     syms = hard.reshape(len(y), -1, 4) @ np.array([8, 4, 2, 1])
     blocks = syms.shape[1] // 15
     msg_syms = np.zeros((len(y), blocks * k), dtype=np.int64)
@@ -121,9 +121,9 @@ def test_rs_link_decode_matches_oracle_loop(k):
     rng = np.random.default_rng(3000 + k)
     msgs = rng.integers(0, 2, (150, link.frame_bits), dtype=np.uint8)
     tx = link.encode(msgs)
-    y = tx * params.amplitude + rng.normal(0.0, params.sigma, tx.shape)
+    y = tx + rng.normal(0.0, params.sigma, tx.shape)
     hat, failed = link.decode(y, params)
-    ref_hat, ref_failed = _oracle_link_decode(k, y, params.amplitude)
+    ref_hat, ref_failed = _oracle_link_decode(k, y)
     assert np.array_equal(failed, ref_failed)
     assert np.array_equal(hat, ref_hat[:, : link.frame_bits])
     # 12 dB is below every crossing: some frames fail, yet blocks still decode
@@ -312,7 +312,7 @@ def test_rs_link_decodes_one_frame_at_a_time_as_in_one_batch(k):
     params = ChannelParams.from_ebn0_db({11: 12.0, 7: 12.5, 3: 15.0}[k], link.rate)
     rng = np.random.default_rng(8000 + k)
     msgs = rng.integers(0, 2, (300, link.frame_bits), dtype=np.uint8)
-    y = link.encode(msgs) * params.amplitude + rng.normal(0.0, params.sigma, (300, link.tx_bits))
+    y = link.encode(msgs) + rng.normal(0.0, params.sigma, (300, link.tx_bits))
     hat, failed = link.decode(y, params)
     assert failed.any() and not failed.all()
     for step in (1, 7):

@@ -110,3 +110,11 @@ def test_spec_validation():
 def test_degree_property():
     assert ScramblerSpec().degree == 4
     assert ScramblerSpec(poly_mask=0b100101, seed=1).degree == 5
+
+
+@pytest.mark.parametrize("mask", [-25, -19, -1])
+def test_negative_mask_is_rejected(mask):
+    # -25 & 1 == 1 and (-25).bit_length() == 5: without the sign check it
+    # would pass for a degree-4 polynomial
+    with pytest.raises(ValueError, match="polynomial mask must be nonnegative"):
+        ScramblerSpec(poly_mask=mask, seed=1)
