@@ -185,36 +185,42 @@ def polar_encoder(name: str):
     return globals()["encode_" + name]
 
 
-def run_dist_experiment(
-    spec: PolarSpec,
-    *,
-    encoder: str = "nspe",
-    scrambler: ScramblerSpec | None = ScramblerSpec(),
-    p1: float = 0.9,
-    frames: int = 10000,
-    master_seed: int = DEFAULT_MASTER_SEED,
-    batch: int = 2048,
-) -> DistStats:
-    """Encode `frames` frames of Bernoulli(p1) message bits; collect ones-density statistics.
+def draw_messages(frames: int, n_bits: int, p1: float, master_seed: int) -> np.ndarray:
+    """Messages of frames 0 .. frames-1, one row of n_bits Bernoulli(p1) bits each.
 
-    The messages are XORed with the scrambler's keystream first, unless
-    scrambler is None.  p1 = 0.9 is not the worst case: unscrambled (256,158)
-    frames spread wider at 0.1 (exact ones-fraction sd 0.0763, against 0.0674
-    at 0.9)."""
+    Row f depends on (master_seed, f, n_bits, p1) alone, so every encoder and
+    scrambler setting of one experiment can encode the same array.  p1 = 0.9
+    is not the worst case: unscrambled (256,158) frames spread wider at 0.1
+    (exact ones-fraction sd 0.0763, against 0.0674 at 0.9)."""
     if not 0.0 <= p1 <= 1.0:
         raise ValueError("p1 must lie in [0, 1]")
     if frames <= 0:
         raise ValueError("frame count must be positive")
+    return _draw_frames(master_seed, 0, frames, n_bits, p1)[0]
+
+
+def run_dist_experiment(
+    spec: PolarSpec,
+    msgs: np.ndarray,
+    *,
+    encoder: str = "nspe",
+    scrambler: ScramblerSpec | None = ScramblerSpec(),
+    batch: int = 2048,
+) -> DistStats:
+    """Encode each row of msgs (see draw_messages); collect ones-density statistics.
+
+    The messages are XORed with the scrambler's keystream first, unless
+    scrambler is None.  msgs is left as it is, so one draw serves every
+    encoder and scrambler setting: simulate-dist draws each size's messages
+    once and shares them across its encoders and scramble settings."""
     enc = polar_encoder(encoder)
     ks = None if scrambler is None else keystream(scrambler, spec.K)
+    frames = msgs.shape[0]
     weights = np.empty(frames, dtype=np.int64)
     max_run = 0
     for lo in range(0, frames, batch):
         hi = min(lo + batch, frames)
-        msgs, _ = _draw_frames(master_seed, lo, hi, spec.K, p1)
-        if ks is not None:
-            msgs ^= ks
-        x = enc(spec, msgs)
+        x = enc(spec, msgs[lo:hi] if ks is None else msgs[lo:hi] ^ ks)
         x.sum(axis=1, dtype=np.int64, out=weights[lo:hi])
         max_run = max(max_run, bitstream.max_run_length(x))
     return DistStats(spec.N, weights, max_run)

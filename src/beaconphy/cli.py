@@ -27,6 +27,7 @@ from .analysis import (
     PolarLink,
     RsLink,
     UncodedLink,
+    draw_messages,
     mftp_check,
     polar_encoder,
     run_ber_experiment,
@@ -206,6 +207,17 @@ def _settings(args, table: dict) -> dict:
     return settings
 
 
+def _reject_empty_or_repeated(key: str, values: list) -> None:
+    """A selection setting must name at least one entry and each entry once."""
+    if not values:
+        raise ValueError(f"setting {key!r} is empty")
+    seen = set()
+    for item in map(json.dumps, values):
+        if item in seen:
+            raise ValueError(f"setting {key!r} repeats {item}")
+        seen.add(item)
+
+
 def _write_json(path, doc: dict) -> None:
     with open(path, "w", encoding="ascii") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
@@ -266,8 +278,7 @@ def cmd_decode(st) -> int:
 
 def cmd_simulate_dist(st) -> int:
     for key in ("sizes", "encoders"):
-        if not st[key]:
-            raise ValueError(f"setting {key!r} is empty")
+        _reject_empty_or_repeated(key, st[key])
     for pair in st["sizes"]:
         if len(pair) != 2:
             raise ValueError(f"config setting 'sizes' must be [N, K] pairs, got {pair}")
@@ -286,9 +297,9 @@ def cmd_simulate_dist(st) -> int:
     scrambler = ScramblerSpec(poly_mask=st["poly"], seed=st["scrambler_seed"])
     # every size is built and every output path checked before the first run
     specs = [construct(n_bits, k_bits, st["eps"]) for n_bits, k_bits in st["sizes"]]
-    runs = [(size, spec, enc, scr) for size, spec in zip(st["sizes"], specs)
-            for enc in st["encoders"] for scr in scramble_opts]
-    names = [f"dist_{enc}_{scr}_{n_bits}x{k_bits}.csv" for (n_bits, k_bits), _, enc, scr in runs]
+    configs = [(enc, scr) for enc in st["encoders"] for scr in scramble_opts]
+    names = [f"dist_{enc}_{scr}_{n_bits}x{k_bits}.csv"
+             for n_bits, k_bits in st["sizes"] for enc, scr in configs]
     out_dir = parent = st["out_dir"]
     while parent and not os.path.exists(parent):  # makedirs needs a directory at the base
         parent = os.path.dirname(parent)
@@ -296,18 +307,23 @@ def cmd_simulate_dist(st) -> int:
         raise ValueError(f"output directory {parent!r} is not a directory")
     _reject_directories(os.path.join(out_dir, n) for n in names + ["summary.csv", "config.json"])
     summary = ["encoder,scramble,N,K,p1,frames,min,max,mean"]
-    for ((n_bits, k_bits), spec, enc, scr), name in zip(runs, names):
-        stats = run_dist_experiment(
-            spec, encoder=enc, scrambler=scrambler if scr == "on" else None, p1=p1,
-            frames=frames, master_seed=st["master_seed"])
-        rows = ["frame_index,ones_fraction"]
-        rows += [f"{i},{float(v)!r}" for i, v in enumerate(stats.samples)]
-        write_lines(name, rows)
-        summary.append(f"{enc},{scr},{n_bits},{k_bits},{p1!r},{frames},"
-                       f"{stats.min!r},{stats.max!r},{stats.mean!r}")
-        print(f"{enc} scramble={scr} ({n_bits},{k_bits}) p1={p1:g}: "
-              f"min={stats.min:.6f} max={stats.max:.6f} mean={stats.mean:.6f} "
-              f"max_run={stats.max_run_length}")
+    names = iter(names)  # size by size, each size's in the order of configs
+    for (n_bits, k_bits), spec in zip(st["sizes"], specs):
+        # one draw per size: every configuration encodes the same messages
+        msgs = draw_messages(frames, k_bits, p1, st["master_seed"])
+        fractions = [repr(w / n_bits) for w in range(n_bits + 1)]
+        for enc, scr in configs:
+            name = next(names)
+            stats = run_dist_experiment(spec, msgs, encoder=enc,
+                                        scrambler=scrambler if scr == "on" else None)
+            rows = ["frame_index,ones_fraction"]
+            rows += [f"{i},{fractions[w]}" for i, w in enumerate(stats.weights.tolist())]
+            write_lines(name, rows)
+            summary.append(f"{enc},{scr},{n_bits},{k_bits},{p1!r},{frames},"
+                           f"{stats.min!r},{stats.max!r},{stats.mean!r}")
+            print(f"{enc} scramble={scr} ({n_bits},{k_bits}) p1={p1:g}: "
+                  f"min={stats.min:.6f} max={stats.max:.6f} mean={stats.mean:.6f} "
+                  f"max_run={stats.max_run_length}")
     write_lines("summary.csv", summary)
     _write_json(os.path.join(st["out_dir"], "config.json"), {"command": "simulate-dist", **st})
     return 0
@@ -315,8 +331,7 @@ def cmd_simulate_dist(st) -> int:
 
 def cmd_simulate_ber(st) -> int:
     codes, sweeps = st["codes"], st["ebn0"]
-    if not codes:
-        raise ValueError("setting 'codes' is empty")
+    _reject_empty_or_repeated("codes", codes)
     if isinstance(sweeps, list):  # --ebn0 gives every code the same sweep
         sweeps = dict.fromkeys(codes, sweeps)
     scrambler = ScramblerSpec(poly_mask=st["poly"], seed=st["scrambler_seed"])

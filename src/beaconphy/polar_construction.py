@@ -15,6 +15,11 @@ from functools import cached_property
 import numpy as np
 
 
+def _check_eps(eps: float) -> None:
+    if not 0.0 < eps < 1.0:  # NaN fails too
+        raise ValueError("design erasure probability must lie in (0, 1)")
+
+
 def bhattacharyya_profile(n: int, eps: float) -> np.ndarray:
     """Reliability parameter of each bit channel after n polarization levels.
 
@@ -31,8 +36,7 @@ def bhattacharyya_profile(n: int, eps: float) -> np.ndarray:
     """
     if n < 0:
         raise ValueError("level count must be nonnegative")
-    if not 0.0 < eps < 1.0:
-        raise ValueError("design erasure probability must lie in (0, 1)")
+    _check_eps(eps)
     z = np.array([eps], dtype=np.float64)
     for _ in range(n):
         nxt = np.empty(2 * z.size, dtype=np.float64)
@@ -62,6 +66,7 @@ class PolarSpec:
             raise ValueError("info_set must be K sorted distinct indices")
         if info and not 0 <= info[0] <= info[-1] < self.N:
             raise ValueError("info_set indices must lie in [0, N)")
+        _check_eps(self.eps)
         object.__setattr__(self, "info_set", info)
 
     @property

@@ -23,6 +23,7 @@ from beaconphy.analysis import (
     RsLink,
     UncodedLink,
     coding_gain,
+    draw_messages,
     ebn0_at_ber,
     mftp_check,
     run_ber_experiment,
@@ -137,10 +138,10 @@ def test_criterion_05_headline_distribution_256():
     spec = construct(256, 158, 0.5)
     p1 = 0.9
     frames = 10_000
-    scr = run_dist_experiment(spec, encoder="nspe", scrambler=ScramblerSpec(), p1=p1,
-                              frames=frames, master_seed=DEFAULT_MASTER_SEED)
-    unscr = run_dist_experiment(spec, encoder="nspe", scrambler=None, p1=p1,
-                                frames=frames, master_seed=DEFAULT_MASTER_SEED)
+    scr = run_dist_experiment(spec, draw_messages(frames, spec.K, p1, DEFAULT_MASTER_SEED),
+                              encoder="nspe", scrambler=ScramblerSpec())
+    unscr = run_dist_experiment(spec, draw_messages(frames, spec.K, p1, DEFAULT_MASTER_SEED),
+                                encoder="nspe", scrambler=None)
     elapsed = time.perf_counter() - t0
     print(f"criterion 5: scrambled min={scr.min:.4f} max={scr.max:.4f}, "
           f"unscrambled min={unscr.min:.4f} max={unscr.max:.4f}, "
@@ -177,12 +178,10 @@ def test_criterion_05_headline_distribution_256():
 
 def test_criterion_06_long_code_distribution_2048():
     spec = construct(2048, 1024, 0.5)
-    high = run_dist_experiment(spec, encoder="nspe", scrambler=None,
-                               p1=0.9, frames=10_000,
-                               master_seed=DEFAULT_MASTER_SEED)
-    half = run_dist_experiment(spec, encoder="nspe", scrambler=None,
-                               p1=0.5, frames=10_000,
-                               master_seed=DEFAULT_MASTER_SEED)
+    high = run_dist_experiment(spec, draw_messages(10_000, spec.K, 0.9, DEFAULT_MASTER_SEED),
+                               encoder="nspe", scrambler=None)
+    half = run_dist_experiment(spec, draw_messages(10_000, spec.K, 0.5, DEFAULT_MASTER_SEED),
+                               encoder="nspe", scrambler=None)
     print(f"criterion 6: p1=0.9 range=({high.min:.4f}, {high.max:.4f}), "
           f"p1=0.5 range=({half.min:.4f}, {half.max:.4f})")
     # "range within (a +/- tol, b +/- tol)": the observed range must lie
@@ -197,9 +196,8 @@ def test_criterion_06_long_code_distribution_2048():
 
 def test_criterion_07_systematic_drift():
     spec = construct(256, 158, 0.5)
-    stats = run_dist_experiment(spec, encoder="systematic", scrambler=None,
-                                p1=0.9, frames=10_000,
-                                master_seed=DEFAULT_MASTER_SEED)
+    stats = run_dist_experiment(spec, draw_messages(10_000, spec.K, 0.9, DEFAULT_MASTER_SEED),
+                                encoder="systematic", scrambler=None)
     print(f"criterion 7: systematic unscrambled mean={stats.mean:.6f}")
     assert stats.mean >= 0.75
 

@@ -14,6 +14,7 @@ from beaconphy.analysis import (
     RsLink,
     UncodedLink,
     coding_gain,
+    draw_messages,
     ebn0_at_ber,
     mftp_check,
     run_ber_experiment,
@@ -31,7 +32,7 @@ def test_bias_model_validation_and_sampling():
     spec = construct(16, 8)
     for p1 in (1.5, -0.1, float("nan")):
         with pytest.raises(ValueError, match="p1"):
-            run_dist_experiment(spec, p1=p1, frames=1)
+            draw_messages(1, spec.K, p1, DEFAULT_MASTER_SEED)
     v, _ = _draw_frames(5, 0, 1, 100000, 0.9)
     assert abs(v.mean() - 0.9) < 0.01
 
@@ -48,21 +49,21 @@ def test_dist_stats_derived_from_histogram():
 
 def test_dist_experiment_reproducible_and_batch_independent():
     spec = construct(32, 20)
-    kw = dict(encoder="nspe", scrambler=ScramblerSpec(), p1=0.9,
-              frames=300, master_seed=1234)
-    a = run_dist_experiment(spec, **kw, batch=7)
-    b = run_dist_experiment(spec, **kw, batch=128)
+    msgs = draw_messages(300, spec.K, 0.9, 1234)
+    kw = dict(encoder="nspe", scrambler=ScramblerSpec())
+    a = run_dist_experiment(spec, msgs, **kw, batch=7)
+    b = run_dist_experiment(spec, msgs, **kw, batch=128)
     assert np.array_equal(a.samples, b.samples)
     assert np.array_equal(a.weights, b.weights)
     assert a.max_run_length == b.max_run_length
-    c = run_dist_experiment(spec, **kw)
+    c = run_dist_experiment(spec, msgs, **kw)
     assert np.array_equal(a.samples, c.samples)
 
 
 def test_dist_experiment_seed_changes_samples():
     spec = construct(32, 20)
-    a = run_dist_experiment(spec, frames=200, master_seed=1)
-    b = run_dist_experiment(spec, frames=200, master_seed=2)
+    a = run_dist_experiment(spec, draw_messages(200, spec.K, 0.9, 1))
+    b = run_dist_experiment(spec, draw_messages(200, spec.K, 0.9, 2))
     assert not np.array_equal(a.samples, b.samples)
 
 
@@ -71,8 +72,8 @@ def test_dist_samples_rebuild_from_numpy_streams():
     # drawing K uniforms, a bit being 1 below p1.  Rebuilt with numpy alone.
     spec = construct(64, 40)
     seed, p1, frames = 99, 0.8, 150
-    stats = run_dist_experiment(spec, scrambler=None, p1=p1,
-                                frames=frames, master_seed=seed, batch=64)
+    stats = run_dist_experiment(spec, draw_messages(frames, spec.K, p1, seed),
+                                scrambler=None, batch=64)
     msgs = np.array([np.random.default_rng((seed, f)).random(spec.K) < p1
                      for f in range(frames)], dtype=np.uint8)
     assert np.array_equal(stats.samples, encode_nspe(spec, msgs).sum(axis=1) / spec.N)
@@ -81,12 +82,12 @@ def test_dist_samples_rebuild_from_numpy_streams():
 def test_dist_experiment_degenerate_bias():
     spec = construct(16, 8)
     # p1 = 0 unscrambled: every frame is the all-zero codeword.
-    stats = run_dist_experiment(spec, scrambler=None, p1=0.0,
-                                frames=50)
+    stats = run_dist_experiment(spec, draw_messages(50, spec.K, 0.0, DEFAULT_MASTER_SEED),
+                                scrambler=None)
     assert stats.min == 0.0 and stats.max == 0.0
     # Scrambled, the message becomes the fixed keystream: one codeword.
-    stats = run_dist_experiment(spec, scrambler=ScramblerSpec(), p1=0.0,
-                                frames=50)
+    stats = run_dist_experiment(spec, draw_messages(50, spec.K, 0.0, DEFAULT_MASTER_SEED),
+                                scrambler=ScramblerSpec())
     assert stats.min == stats.max
 
 
@@ -94,10 +95,10 @@ def test_dist_experiment_scrambling_invariant_at_balanced_input():
     # A Bernoulli(1/2) message XOR a fixed keystream is still Bernoulli(1/2),
     # so scrambling must not move the mean.
     spec = construct(64, 40)
-    on = run_dist_experiment(spec, scrambler=ScramblerSpec(), p1=0.5,
-                             frames=2000)
-    off = run_dist_experiment(spec, scrambler=None, p1=0.5,
-                              frames=2000)
+    on = run_dist_experiment(spec, draw_messages(2000, spec.K, 0.5, DEFAULT_MASTER_SEED),
+                             scrambler=ScramblerSpec())
+    off = run_dist_experiment(spec, draw_messages(2000, spec.K, 0.5, DEFAULT_MASTER_SEED),
+                              scrambler=None)
     assert abs(on.mean - off.mean) < 0.01
     assert abs(on.mean - 0.5) < 0.01
 
@@ -108,8 +109,8 @@ def test_dist_experiment_scrambles_with_the_given_spec():
     spec = construct(64, 40)
     scrambler = ScramblerSpec(poly_mask=0x25, seed=0x1B)
     assert not np.array_equal(keystream(scrambler, spec.K), keystream(ScramblerSpec(), spec.K))
-    stats = run_dist_experiment(spec, scrambler=scrambler, p1=0.8, frames=200,
-                                master_seed=31, batch=64)
+    stats = run_dist_experiment(spec, draw_messages(200, spec.K, 0.8, 31),
+                                scrambler=scrambler, batch=64)
     msgs, _ = _draw_frames(31, 0, 200, spec.K, 0.8)
     want = encode_nspe(spec, msgs ^ keystream(scrambler, spec.K)).sum(axis=1)
     assert np.array_equal(stats.weights, want)
@@ -118,9 +119,10 @@ def test_dist_experiment_scrambles_with_the_given_spec():
 def test_dist_experiment_validation():
     spec = construct(16, 8)
     with pytest.raises(ValueError):
-        run_dist_experiment(spec, frames=0)
+        draw_messages(0, spec.K, 0.9, DEFAULT_MASTER_SEED)
     with pytest.raises(ValueError):
-        run_dist_experiment(spec, encoder="other")
+        run_dist_experiment(spec, draw_messages(1, spec.K, 0.9, DEFAULT_MASTER_SEED),
+                            encoder="other")
 
 
 def test_ber_point_ratio():

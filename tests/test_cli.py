@@ -391,6 +391,18 @@ def test_malformed_code_description_exits_2(tmp_path, monkeypatch, capsys, comma
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0, 1, -0.5])
+@pytest.mark.parametrize("command, n_in", [("encode", 4), ("decode", 8)])
+def test_code_description_eps_outside_0_1_exits_2(tmp_path, monkeypatch, capsys, command, n_in,
+                                                  eps):
+    doc = {"n": 3, "N": 8, "K": 4, "eps": eps, "info_set": [3, 5, 6, 7]}
+    spec = _write_config(tmp_path / "bad.json", doc)
+    code, out, err = run_cli([command, "--spec", spec], stdin_text="0" * n_in,
+                             monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and out == ""
+    assert err == "error: design erasure probability must lie in (0, 1)\n"
+
+
 @pytest.mark.parametrize("text", ["-19", "-1"])
 def test_scramble_rejects_a_negative_mask(monkeypatch, capsys, text):
     code, out, err = run_cli(["scramble", f"--poly={text}"], stdin_text="0101",
@@ -555,6 +567,27 @@ def test_empty_selection_exits_2_before_any_output(tmp_path, monkeypatch, capsys
 ], ids=["encoders", "sizes", "codes", "ebn0"])
 def test_empty_selection_in_a_sidecar_exits_2(tmp_path, monkeypatch, capsys, command, doc, want):
     monkeypatch.chdir(tmp_path)
+    cfg = _write_config(tmp_path / "c.json", doc)
+    code, stdout, err = run_cli([command, "--config", cfg], monkeypatch=monkeypatch,
+                                capsys=capsys)
+    assert code == 2 and stdout == "" and err == f"error: {want}\n"
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
+@pytest.mark.parametrize("command, flag, text, doc, want", [
+    ("simulate-dist", "--encoders", "nspe,systematic,nspe", {"encoders": ["nspe", "nspe"]},
+     'setting \'encoders\' repeats "nspe"'),
+    ("simulate-dist", "--sizes", "16:8,32:16,16:8", {"sizes": [[16, 8], [32, 16], [16, 8]]},
+     "setting 'sizes' repeats [16, 8]"),
+    ("simulate-ber", "--codes", "uncoded,uncoded", {"codes": ["uncoded", "uncoded"]},
+     'setting \'codes\' repeats "uncoded"'),
+], ids=["encoders", "sizes", "codes"])
+def test_repeated_selection_exits_2_before_any_output(tmp_path, monkeypatch, capsys,
+                                                      command, flag, text, doc, want):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run_cli([command, flag, text], monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and stdout == "" and err == f"error: {want}\n"
+    assert os.listdir(tmp_path) == []
     cfg = _write_config(tmp_path / "c.json", doc)
     code, stdout, err = run_cli([command, "--config", cfg], monkeypatch=monkeypatch,
                                 capsys=capsys)
@@ -850,6 +883,34 @@ def test_simulate_dist_csvs_match_pinned_bytes(tmp_path, monkeypatch, capsys):
     assert len(names) == 9 and sorted(os.listdir(out)) == sorted(names + ["config.json"])
     for name in names:
         assert (out / name).read_bytes() == open(os.path.join(pinned, name), "rb").read(), name
+
+
+def test_simulate_dist_draws_each_size_once_and_leaves_the_draw_intact(
+        tmp_path, monkeypatch, capsys):
+    draws, seen = [], []
+    draw_frames, run = analysis._draw_frames, cli.run_dist_experiment
+
+    def counting_draw(*args, **kwargs):
+        draws.append(args)
+        return draw_frames(*args, **kwargs)
+
+    def checking_run(spec, msgs, **kwargs):
+        before = msgs.copy()
+        stats = run(spec, msgs, **kwargs)
+        assert np.array_equal(msgs, before)
+        seen.append(id(msgs))
+        return stats
+
+    monkeypatch.setattr(analysis, "_draw_frames", counting_draw)
+    monkeypatch.setattr(cli, "run_dist_experiment", checking_run)
+    code, _, _ = run_cli(
+        ["simulate-dist", "--sizes", "256:158,32:16", "--encoders", "nspe,systematic",
+         "--scramble", "both", "--frames", "300", "--out-dir", str(tmp_path / "d")],
+        monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 0
+    assert [args[2:5] for args in draws] == [(300, 158, 0.9), (300, 16, 0.9)]
+    # four configurations encode each size's one array
+    assert len(seen) == 8 and len(set(seen[:4])) == len(set(seen[4:])) == 1
 
 
 @pytest.mark.parametrize("batch", ["128", "1"])

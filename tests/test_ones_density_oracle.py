@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from beaconphy.analysis import run_dist_experiment
+from beaconphy.analysis import draw_messages, run_dist_experiment
 from beaconphy.polar_codec import encode_nspe
 from beaconphy.polar_construction import construct
 from beaconphy.scrambler import ScramblerSpec, keystream
@@ -52,9 +52,8 @@ def test_oracle_hand_values():
 ])
 def test_dist_experiment_moments_match_oracle(N, K, p1, scrambled):
     spec = construct(N, K, 0.5)
-    stats = run_dist_experiment(spec, scrambler=ScramblerSpec() if scrambled else None,
-                                p1=p1, frames=4000,
-                                master_seed=7)
+    stats = run_dist_experiment(spec, draw_messages(4000, spec.K, p1, 7),
+                                scrambler=ScramblerSpec() if scrambled else None)
     ks = keystream(ScramblerSpec(), K) if scrambled else None
     mean, var = ones_density_moments(N, spec.info_set,
                                      message_ones_probabilities(p1, K, ks))

@@ -112,6 +112,9 @@ def test_spec_validation():
         PolarSpec(n=2, N=4, K=2, eps=0.5, info_set=(3, 3))
     with pytest.raises(ValueError):
         PolarSpec(n=2, N=4, K=2, eps=0.5, info_set=(3, 4))
+    for eps in (float("nan"), float("inf"), 0.0, 1.0, -0.5):
+        with pytest.raises(ValueError, match=r"must lie in \(0, 1\)"):
+            PolarSpec(n=2, N=4, K=2, eps=eps, info_set=(2, 3))
 
 
 def test_spec_helpers():
