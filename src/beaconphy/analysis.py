@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bitstream
 from .channel import ChannelParams, RngStream, llr_demap, modulate_ook
-from .polar_codec import encode_nspe, encode_systematic, sc_decode
+from .polar_codec import encode_nspe, encode_position_major, encode_systematic, sc_decode
 from .polar_construction import PolarSpec
 from .reed_solomon import (
     N_SYMBOLS,
@@ -213,16 +213,23 @@ def run_dist_experiment(
     scrambler is None.  msgs is left as it is, so one draw serves every
     encoder and scrambler setting: simulate-dist draws each size's messages
     once and shares them across its encoders and scramble settings."""
-    enc = polar_encoder(encoder)
+    polar_encoder(encoder)  # rejects a name outside ENCODERS
+    if isinstance(batch, bool) or not isinstance(batch, (int, np.integer)) or batch < 1:
+        raise ValueError(f"batch must be a positive int, got {batch!r}")
+    shape = np.shape(msgs)
+    if len(shape) != 2 or shape[0] < 1 or shape[1] != spec.K:
+        raise ValueError(f"msgs must be a (frames >= 1, K={spec.K}) array, got shape {shape}")
     ks = None if scrambler is None else keystream(scrambler, spec.K)
-    frames = msgs.shape[0]
+    frames = shape[0]
     weights = np.empty(frames, dtype=np.int64)
     max_run = 0
     for lo in range(0, frames, batch):
         hi = min(lo + batch, frames)
-        x = enc(spec, msgs[lo:hi] if ks is None else msgs[lo:hi] ^ ks)
-        x.sum(axis=1, dtype=np.int64, out=weights[lo:hi])
-        max_run = max(max_run, bitstream.max_run_length(x))
+        # (N, hi - lo) codewords, one column per frame, never transposed
+        x = encode_position_major(spec, msgs[lo:hi] if ks is None else msgs[lo:hi] ^ ks,
+                                  systematic=encoder == "systematic")
+        x.sum(axis=0, dtype=np.int64, out=weights[lo:hi])
+        max_run = max(max_run, bitstream.max_run_length(x.T))
     return DistStats(spec.N, weights, max_run)
 
 

@@ -1,9 +1,10 @@
 """Bit-vector helpers shared by every coding and simulation module.
 
 Bits live in one-dimensional numpy uint8 arrays holding only 0 and 1;
-max_run_length also takes a (batch, n) array of such rows.  Index 0 is
-always the first transmitted bit.  checked_uint8 is the one input check
-for bits and for Reed-Solomon symbols.
+max_run_length also takes a (batch, n) array of such rows, say the .T of
+the polar encoder's position-major codewords.  Index 0 is always the first
+transmitted bit.  checked_uint8 is the one input check for bits and for
+Reed-Solomon symbols.
 """
 
 from __future__ import annotations
@@ -37,17 +38,29 @@ def as_bits(values) -> np.ndarray:
 def max_run_length(v) -> int:
     """Longest run of identical consecutive bits within any row (0 if empty).
 
-    Takes one bit vector or a (batch, n) array.  A fence value at each row's
-    edges keeps runs from joining across rows, so one scan serves the batch.
+    Takes one bit vector or a (batch, n) array, read position-major (no copy
+    for the .T of a C-order array).  Bitsliced: each row's agreements of
+    neighbouring bits fill one bit lane, and agreeing spans are doubled by
+    whole-array ANDs, then refined by binary search: O(log run) ANDs.
     """
     rows = np.atleast_2d(checked_uint8(v, 1, "bits"))
     if rows.ndim != 2:
         raise ValueError("bit array must be one- or two-dimensional")
     if rows.size == 0:
         return 0
-    fenced = np.full(rows.size + rows.shape[0] + 1, 2, dtype=np.uint8)
-    fenced[:-1].reshape(rows.shape[0], -1)[:, 1:] = rows
-    return int(np.diff(np.flatnonzero(fenced[1:] != fenced[:-1])).max())
+    cols = np.ascontiguousarray(rows.T)
+    # spans[j][i] holds a row's lane set where that row's bits i .. i + 2**j agree
+    spans = [np.packbits(cols[1:] == cols[:-1], axis=1)]
+    while spans[-1].any():
+        s, w = spans[-1], 1 << (len(spans) - 1)
+        spans.append(s[:-w] & s[w:])
+    agree, span = np.full_like(spans[0], 255), 0
+    for j in reversed(range(len(spans) - 1)):  # binary search below the last doubling
+        tail = spans[j][span:]
+        longer = agree[: len(tail)] & tail
+        if longer.any():
+            agree, span = longer, span + (1 << j)
+    return span + 1
 
 
 def to_text(v) -> str:

@@ -61,34 +61,33 @@ def _check_msg(spec: PolarSpec, msg) -> np.ndarray:
     return msg
 
 
-def _transformed(spec: PolarSpec, msg) -> np.ndarray:
-    """The position-major (N, ...) transform of msg placed in the info rows, frozen rows zero."""
+def encode_position_major(spec: PolarSpec, msg, *, systematic: bool = False) -> np.ndarray:
+    """Encode msg (K,) or (..., K) into a new C-order position-major (N, ...) array.
+
+    Non-systematic: the message sits in the info positions, frozen bits
+    zero, and is transformed once.  Systematic (the codeword restricted to
+    info_set equals msg): that codeword's frozen positions are zeroed and
+    the result transformed again, which gives a valid codeword of the same
+    (N, K, info_set) code.
+    """
     msg = _check_msg(spec, msg)
     d = np.zeros((spec.N,) + msg.T.shape[1:], dtype=np.uint8)
     d[spec.info_indices()] = msg.T
     _butterfly(d)
+    if systematic:
+        d[~spec.info_mask()] = 0
+        _butterfly(d)
     return d
 
 
 def encode_nspe(spec: PolarSpec, msg) -> np.ndarray:
-    """Non-systematic encode: message into info positions, frozen bits zero.
-
-    Accepts (K,) or (..., K); returns the matching C-order (..., N) codeword array.
-    """
-    return _transformed(spec, msg).T.copy()
+    """encode_position_major's non-systematic codewords as a C-order (..., N) array."""
+    return encode_position_major(spec, msg).T.copy()
 
 
 def encode_systematic(spec: PolarSpec, msg) -> np.ndarray:
-    """Systematic encode: the codeword restricted to info_set equals msg.
-
-    Two-pass method: the non-systematic codeword of msg, its frozen
-    positions zeroed, transformed again.  The result is a valid codeword of
-    the same (N, K, info_set) code.
-    """
-    v = _transformed(spec, msg)
-    v[~spec.info_mask()] = 0
-    _butterfly(v)
-    return v.T.copy()
+    """encode_position_major's systematic codewords as a C-order (..., N) array."""
+    return encode_position_major(spec, msg, systematic=True).T.copy()
 
 
 @lru_cache(maxsize=32)

@@ -125,6 +125,25 @@ def test_dist_experiment_validation():
                             encoder="other")
 
 
+@pytest.mark.parametrize("msgs_shape, batch, match", [
+    ((10, 8), -1, "batch must be a positive int, got -1"),
+    ((10, 8), 0, "batch must be a positive int, got 0"),
+    ((10, 8), 2.0, "batch must be a positive int, got 2.0"),
+    ((10, 8), True, "batch must be a positive int, got True"),
+    ((0, 8), 4, r"frames >= 1, K=8\) array, got shape \(0, 8\)"),
+    ((8,), 4, r"frames >= 1, K=8\) array, got shape \(8,\)"),
+    ((10, 7), 4, r"frames >= 1, K=8\) array, got shape \(10, 7\)"),
+], ids=["batch-negative", "batch-zero", "batch-float", "batch-bool", "no-frames", "one-dim",
+        "wrong-width"])
+def test_dist_experiment_rejects_bad_msgs_or_batch(msgs_shape, batch, match):
+    # each once returned garbage or raised a numpy error: batch=-1 gave the
+    # np.empty weights and max_run 0, no frames a DistStats whose mean divided
+    # by zero, a 1-D array numpy's AxisError, a wrong width a broadcast error
+    spec = construct(16, 8)
+    with pytest.raises(ValueError, match=match):
+        run_dist_experiment(spec, np.zeros(msgs_shape, dtype=np.uint8), batch=batch)
+
+
 def test_ber_point_ratio():
     p = BerPoint(10.0, bits_sent=2000, bit_errors=3, frames_sent=10, frame_errors=2)
     assert p.ber == pytest.approx(1.5e-3)

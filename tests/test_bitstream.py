@@ -75,6 +75,24 @@ def test_max_run_length_matches_naive_scan():
     # joined across rows, both runs would reach 5.
     rows = np.array([[0, 1, 0, 1, 1], [1, 1, 1, 0, 0], [0, 0, 0, 1, 0]], dtype=np.uint8)
     assert bitstream.max_run_length(rows) == 3
+    # The .T view of a C-order position-major (n, batch) array, scanned
+    # without a copy, and bool input.
+    for n, batch in [(256, 500), (33, 9), (7, 64)]:
+        cols = (rng.random((n, batch)) < 0.9).astype(np.uint8)
+        want = max(naive_max_run(r) for r in cols.T)
+        assert bitstream.max_run_length(cols.T) == want
+        assert bitstream.max_run_length(cols.T.astype(bool)) == want
+        assert bitstream.max_run_length(cols.astype(bool)[:, 0]) == naive_max_run(cols[:, 0])
+    # All-equal rows: run = n takes every doubling step until the span is empty.
+    for n in range(1, 301):
+        for bit in (0, 1):
+            rows = np.full((3, n), bit, dtype=np.uint8)
+            assert bitstream.max_run_length(rows) == naive_max_run(rows[0]) == n
+    # n = 1 and n = 2 at batches that leave 0 to 7 packbits padding lanes.
+    for n in (1, 2):
+        for batch in range(1, 18):
+            rows = rng.integers(0, 2, (batch, n), dtype=np.uint8)
+            assert bitstream.max_run_length(rows) == max(naive_max_run(r) for r in rows)
     assert bitstream.max_run_length(np.ones((4, 6), dtype=np.uint8)) == 6
     assert bitstream.max_run_length(np.zeros((5, 1), dtype=np.uint8)) == 1
     assert bitstream.max_run_length(np.zeros((3, 0), dtype=np.uint8)) == 0

@@ -871,16 +871,21 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 
 def test_simulate_dist_csvs_match_pinned_bytes(tmp_path, monkeypatch, capsys):
     # data/dist_pinned/ was written by the butterfly that ran along the last
-    # axis of (batch, N); both encoders, scrambled or not, at two sizes
+    # axis of (batch, N); both encoders, scrambled or not, at two sizes.  Its
+    # stdout.txt, which holds each configuration's max_run, was written by the
+    # fenced flatnonzero/diff run-length scan that read (batch, N) rows.
     pinned = os.path.join(DATA, "dist_pinned")
     out = tmp_path / "dist"
-    code, _, _ = run_cli(
+    code, stdout, _ = run_cli(
         ["simulate-dist", "--sizes", "256:158,32:16", "--encoders", "nspe,systematic",
          "--scramble", "both", "--frames", "300", "--out-dir", str(out)],
         monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0
-    names = sorted(os.listdir(pinned))
-    assert len(names) == 9 and sorted(os.listdir(out)) == sorted(names + ["config.json"])
+    with open(os.path.join(pinned, "stdout.txt"), "rb") as f:
+        assert stdout.encode() == f.read()
+    names = sorted(n for n in os.listdir(pinned) if n.endswith(".csv"))
+    assert len(names) == 9 and sorted(os.listdir(pinned)) == sorted(names + ["stdout.txt"])
+    assert sorted(os.listdir(out)) == sorted(names + ["config.json"])
     for name in names:
         assert (out / name).read_bytes() == open(os.path.join(pinned, name), "rb").read(), name
 

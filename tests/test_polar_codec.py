@@ -5,6 +5,7 @@ import pytest
 
 from beaconphy.polar_codec import (
     encode_nspe,
+    encode_position_major,
     encode_systematic,
     polar_transform,
     sc_decode,
@@ -255,6 +256,10 @@ def test_transform_and_encoders_match_kron_oracle_in_every_layout(lead):
             assert got.dtype == np.uint8 and got.flags.c_contiguous, name
             assert got.shape == lead + (64,), name
             assert np.array_equal(got, want), name
+        for systematic, want in ((False, nspe), (True, syst)):  # position-major (N, ...)
+            got = encode_position_major(spec, msgs, systematic=systematic)
+            assert got.dtype == np.uint8 and got.flags.c_contiguous, name
+            assert np.array_equal(got.T, want), name
         assert np.array_equal(msgs, before), name
     for name, bits in layouts(rng, lead + (64,)).items():
         assert np.array_equal(polar_transform(bits), (bits @ g % 2).astype(np.uint8)), name
