@@ -246,6 +246,17 @@ class BerPoint:
         return self.bit_errors / self.bits_sent if self.bits_sent else 0.0
 
 
+def _frames(arr, width: int, what: str) -> np.ndarray:
+    """arr as an array, once it is known to hold whole (frames, width) rows.
+
+    The one shape check of every link's encode and decode.
+    """
+    arr = np.asarray(arr)
+    if arr.ndim != 2 or arr.shape[1] != width:
+        raise ValueError(f"{what} must have shape (frames, {width}), got {arr.shape}")
+    return arr
+
+
 class PolarLink:
     """Scrambler plus non-systematic polar encoder, decoded by SC."""
 
@@ -259,11 +270,13 @@ class PolarLink:
         self.rate = self.frame_bits / self.tx_bits
 
     def encode(self, msgs: np.ndarray) -> np.ndarray:
+        msgs = _frames(msgs, self.frame_bits, "messages")
         if self.key is not None:
             msgs = msgs ^ self.key
         return encode_nspe(self.spec, msgs)
 
     def decode(self, y: np.ndarray, params: ChannelParams):
+        y = _frames(y, self.tx_bits, "received samples")
         hat = sc_decode(self.spec, llr_demap(y, params), exact=self.exact)
         if self.key is not None:
             hat = hat ^ self.key
@@ -291,6 +304,7 @@ class RsLink:
         self.rate = self.frame_bits / self.tx_bits
 
     def encode(self, msgs: np.ndarray) -> np.ndarray:
+        msgs = _frames(msgs, self.frame_bits, "messages")
         nframes = msgs.shape[0]
         padded = np.zeros((nframes, self.padded_symbols * SYMBOL_BITS), dtype=np.uint8)
         padded[:, : self.frame_bits] = msgs
@@ -300,6 +314,7 @@ class RsLink:
     def decode(self, y: np.ndarray, params: ChannelParams):
         """Hard-decide, then decode every block in one rs_decode call.  A
         failed block decodes to zero."""
+        y = _frames(y, self.tx_bits, "received samples")
         nframes = y.shape[0]
         hard = (y > 0.5).astype(np.uint8)
         msgs, failed = rs_decode(self.spec, bits_to_symbols(hard).reshape(-1, N_SYMBOLS))
@@ -318,9 +333,10 @@ class UncodedLink:
         self.rate = self.frame_bits / self.tx_bits
 
     def encode(self, msgs: np.ndarray) -> np.ndarray:
-        return msgs
+        return _frames(msgs, self.frame_bits, "messages")
 
     def decode(self, y: np.ndarray, params: ChannelParams):
+        y = _frames(y, self.tx_bits, "received samples")
         hard = (y > 0.5).astype(np.uint8)
         return hard, np.zeros(y.shape[0], dtype=bool)
 

@@ -7,14 +7,27 @@ exactly (N/2) log2 N single-bit XORs and is its own inverse.
 
 LLR convention throughout: positive means bit 0 is more likely.
 
-sc_decode makes the decisions of plain successive cancellation (SC) in the
-simplified-SC way (Alamdar-Yazdi & Kschischang, 2011), recursing over the
-code tree.  It skips rate-0 subtrees (all frozen: their partial sums are the
-zeros the buffer starts with, and a parent's g step becomes a + b) and
-decides a rate-1 subtree (all info) by the hard decision of its LLRs.  That
-shortcut equals SC under min-sum only when every LLR reaching the node is
-nonzero and not NaN; otherwise, and always under the tanh rule, the node is
-split into its two halves as SC does.
+sc_decode makes the decisions of plain successive cancellation (SC),
+recursing over the code tree and deciding four kinds of node in one step,
+as simplified SC (Alamdar-Yazdi & Kschischang, 2011) and Fast-SSC (Sarkis
+et al., 2014) do.  Each one-step decision equals SC's own under the guard
+given; a node whose guard fails is split into its two halves as SC does.
+- Rate 0 (all frozen): skipped.  Its partial sums are the zeros the buffer
+  starts with, and a parent's g step becomes a + b.
+- Rate 1 (all info): the hard decision of each LLR.  Guard, above a single
+  position: min-sum, and every LLR reaching the node nonzero and not NaN.
+- Repetition (only the last position info): the sign of the LLRs' sum,
+  taken in SC's order of g steps, written to every partial sum.  No check
+  node lies on the way, so this holds in both modes, unguarded.
+- Single parity check (only the first position frozen): Wagner's rule, the
+  hard decisions with each odd-parity frame's least reliable bit flipped.
+  Guard: min-sum, every |LLR| nonzero and not NaN, and in every frame of
+  the batch the least |LLR| held by one position alone.  Then, by induction
+  on the node size, the left child is such a node on the magnitudes
+  min(|a|, |b|), the right child's g LLRs keep the signs of b except at the
+  flipped pair, where the larger magnitude wins, and every rate-1 step
+  below is free of ties, so SC returns Wagner's decision.  Under the tanh
+  rule, or with a tied least |LLR|, SC can decide otherwise.
 """
 
 from __future__ import annotations
@@ -105,9 +118,26 @@ def _decide(cum: tuple, l: np.ndarray, bits: np.ndarray, lo: int, exact: bool) -
     info = cum[lo + m] - cum[lo]
     if not info:  # rate 0: its partial sums are the zeros bits starts with
         return
-    if info == m and (m == 1 or not exact and np.abs(l).min(initial=np.inf) > 0):
-        np.less(l, 0.0, out=bits[lo : lo + m])  # rate 1 with no tie or NaN
+    x = bits[lo : lo + m]
+    if info == m and (m == 1 or not exact and np.minimum.reduce(
+            np.abs(l), axis=None, initial=np.inf) > 0):
+        np.less(l, 0.0, out=x)  # rate 1 with no tie or NaN
         return
+    if info == 1 and cum[lo + m - 1] == cum[lo]:  # repetition
+        s = l
+        while len(s) > 1:  # the g steps of SC, whose left siblings are all rate 0
+            s = s[len(s) >> 1 :] + s[: len(s) >> 1]
+        np.less(s, 0.0, out=x)
+        return
+    if info == m - 1 and cum[lo + 1] == cum[lo] and not exact:  # single parity check
+        mag = np.abs(l)
+        least = np.minimum.reduce(mag, axis=0)  # NaN in a frame that holds one
+        weakest = mag == least
+        if (np.minimum.reduce(least, initial=np.inf) > 0
+                and np.count_nonzero(weakest) == l.shape[1]):
+            np.less(l, 0.0, out=x)  # Wagner: flip the least reliable bit of an odd frame
+            x ^= weakest & np.logical_xor.reduce(x, axis=0)
+            return
     a, b, out = l[:h], l[h:], np.empty((h, l.shape[1]))
     left = cum[lo + h] > cum[lo]
     if left:
@@ -121,9 +151,9 @@ def _decide(cum: tuple, l: np.ndarray, bits: np.ndarray, lo: int, exact: bool) -
     if cum[lo + m] > cum[lo + h]:
         np.add(b, a, out=out)
         if left:
-            np.subtract(b, a, out=out, where=bits[lo : lo + h])
+            np.subtract(b, a, out=out, where=x[:h])
         _decide(cum, out, bits, lo + h, exact)
-        bits[lo : lo + h] ^= bits[lo + h : lo + m]
+        x[:h] ^= x[h:]
 
 
 def sc_decode(spec: PolarSpec, llr, *, exact: bool = False) -> np.ndarray:

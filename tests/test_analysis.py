@@ -457,3 +457,22 @@ def test_links_reject_nonpositive_frame_bits():
             RsLink(7, frame_bits=bits)
         with pytest.raises(ValueError):
             UncodedLink(frame_bits=bits)
+
+
+def test_links_reject_misshapen_frames():
+    params = ChannelParams(noise_var=0.01)
+    for link in (PolarLink(construct(256, 158)), RsLink(7), UncodedLink()):
+        k, n = link.frame_bits, link.tx_bits
+        for msgs in (np.zeros(k), np.zeros((2, k + 4)), np.zeros((2, 1, k)), np.zeros(())):
+            with pytest.raises(ValueError, match=rf"messages must have shape \(frames, {k}\)"):
+                link.encode(msgs.astype(np.uint8))
+        for y in (np.zeros(n), np.zeros((2, n + 4)), np.zeros((2, n - 1)), np.zeros((1, 2, n))):
+            with pytest.raises(ValueError, match=rf"samples must have shape \(frames, {n}\)"):
+                link.decode(y, params)
+    # the three mistakes that used to pass without an error
+    with pytest.raises(ValueError):
+        PolarLink(construct(256, 158)).decode(np.zeros(256), params)
+    with pytest.raises(ValueError):
+        RsLink(7).encode(np.zeros(158, np.uint8))
+    with pytest.raises(ValueError):
+        UncodedLink().decode(np.zeros((3, 162)), params)

@@ -1,8 +1,9 @@
 """sc_decode against the recursive SC reference in tests/sc_oracle.py.
 
-The production decoder skips rate-0 subtrees and hard-decides rate-1
-subtrees; every case here asks for the same decisions as plain SC, bit for
-bit, in min-sum and tanh (exact=True) modes.  The node-update hand values
+The production decoder skips rate-0 subtrees, hard-decides rate-1 subtrees,
+sums repetition subtrees and decides single-parity-check subtrees by
+Wagner's rule; every case here asks for the same decisions as plain SC, bit
+for bit, in min-sum and tanh (exact=True) modes.  The node-update hand values
 check the reference itself.
 """
 
@@ -157,3 +158,135 @@ def test_single_vector_calls_match_batch(exact):
         single = sc_decode(spec, llr[row], exact=exact)
         assert single.shape == (spec.K,) and np.array_equal(single, batch[row])
     assert sc_decode(spec, llr[:0], exact=exact).shape == (0, spec.K)
+
+
+# --- repetition and single-parity-check nodes -----------------------------------
+# sc_decode decides a whole repetition node (only its last position is info)
+# from the sum of its LLRs, and under min-sum a whole single-parity-check node
+# (only its first position frozen) by Wagner's rule when every frame's least
+# |LLR| is nonzero and unique.  The (N, 1) and (N, N-1) codes below are one
+# such node at the root.
+
+NODE_SIZES = (4, 8, 16, 32, 64)
+
+
+def spc_spec(N):
+    return PolarSpec(n=N.bit_length() - 1, N=N, K=N - 1, eps=0.5, info_set=tuple(range(1, N)))
+
+
+def rep_spec(N):
+    return PolarSpec(n=N.bit_length() - 1, N=N, K=1, eps=0.5, info_set=(N - 1,))
+
+
+def wagner(llr):
+    """Hard decisions, with the least reliable bit of each odd-weight row flipped."""
+    hard = (llr < 0).astype(np.uint8)
+    rows = np.arange(len(llr))
+    hard[rows, np.abs(llr).argmin(axis=1)] ^= hard.sum(axis=1, dtype=np.uint8) & 1
+    return hard
+
+
+def tie_free(rng, frames, N):
+    llr = rng.normal(0.0, 2.0, (frames, N))
+    least_two = np.sort(np.abs(llr), axis=1)[:, :2]
+    assert (least_two[:, 0] > 0).all() and (least_two[:, 0] < least_two[:, 1]).all()
+    return llr
+
+
+TIE_KINDS = ("shared least", "zero", "nan", "hard inf word", "some inf")
+
+
+def with_ties(rng, frames, N, kind):
+    """Rows of one kind: a least |LLR| shared, zero, NaN or infinite.
+
+    Every row of a batch has the kind, so each batch tests the guard on its
+    own; "some inf" rows keep a unique finite least |LLR|.
+    """
+    llr = rng.normal(0.0, 2.0, (frames, N))
+    for row in llr:
+        i, j = rng.choice(N, 2, replace=False)
+        if kind == "shared least":  # signs at random
+            row[[i, j]] = rng.choice((-1.0, 1.0), 2) * np.abs(row).min() / 2
+        elif kind == "zero":
+            row[i] = rng.choice((0.0, -0.0))
+        elif kind == "nan":
+            row[i] = np.nan
+        elif kind == "hard inf word":  # every magnitude tied
+            row[:] = np.where(row < 0, -np.inf, np.inf)
+        else:
+            row[rng.random(N) < 0.5] *= np.inf
+    return llr
+
+
+@pytest.mark.parametrize("N", NODE_SIZES)
+def test_spc_codes_decide_by_wagners_rule(N):
+    spec = spc_spec(N)
+    llr = tie_free(np.random.default_rng(700 + N), 400, N)
+    codewords = encode_nspe(spec, sc_decode(spec, llr))
+    want = wagner(llr)
+    assert want.sum(axis=1).max() > 0 and not (want.sum(axis=1) % 2).any()
+    assert np.array_equal(codewords, want)
+    assert np.array_equal(encode_nspe(spec, sc_oracle.sc_decode(spec.info_mask(), llr)), want)
+    assert_matches_oracle(spec, llr, True)
+
+
+@pytest.mark.parametrize("exact", MODES)
+@pytest.mark.parametrize("N", NODE_SIZES)
+def test_rep_codes_decide_by_the_llr_sum(N, exact):
+    # Integer LLRs sum exactly in any order, and zero sums occur; an inf of
+    # each sign makes the sum NaN, which decides 0 as LLR 0 does.
+    spec = rep_spec(N)
+    rng = np.random.default_rng(800 + N)
+    llr = rng.integers(-6, 7, (600, N)).astype(np.float64)
+    llr[:40, 0] = np.inf
+    llr[20:60, 1] = -np.inf
+    llr[60:80] = np.where(rng.random((20, N)) < 0.5, np.inf, -np.inf)
+    with np.errstate(invalid="ignore"):
+        total = llr.sum(axis=1)
+    assert (total < 0).any() and (total == 0).any() and np.isnan(total).any()
+    assert np.array_equal(sc_decode(spec, llr, exact=exact), (total < 0).astype(np.uint8)[:, None])
+    assert_matches_oracle(spec, llr, exact)
+
+
+@pytest.mark.parametrize("exact", MODES)
+@pytest.mark.parametrize("N", NODE_SIZES)
+def test_spc_and_rep_codes_with_ties_zeros_nan_and_inf(N, exact):
+    rng = np.random.default_rng(900 + N)
+    for spec in (spc_spec(N), rep_spec(N)):
+        for kind in TIE_KINDS:
+            assert_matches_oracle(spec, with_ties(rng, 60, N, kind), exact)
+        # Integer LLRs: ties inside the tree too, on the f and g values.
+        assert_matches_oracle(spec, rng.integers(-3, 4, (300, N)).astype(np.float64), exact)
+
+
+@pytest.mark.parametrize("exact", MODES)
+def test_one_tied_frame_in_a_batch_matches_single_frame_decodes(exact):
+    rng = np.random.default_rng(1000)
+    for spec in (spc_spec(64), construct(256, 158)):
+        llr = tie_free(rng, 25, spec.N)
+        weak = np.abs(llr[7]).argmin()
+        llr[7, (weak + 1) % spec.N] = -llr[7, weak]
+        batch = sc_decode(spec, llr, exact=exact)
+        for row in range(len(llr)):
+            assert np.array_equal(sc_decode(spec, llr[row], exact=exact), batch[row])
+        assert_matches_oracle(spec, llr, exact)
+
+
+@pytest.mark.parametrize("exact", MODES)
+@pytest.mark.parametrize("N", NODE_SIZES)
+def test_nan_frames_beside_tied_frames(N, exact):
+    # A NaN frame has no position at its (NaN) least |LLR| and a tied frame
+    # has two, so this batch holds one per frame on average: only the NaN
+    # itself can send the node into its halves.
+    spec = spc_spec(N)
+    rng = np.random.default_rng(1100 + N)
+    llr = tie_free(rng, 40, N)
+    for row in llr[0::2]:
+        row[rng.integers(N)] = np.nan
+    for row in llr[1::2]:
+        weak = np.abs(row).argmin()
+        row[(weak + 1 + rng.integers(N - 1)) % N] = -row[weak]
+    assert_matches_oracle(spec, llr, exact)
+    batch = sc_decode(spec, llr, exact=exact)
+    for row in range(len(llr)):
+        assert np.array_equal(sc_decode(spec, llr[row], exact=exact), batch[row])
