@@ -309,7 +309,7 @@ class RsLink:
         padded = np.zeros((nframes, self.padded_symbols * SYMBOL_BITS), dtype=np.uint8)
         padded[:, : self.frame_bits] = msgs
         syms = bits_to_symbols(padded).reshape(nframes, self.blocks, self.spec.k)
-        return symbols_to_bits(rs_encode(self.spec, syms).reshape(nframes, -1))
+        return symbols_to_bits(rs_encode(self.spec, syms).reshape(nframes, self.blocks * N_SYMBOLS))
 
     def decode(self, y: np.ndarray, params: ChannelParams):
         """Hard-decide, then decode every block in one rs_decode call.  A
@@ -317,8 +317,9 @@ class RsLink:
         y = _frames(y, self.tx_bits, "received samples")
         nframes = y.shape[0]
         hard = (y > 0.5).astype(np.uint8)
-        msgs, failed = rs_decode(self.spec, bits_to_symbols(hard).reshape(-1, N_SYMBOLS))
-        bits = symbols_to_bits(msgs.reshape(nframes, -1))[:, : self.frame_bits]
+        words = bits_to_symbols(hard).reshape(nframes * self.blocks, N_SYMBOLS)
+        msgs, failed = rs_decode(self.spec, words)
+        bits = symbols_to_bits(msgs.reshape(nframes, self.padded_symbols))[:, : self.frame_bits]
         return bits, failed.reshape(nframes, self.blocks).any(axis=1)
 
 

@@ -7,11 +7,11 @@ exactly (N/2) log2 N single-bit XORs and is its own inverse.
 
 LLR convention throughout: positive means bit 0 is more likely.
 
-sc_decode makes the decisions of plain successive cancellation (SC),
-recursing over the code tree and deciding four kinds of node in one step,
-as simplified SC (Alamdar-Yazdi & Kschischang, 2011) and Fast-SSC (Sarkis
-et al., 2014) do.  Each one-step decision equals SC's own under the guard
-given; a node whose guard fails is split into its two halves as SC does.
+sc_decode makes the decisions of plain successive cancellation (SC) and
+decides four kinds of node in one step, as simplified SC (Alamdar-Yazdi &
+Kschischang, 2011) and Fast-SSC (Sarkis et al., 2014) do.  Each one-step
+decision equals SC's own under the guard given; a node whose guard fails is
+split into its two halves as SC does.
 - Rate 0 (all frozen): skipped.  Its partial sums are the zeros the buffer
   starts with, and a parent's g step becomes a + b.
 - Rate 1 (all info): the hard decision of each LLR.  Guard, above a single
@@ -28,12 +28,21 @@ given; a node whose guard fails is split into its two halves as SC does.
   flipped pair, where the larger magnitude wins, and every rate-1 step
   below is free of ties, so SC returns Wagner's decision.  Under the tanh
   rule, or with a tied least |LLR|, SC can decide otherwise.
+
+The walk over the code tree is compiled once per (spec, exact, batch size)
+into a plan: numpy calls bound with out= to fixed views of one workspace
+(one LLR buffer per tree level, whose free rows serve as scratch, and the
+(N, batch) partial sums), and per guarded node a closure that, when the
+guard fails, runs the node's split, compiled the first time.  A call copies its LLRs in, runs the plan,
+re-encodes and gathers the message into a new array.  Workspaces are pooled
+per key, under a bounded lru_cache: a call pops one, or compiles a fresh
+one, and puts it back when done, so no two threads ever share one.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -103,57 +112,97 @@ def encode_systematic(spec: PolarSpec, msg) -> np.ndarray:
     return encode_position_major(spec, msg, systematic=True).T.copy()
 
 
-@lru_cache(maxsize=32)
-def _cum(spec: PolarSpec) -> tuple:
-    """``_cum(spec)[i]`` counts the info positions below i."""
-    return (0, *itertools.accumulate(spec.info_mask().tolist()))
+def _compile(spec: PolarSpec, exact: bool, batch: int) -> tuple:
+    """A fresh workspace for ``batch`` frames and the plan that decodes on it.
 
-
-def _decide(cum: tuple, l: np.ndarray, bits: np.ndarray, lo: int, exact: bool) -> None:
-    """Decide the node whose (m, batch) LLRs are ``l`` and first position ``lo``.
-
-    Writes the node's partial sums into ``bits[lo : lo + m]``.
+    Returns ``(llr, bits, plan)``.  With the root LLRs in ``llr[N:]``,
+    running each call of ``plan`` in turn leaves every position's partial
+    sum in ``bits``; rate-0 positions keep their zeros.  The calls are numpy
+    ufuncs with their operands bound to fixed views of the workspace, plus
+    one closure per guarded node, whose split is compiled the first time its
+    guard fails.
     """
-    m, h = len(l), len(l) >> 1
-    info = cum[lo + m] - cum[lo]
-    if not info:  # rate 0: its partial sums are the zeros bits starts with
-        return
-    x = bits[lo : lo + m]
-    if info == m and (m == 1 or not exact and np.minimum.reduce(
-            np.abs(l), axis=None, initial=np.inf) > 0):
-        np.less(l, 0.0, out=x)  # rate 1 with no tie or NaN
-        return
-    if info == 1 and cum[lo + m - 1] == cum[lo]:  # repetition
-        s = l
-        while len(s) > 1:  # the g steps of SC, whose left siblings are all rate 0
-            s = s[len(s) >> 1 :] + s[: len(s) >> 1]
-        np.less(s, 0.0, out=x)
-        return
-    if info == m - 1 and cum[lo + 1] == cum[lo] and not exact:  # single parity check
-        mag = np.abs(l)
-        least = np.minimum.reduce(mag, axis=0)  # NaN in a frame that holds one
-        weakest = mag == least
-        if (np.minimum.reduce(least, initial=np.inf) > 0
-                and np.count_nonzero(weakest) == l.shape[1]):
-            np.less(l, 0.0, out=x)  # Wagner: flip the least reliable bit of an odd frame
-            x ^= weakest & np.logical_xor.reduce(x, axis=0)
-            return
-    a, b, out = l[:h], l[h:], np.empty((h, l.shape[1]))
-    left = cum[lo + h] > cum[lo]
-    if left:
-        if exact:
-            out[:] = 2.0 * np.arctanh(np.tanh(a / 2.0) * np.tanh(b / 2.0))
-        else:
-            # a * b carries sign(a) sign(b), also when it underflows to +-0;
-            # it is NaN only where min(|a|, |b|) is 0 or NaN.
-            np.copysign(np.minimum(np.abs(a), np.abs(b), out=out), a * b, out=out)
-        _decide(cum, out, bits, lo, exact)
-    if cum[lo + m] > cum[lo + h]:
-        np.add(b, a, out=out)
+    N, cum = spec.N, (0, *itertools.accumulate(spec.info_mask().tolist()))
+    # A node of size m reads rows m .. 2m, writes its children's LLRs to rows
+    # m/2 .. m, and takes rows 0 .. m, free until then, as scratch.
+    llr = np.empty((2 * N, batch))
+    bits = np.zeros((N, batch), dtype=bool)
+    weak, least, odd = np.empty((N, batch), bool), np.empty(batch), np.empty(batch, bool)
+
+    def lazy_split(lo, m):
+        plan = []
+
+        def run():
+            if not plan:
+                plan.extend(node(lo, m, split=True))
+            for op in plan:
+                op()
+        return run
+
+    def node(lo, m, split=False):
+        """The calls that decide node (lo, m): none for rate 0, its split if ``split``."""
+        info, h = cum[lo + m] - cum[lo], m >> 1
+        l, x, free = llr[m : 2 * m], bits[lo : lo + m], llr[:m]
+        if not info:  # rate 0: its partial sums are the zeros bits holds
+            return []
+        if info == m == 1:
+            return [partial(np.less, l, 0.0, x)]
+        if info == m and not exact and not split:
+            fallback = lazy_split(lo, m)
+
+            def rate1():
+                if np.minimum.reduce(np.abs(l, free), axis=None, initial=np.inf) > 0:
+                    np.less(l, 0.0, x)  # no tie or NaN
+                else:
+                    fallback()
+            return [rate1]
+        if info == 1 and cum[lo + m - 1] == cum[lo]:  # repetition
+            sums = [partial(np.add, l[h:], l[:h], free[:h])]
+            while h > 1:  # the g steps of SC, whose left siblings are all rate 0
+                h >>= 1
+                sums.append(partial(np.add, free[h : 2 * h], free[:h], free[:h]))
+            return sums + [partial(np.less, free[:1], 0.0, x)]
+        if info == m - 1 and cum[lo + 1] == cum[lo] and not exact and not split:  # parity check
+            fallback, w = lazy_split(lo, m), weak[:m]
+
+            def spc():
+                np.minimum.reduce(np.abs(l, free), axis=0, out=least)  # NaN in a NaN frame
+                np.equal(free, least, w)
+                if np.minimum.reduce(least, initial=np.inf) > 0 and np.count_nonzero(w) == batch:
+                    np.less(l, 0.0, x)  # Wagner: flip the least reliable bit of an odd frame
+                    np.logical_xor.reduce(x, axis=0, out=odd)
+                    np.logical_xor(x, np.logical_and(w, odd, w), x)
+                else:
+                    fallback()
+            return [spc]
+        a, b, out, left = l[:h], l[h:], free[h:], cum[lo + h] > cum[lo]
+        plan = []
         if left:
-            np.subtract(b, a, out=out, where=x[:h])
-        _decide(cum, out, bits, lo + h, exact)
-        x[:h] ^= x[h:]
+            if exact:
+                plan += [partial(np.divide, l, 2.0, free), partial(np.tanh, free, free),
+                         partial(np.multiply, free[:h], out, out),
+                         partial(np.arctanh, out, out), partial(np.multiply, 2.0, out, out)]
+            else:
+                # a * b carries sign(a) sign(b), also when it underflows to +-0;
+                # it is NaN only where min(|a|, |b|) is 0 or NaN.
+                plan += [partial(np.abs, l, free), partial(np.minimum, free[:h], out, out=out),
+                         partial(np.multiply, a, b, free[:h]),
+                         partial(np.copysign, out, free[:h], out)]
+            plan += node(lo, h)
+        if cum[lo + m] > cum[lo + h]:
+            plan.append(partial(np.add, b, a, out))
+            if left:
+                plan.append(partial(np.subtract, b, a, out, where=x[:h]))
+            plan += node(lo + h, h) + [partial(np.logical_xor, x[:h], x[h:], x[:h])]
+        return plan
+
+    return llr, bits, node(0, N)
+
+
+@lru_cache(maxsize=8)
+def _pool(spec: PolarSpec, exact: bool, batch: int) -> list:
+    """The idle compiled workspaces of one (spec, exact, batch)."""
+    return []
 
 
 def sc_decode(spec: PolarSpec, llr, *, exact: bool = False) -> np.ndarray:
@@ -173,10 +222,19 @@ def sc_decode(spec: PolarSpec, llr, *, exact: bool = False) -> np.ndarray:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != spec.N:
         raise ValueError(f"LLR input must have length N={spec.N}")
-    # Position-major: row i holds position i of every frame.
-    bits = np.zeros((spec.N, arr.shape[0]), dtype=bool)
+    pool = _pool(spec, bool(exact), arr.shape[0])
+    try:
+        workspace = pool.pop()
+    except IndexError:
+        workspace = _compile(spec, bool(exact), arr.shape[0])
+    llrs, bits, plan = workspace
+    # Row i holds position i of every frame.  The plan never writes a rate-0
+    # position, and the re-encode returns every frozen position to 0.
+    llrs[spec.N :] = arr.T
     with np.errstate(all="ignore"):  # inf - inf gives NaN, as in plain SC
-        _decide(_cum(spec), np.ascontiguousarray(arr.T), bits, 0, exact)
-    _butterfly(bits.view(np.uint8))
-    msg = bits[spec.info_indices()].T.astype(np.uint8, order="C")
+        for op in plan:
+            op()
+    _butterfly(bits.view(np.uint8))  # partial sums to decided bits
+    msg = bits[spec.info_indices()].T.astype(np.uint8, order="C")  # a copy, never a view
+    pool.append(workspace)
     return msg[0] if single else msg

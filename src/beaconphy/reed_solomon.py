@@ -22,6 +22,7 @@ returned failure array; that is a value, not a fault.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -282,7 +283,7 @@ def bits_to_symbols(bits) -> np.ndarray:
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.shape[-1] % SYMBOL_BITS:
         raise ValueError("bit count must be a multiple of 4")
-    shaped = bits.reshape(bits.shape[:-1] + (-1, SYMBOL_BITS))
+    shaped = bits.reshape(bits.shape[:-1] + (bits.shape[-1] // SYMBOL_BITS, SYMBOL_BITS))
     weights = np.array([8, 4, 2, 1], dtype=np.uint8)
     return shaped @ weights
 
@@ -295,4 +296,4 @@ def symbols_to_bits(symbols) -> np.ndarray:
     symbols = np.asarray(symbols)
     shifts = np.array([3, 2, 1, 0])
     bits = (symbols[..., None] >> shifts) & 1
-    return bits.reshape(symbols.shape[:-1] + (-1,)).astype(np.uint8)
+    return bits.reshape(bits.shape[:-2] + (math.prod(bits.shape[-2:]),)).astype(np.uint8)

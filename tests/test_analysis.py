@@ -476,3 +476,13 @@ def test_links_reject_misshapen_frames():
         RsLink(7).encode(np.zeros(158, np.uint8))
     with pytest.raises(ValueError):
         UncodedLink().decode(np.zeros((3, 162)), params)
+
+
+@pytest.mark.parametrize("link", [RsLink(3), RsLink(7), RsLink(11), PolarLink(construct(256, 158)),
+                                  UncodedLink()], ids=lambda link: type(link).__name__)
+def test_links_take_an_empty_batch(link):
+    tx = link.encode(np.zeros((0, link.frame_bits), np.uint8))
+    assert tx.shape == (0, link.tx_bits)
+    hat, failed = link.decode(np.zeros((0, link.tx_bits)), ChannelParams(noise_var=0.01))
+    assert hat.dtype == np.uint8 and hat.shape == (0, link.frame_bits)
+    assert failed.dtype == bool and failed.shape == (0,)

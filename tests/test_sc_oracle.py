@@ -8,11 +8,14 @@ check the reference itself.
 """
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import sc_oracle
+from beaconphy import polar_codec
 from beaconphy.polar_codec import encode_nspe, sc_decode
 from beaconphy.polar_construction import PolarSpec, construct
 
@@ -290,3 +293,73 @@ def test_nan_frames_beside_tied_frames(N, exact):
     batch = sc_decode(spec, llr, exact=exact)
     for row in range(len(llr)):
         assert np.array_equal(sc_decode(spec, llr[row], exact=exact), batch[row])
+
+
+# --- compiled plans and pooled workspaces ------------------------------------------
+# sc_decode compiles one plan per (spec, exact, batch size) onto a workspace of
+# its own, pools the workspaces, and builds a guarded node's split the first
+# time its guard fails.
+
+
+def awkward_frames(spec, rng):
+    """One frame each with exact zeros, a NaN, every magnitude tied (a noiseless
+    finite codeword, so the least |LLR| at every parity-check node is shared)
+    and a hard +-inf non-codeword.  Every frame fails some node's guard: the
+    zeros sit one in each 16-position block, so that f and g steps alike
+    carry a zero down to every node of 16 positions or more."""
+    zero, nan = awgn_llr(spec, rng, 2, 0.7)
+    zero[rng.integers(16) :: 16] = 0.0
+    nan[rng.integers(spec.N)] = np.nan
+    tied = 3.0 * (1.0 - 2.0 * encode_nspe(spec, rng.integers(0, 2, spec.K, dtype=np.uint8)))
+    hard = np.where(rng.random(spec.N) < 0.5, np.inf, -np.inf)
+    return np.array([zero, nan, tied, hard])
+
+
+@pytest.mark.parametrize("exact", MODES)
+@pytest.mark.parametrize("batch", [1, 3])
+def test_lazy_splits_match_the_oracle_before_and_after_they_are_built(batch, exact):
+    spec = construct(256, 158)
+    rng = np.random.default_rng(1200 + batch)
+    polar_codec._pool.cache_clear()  # fresh plans: no split is built yet
+    awkward = awkward_frames(spec, rng)
+    frames = np.concatenate([awgn_llr(spec, rng, batch, 0.6), awkward, awkward[::-1],
+                             awgn_llr(spec, rng, 4 * batch, 0.6)])
+    for lo in range(0, len(frames) - batch + 1, batch):
+        assert_matches_oracle(spec, frames[lo : lo + batch], exact)
+
+
+def test_batch_sizes_in_turn_match_the_oracle():
+    spec = construct(256, 158)
+    rng = np.random.default_rng(1300)
+    for exact in MODES:
+        for batch in (0, 1, 3, 1):
+            assert_matches_oracle(spec, awgn_llr(spec, rng, batch, 0.8), exact)
+
+
+def test_results_are_not_views_of_the_workspace():
+    spec = construct(256, 158)
+    llr = awgn_llr(spec, np.random.default_rng(1400), 4, 0.6)
+    for first, second in ((llr[0], -llr[0]), (llr[:2], -llr[2:])):
+        got = sc_decode(spec, first)
+        kept = got.copy()
+        assert not np.array_equal(sc_decode(spec, second), kept)
+        assert np.array_equal(got, kept)
+
+
+def test_threads_decoding_at_one_batch_size_match_sequential_decodes():
+    spec = construct(256, 158)
+    rng = np.random.default_rng(1500)
+    inputs = [awgn_llr(spec, rng, 20, 0.6) for _ in range(4)]  # one thread each
+    inputs[1][::3] = awkward_frames(spec, rng)[rng.integers(4, size=7)]
+    want = [[sc_decode(spec, frame) for frame in llr] for llr in inputs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(inputs)) as pool:
+            futures = [pool.submit(lambda llr: [sc_decode(spec, frame) for frame in llr], llr)
+                       for llr in inputs]
+            got = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for thread_got, thread_want in zip(got, want):
+        assert np.array_equal(np.array(thread_got), np.array(thread_want))
