@@ -13,6 +13,7 @@ from __future__ import annotations
 import concurrent.futures
 import math
 import operator
+import os
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from . import bitstream
-from .channel import ChannelParams, RngStream, llr_demap, modulate_ook
+from .channel import ChannelParams, llr_demap, modulate_ook
 from .polar_codec import encode_nspe, encode_position_major, encode_systematic, sc_decode
 from .polar_construction import PolarSpec
 from .reed_solomon import (
@@ -44,7 +45,7 @@ _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit LCG multiplier
 _CHUNK = 64  # frames whose uniforms are thresholded in one call
-ENCODERS = ("nspe", "systematic")
+ENCODERS = {"nspe": encode_nspe, "systematic": encode_systematic}
 
 
 def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
@@ -56,26 +57,27 @@ def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
 
 
 def _seed_sequence_words(entropy: np.ndarray) -> np.ndarray:
-    """SeedSequence(col).generate_state(8, np.uint32) for each column of a (4, n) uint32 array.
+    """SeedSequence(col).generate_state(8, np.uint32) for each column of a (words, n) uint32 array.
 
-    numpy's SeedSequence (NEP 19) mixes a pool of four uint32 words with
-    multiply-xorshift hashes whose constants do not depend on the data, so
-    every column goes through each step at once.  An entropy shorter than
-    the pool is hashed as if zero-padded, so zero rows stand in exactly for
-    missing words.  Hash k xors with c[k] and multiplies by c[k + 1].
+    numpy's SeedSequence (NEP 19) hashes its entropy into a pool of four uint32 words with
+    multiply-xorshift hashes whose constants do not depend on the data, so every column goes
+    through each step at once.  Zero rows stand in exactly for missing pool words, so words
+    is at least 4; rows 4 on, beyond the pool, are mixed into it last.  Hash k xors with c[k]
+    and multiplies by c[k + 1].
     """
-    c = _hash_consts(0x43B0D7E5, 0x931E8875, 17)
+    c = _hash_consts(0x43B0D7E5, 0x931E8875, 17 + 4 * (len(entropy) - 4))
     with np.errstate(over="ignore"):
-        pool = (entropy ^ c[0:4]) * c[1:5]
-        pool ^= pool >> 16
-        for src in range(4):
-            # pool[src] is hashed once per other word, then mixed into it.
-            k = 4 + 3 * src
-            h = (pool[src] ^ c[k : k + 3]) * c[k + 1 : k + 4]
-            h ^= h >> 16
+        pool = np.concatenate([(entropy[:4] ^ c[0:4]) * c[1:5], entropy[4:]])
+        pool[:4] ^= pool[:4] >> 16
+        k = 4  # the next hash's constant
+        for src in range(len(pool)):
+            # Word src is hashed once per pool word other than itself, then mixed into it.
             dst = [d for d in range(4) if d != src]
+            h = (pool[src] ^ c[k : k + len(dst)]) * c[k + 1 : k + len(dst) + 1]
+            h ^= h >> 16
             r = np.uint32(0xCA01F9DD) * pool[dst] - np.uint32(0x4973F715) * h
             pool[dst] = r ^ (r >> 16)
+            k += len(dst)
         c = _hash_consts(0x8B51F9DD, 0x58F38DED, 9)
         out = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ c[0:8]) * c[1:9]
     return out ^ (out >> 16)
@@ -84,23 +86,28 @@ def _seed_sequence_words(entropy: np.ndarray) -> np.ndarray:
 def _frame_generators(master_seed: int, lo: int, hi: int):
     """np.random.default_rng((master_seed, f)) for f = lo .. hi-1, in order.
 
-    While master_seed's and f's 32-bit words fit SeedSequence's pool of four,
-    the frames are hashed together and each one's PCG64 state is set on one
-    shared generator.  PCG64 seeds itself from the four output words
-    (initstate, initseq) with two LCG steps: inc = 2 initseq + 1, then
-    state = (inc + initstate) * MULT + inc (O'Neill 2014).  Longer entropies
-    (seeds >= 2**64 with f >= 2**32, seeds >= 2**96) and negative seeds,
-    which numpy rejects, go through RngStream frame by frame.  The shared
-    generator is yielded again for the next frame, so use each before asking
-    for the next.
+    The frames are hashed in one pass per word count of f: one 32-bit word below f = 2**32,
+    two from there up to 2**64.  A group with no frames is skipped.  Each frame's PCG64
+    state is set on one shared generator.  PCG64 seeds itself from the four output words
+    (initstate, initseq) with two LCG steps: inc = 2 initseq + 1, then state = (inc +
+    initstate) * MULT + inc (O'Neill 2014).  A negative seed is rejected with numpy's error
+    text.  The simulators build every frame generator here, none through channel.RngStream.
+    The shared generator is yielded again for the next frame, so use each before asking for
+    the next.
     """
     master_seed = operator.index(master_seed)
-    seed_words = -(-max(master_seed, 1).bit_length() // 32) if master_seed >= 0 else 4
-    f_words = min(max(4 - seed_words, 0), 2)  # pool words left for f, at most a uint64's two
-    mid = min(hi, max(lo, 1 << 32 * f_words)) if f_words else lo
-    if mid > lo:
-        f = np.arange(lo, mid, dtype=np.uint64)
-        entropy = np.zeros((4, mid - lo), dtype=np.uint32)
+    if master_seed < 0:
+        raise ValueError("expected non-negative integer")
+    seed_words = -(-max(master_seed, 1).bit_length() // 32)
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    pcg = {}
+    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for f_words, a, b in ((1, lo, min(hi, 1 << 32)), (2, max(lo, 1 << 32), hi)):
+        if a >= b:
+            continue
+        f = np.arange(a, b, dtype=np.uint64)
+        entropy = np.zeros((max(4, seed_words + f_words), b - a), dtype=np.uint32)
         for i in range(seed_words):
             entropy[i] = master_seed >> 32 * i & _MASK32
         entropy[seed_words] = f & _MASK32
@@ -108,18 +115,12 @@ def _frame_generators(master_seed: int, lo: int, hi: int):
             entropy[seed_words + 1] = f >> 32
         state = _seed_sequence_words(entropy).astype(np.uint64)
         state = state[0::2] | state[1::2] << 32
-        bitgen = np.random.PCG64(0)
-        gen = np.random.Generator(bitgen)
-        pcg = {}
-        full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
         for s_hi, s_lo, q_hi, q_lo in state.T.tolist():
             inc = (q_hi << 65 | q_lo << 1 | 1) & _MASK128
             pcg["state"] = ((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc & _MASK128
             pcg["inc"] = inc
             bitgen.state = full
             yield gen
-    for f in range(mid, hi):
-        yield RngStream(master_seed, f).generator()
 
 
 def _draw_frames(master_seed: int, lo: int, hi: int, n_bits: int, p_one: float,
@@ -178,11 +179,10 @@ class DistStats:
 
 
 def polar_encoder(name: str):
-    """The polar encoder a name from ENCODERS stands for, read from this module at each
-    call, so that a wrapper set on analysis.encode_nspe or encode_systematic sees it."""
+    """The polar encoder a name from ENCODERS stands for."""
     if name not in ENCODERS:
         raise ValueError(f"unknown encoder {name!r}; choose from {', '.join(ENCODERS)}")
-    return globals()["encode_" + name]
+    return ENCODERS[name]
 
 
 def draw_messages(frames: int, n_bits: int, p1: float, master_seed: int) -> np.ndarray:
@@ -382,23 +382,26 @@ def run_ber_experiment(
 
     Frames are consumed in whole batches in index order, so the simulated
     set of frames (and hence every count) does not depend on the worker
-    count.  With workers > 1 at most `workers` batches are in flight, so
-    few batches are computed past a point's error stop, and a worker that
-    dies raises BrokenProcessPool.  The sweep ends early once a point
-    collects zero errors, since every later point would only be quieter.
+    count.  With workers > 1, min(workers, CPU count) processes run the
+    batches, with at most that many in flight, so few batches are computed
+    past a point's error stop, and a worker that dies raises
+    BrokenProcessPool.  The sweep ends early once a point collects zero
+    errors, since every later point would only be quieter.
     """
     if min_errors <= 0 or max_frames <= 0 or batch <= 0 or (workers is not None and workers <= 0):
         raise ValueError("min_errors, max_frames, batch and workers must be positive")
     points = []
+    # no more processes than CPUs, which also keeps a huge count within the executor's C int
+    procs = min(workers, os.cpu_count() or 1) if workers else 1
     # spawn, as fork is unsafe beside the executor's thread; only this path imports the executor
-    with (concurrent.futures.ProcessPoolExecutor(workers, mp_context=get_context("spawn"))
+    with (concurrent.futures.ProcessPoolExecutor(procs, mp_context=get_context("spawn"))
           if workers and workers > 1 else nullcontext()) as pool:
         for db in ebn0_db_points:
             params = ChannelParams.from_ebn0_db(db, link.rate)
             tasks = ((link, params, lo, min(lo + batch, max_frames), master_seed)
                      for lo in range(0, max_frames, batch))
             results = (starmap(_run_batch, tasks) if pool is None
-                       else _imap_bounded(pool, tasks, workers))
+                       else _imap_bounded(pool, tasks, procs))
             point = BerPoint(db, 0, 0, 0, 0)
             points.append(point)
             for nbits, nerr, nframes, nferr in results:

@@ -41,7 +41,10 @@ class RngStream:
     """Named randomness source: (master_seed, stream_id) fixes every draw.
 
     Experiments key stream_id by frame index, which makes results independent
-    of batching and of how frames are spread over worker processes.
+    of batching and of how frames are spread over worker processes.  This is
+    the one-stream form: the simulators no longer call it, as
+    analysis._frame_generators seeds a whole batch of frames at once with
+    the same bytes.
     """
 
     master_seed: int

@@ -48,6 +48,7 @@ DEFAULT_EPS = 0.5
 DEFAULT_SWEEPS = {"polar": "8:1:12", "rs15_11": "12:1:15", "rs15_7": "12:0.5:15.5",
                   "rs15_3": "15:0.5:17.5", "uncoded": "10:1:15"}
 DEFAULT_MAX_FRAMES = 200_000
+MAX_SWEEP_POINTS = 10_000  # the default sweeps have 5 to 8
 
 
 def _hex_int(text: str) -> int:
@@ -77,7 +78,10 @@ def _parse_sweep(text: str) -> list[float]:
         raise ValueError(f"bad sweep {text!r}, expected finite start:step:stop")
     if step <= 0 or stop < start:
         raise ValueError("sweep needs step > 0 and stop >= start")
-    count = int((stop - start) / step + 1e-9) + 1
+    steps = (stop - start) / step + 1e-9  # inf when the quotient overflows
+    if not steps < MAX_SWEEP_POINTS:  # checked before any point is built
+        raise ValueError(f"sweep has more than {MAX_SWEEP_POINTS} points")
+    count = int(steps) + 1
     return [start + i * step for i in range(count)]
 
 

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import math
+import os
 
 import numpy as np
 import pytest
@@ -289,11 +290,14 @@ def _numpy_frames(seed, lo, hi, n_bits, p_one, noise_bits, sigma):
     return msgs, noise
 
 
-# Seeds up to 2**32 - 1 take one of SeedSequence's four pool words, 2**32 to
-# 2**64 - 1 two, 2**64 three (so frames f >= 2**32 fall back to RngStream)
-# and 2**96 four (every frame falls back).  A numpy integer seed is accepted
-# as default_rng accepts it.
-DRAW_SEEDS = [0, 0xC0DEC, np.int64(0xC0DEC), 2**32 - 1, 2**32, 2**40, 2**64 - 1, 2**64, 2**96]
+# Seeds up to 2**32 - 1 take one 32-bit word of SeedSequence's entropy,
+# 2**32 to 2**64 - 1 two, 2**64 three, 2**96 four, 2**128 five and
+# 2**160 + 3 six; the frame index adds one word below f = 2**32 and two
+# above.  So from 2**64 on some frames' entropy is longer than the pool of
+# four words, and from 2**96 on every frame's is.  A numpy integer seed is
+# accepted as default_rng accepts it.
+DRAW_SEEDS = [0, 0xC0DEC, np.int64(0xC0DEC), 2**32 - 1, 2**32, 2**40, 2**64 - 1, 2**64, 2**96,
+              2**128, 2**160 + 3]
 
 # Each list is cut into consecutive batches at its edges: batches of a
 # 3000-frame run of one frame, of exactly two 64-frame threshold chunks
@@ -325,11 +329,14 @@ def test_draw_frames_match_numpy_streams(seed, noise_bits, edges):
 def test_draw_frames_empty_range_and_negative_seed():
     msgs, noise = _draw_frames(7, 5, 5, 158, 0.5, 256, 0.5)
     assert msgs.shape == (0, 158) and noise.shape == (0, 256)
-    with pytest.raises(ValueError) as ours:
-        _draw_frames(-1, 0, 3, 158, 0.5)
     with pytest.raises(ValueError) as numpys:
         np.random.default_rng((-1, 0))
-    assert str(ours.value) == str(numpys.value) == "expected non-negative integer"
+    assert str(numpys.value) == "expected non-negative integer"
+    # a negative seed is rejected before any frame is drawn, so an empty range too
+    for lo, hi in [(0, 3), (5, 5), (2**32, 2**32 + 1)]:
+        with pytest.raises(ValueError) as ours:
+            _draw_frames(-1, lo, hi, 158, 0.5)
+        assert str(ours.value) == str(numpys.value)
 
 
 def test_ber_experiment_batch_size_does_not_change_consumed_prefix():
@@ -441,14 +448,21 @@ def test_run_point_keeps_at_most_workers_batches_in_flight(monkeypatch):
     link = UncodedLink()
     kw = dict(min_errors=40, max_frames=4000, master_seed=777, batch=250)
     [serial] = run_ber_experiment(link, [11.0], workers=1, **kw)
-    for workers in (2, 3):
-        pool = _CountingPool()
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda n, **_: pool)
+    # the last two counts overflow the C int the executor turns its process count into
+    for workers in (2, 3, 3_000_000_000, 10**20):
+        pool, sizes = _CountingPool(), []
+
+        def executor(processes, **_):
+            sizes.append(processes)
+            return pool
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", executor)
         [pooled] = run_ber_experiment(link, [11.0], workers=workers, **kw)
         assert pooled == serial
         assert serial.frames_sent < 4000
-        assert pool.max_ahead <= workers
-        assert pool.submitted <= pool.consumed + workers - 1
+        assert sizes == [min(workers, os.cpu_count() or 1)]
+        assert pool.max_ahead <= sizes[0]
+        assert pool.submitted <= pool.consumed + sizes[0] - 1
 
 
 def test_links_reject_nonpositive_frame_bits():

@@ -1,5 +1,6 @@
 """Command-line interface tests: pipelines, experiments, reproducibility."""
 
+import concurrent.futures
 import io
 import json
 import os
@@ -26,6 +27,9 @@ def run_cli(argv, stdin_text="", monkeypatch=None, capsys=None):
     return code, out, err
 
 
+OVER_LONG_SWEEPS = ["0:1:10000", "0:1e-300:1", "0:5e-324:1", "-1e308:1:1e308"]
+
+
 def test_parse_sweep():
     assert cli._parse_sweep("6:1:8") == [6.0, 7.0, 8.0]
     assert cli._parse_sweep("0:0.5:1") == [0.0, 0.5, 1.0]
@@ -38,6 +42,11 @@ def test_parse_sweep():
         cli._parse_sweep("8:1:5")
     for text in ("0:inf:12", "0:1:inf", "nan:1:3", "-inf:1:3"):
         with pytest.raises(ValueError, match="bad sweep"):
+            cli._parse_sweep(text)
+    assert len(cli._parse_sweep("0:1:9999")) == cli.MAX_SWEEP_POINTS
+    # rejected before any point is built: most of these would not fit in memory
+    for text in OVER_LONG_SWEEPS:
+        with pytest.raises(ValueError, match="^sweep has more than 10000 points$"):
             cli._parse_sweep(text)
 
 
@@ -615,6 +624,7 @@ def test_sidecar_of_the_other_command_exits_2(tmp_path, monkeypatch, capsys):
     ["--ebn0=-inf:1:12"],
     ["--ebn0=-4000:1:-4000"],
     ["--ebn0", "4000:1:4000"],
+    *(["--ebn0=" + text] for text in OVER_LONG_SWEEPS),
 ])
 def test_simulate_ber_rejects_non_finite_ebn0_or_amplitude(tmp_path, monkeypatch, capsys,
                                                           extra):
@@ -651,6 +661,42 @@ def test_simulate_ber_rejects_a_worker_count_below_one(tmp_path, monkeypatch, ca
     assert code == 2 and stdout == ""
     assert err == "error: min_errors, max_frames, batch and workers must be positive\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["3000000000", str(10**20)])
+def test_simulate_ber_worker_count_beyond_a_c_int_runs_like_one_worker(tmp_path, monkeypatch,
+                                                                      capsys, workers):
+    sizes = []
+
+    class Executor:
+        """Runs each batch as it is submitted, so no process starts."""
+
+        def __init__(self, processes, **_):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, func, *args):
+            future = concurrent.futures.Future()
+            future.set_result(func(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Executor)
+    runs = {}
+    for count in ("1", workers):
+        out = tmp_path / f"{count}.csv"
+        code, stdout, err = run_cli(
+            ["simulate-ber", "--codes", "uncoded,rs15_7", "--ebn0", "10:1:11",
+             "--max-frames", "300", "--batch", "100", "--workers", count, "--out", str(out)],
+            monkeypatch=monkeypatch, capsys=capsys)
+        assert code == 0 and err == ""
+        runs[count] = out.read_bytes(), stdout
+    assert runs[workers] == runs["1"]
+    assert sizes == [os.cpu_count() or 1] * 2  # one pool per code
 
 
 def test_simulate_ber_frame_too_large_for_memory_exits_2(tmp_path, monkeypatch, capsys):
