@@ -40,6 +40,7 @@ from .scrambler import ScramblerSpec, keystream
 DEFAULT_MASTER_SEED = 0xC0DEC
 DEFAULT_FRAME_BITS = 158
 MFTP_LIMIT_S = 5e-3
+_DIST_BATCH = 2048  # frames run_dist_experiment encodes per call
 
 _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
@@ -205,7 +206,6 @@ def run_dist_experiment(
     *,
     encoder: str = "nspe",
     scrambler: ScramblerSpec | None = ScramblerSpec(),
-    batch: int = 2048,
 ) -> DistStats:
     """Encode each row of msgs (see draw_messages); collect ones-density statistics.
 
@@ -214,8 +214,6 @@ def run_dist_experiment(
     encoder and scrambler setting: simulate-dist draws each size's messages
     once and shares them across its encoders and scramble settings."""
     polar_encoder(encoder)  # rejects a name outside ENCODERS
-    if isinstance(batch, bool) or not isinstance(batch, (int, np.integer)) or batch < 1:
-        raise ValueError(f"batch must be a positive int, got {batch!r}")
     shape = np.shape(msgs)
     if len(shape) != 2 or shape[0] < 1 or shape[1] != spec.K:
         raise ValueError(f"msgs must be a (frames >= 1, K={spec.K}) array, got shape {shape}")
@@ -223,8 +221,8 @@ def run_dist_experiment(
     frames = shape[0]
     weights = np.empty(frames, dtype=np.int64)
     max_run = 0
-    for lo in range(0, frames, batch):
-        hi = min(lo + batch, frames)
+    for lo in range(0, frames, _DIST_BATCH):
+        hi = min(lo + _DIST_BATCH, frames)
         # (N, hi - lo) codewords, one column per frame, never transposed
         x = encode_position_major(spec, msgs[lo:hi] if ks is None else msgs[lo:hi] ^ ks,
                                   systematic=encoder == "systematic")
@@ -457,11 +455,11 @@ class MftpReport:
     compliant: bool
 
 
-def mftp_check(frame_bits: int, clock_hz: float, limit_s: float = MFTP_LIMIT_S) -> MftpReport:
+def mftp_check(frame_bits: int, clock_hz: float) -> MftpReport:
     """Time to clock out one frame, against the maximum flickering time period."""
     if frame_bits <= 0:
         raise ValueError("frame_bits must be positive")
     if not 0 < clock_hz < math.inf:  # NaN fails too
         raise ValueError("clock_hz must be finite and positive")
     frame_time = frame_bits / clock_hz
-    return MftpReport(frame_bits, clock_hz, frame_time, limit_s, frame_time < limit_s)
+    return MftpReport(frame_bits, clock_hz, frame_time, MFTP_LIMIT_S, frame_time < MFTP_LIMIT_S)

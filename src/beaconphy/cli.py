@@ -185,7 +185,10 @@ def _settings(args, table: dict) -> dict:
     cfg, path = {}, getattr(args, "config", None)  # only the experiments take --config
     if path:
         with open(path, "r", encoding="ascii") as fh:
-            cfg = json.load(fh)
+            try:
+                cfg = json.load(fh)
+            except RecursionError:  # json nests one Python call per level
+                raise ValueError(f"config {path} is nested too deeply") from None
         if not isinstance(cfg, dict):
             raise ValueError(f"config {path} is not a JSON object")
         if cfg.get("command", args.command) != args.command:

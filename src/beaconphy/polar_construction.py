@@ -158,4 +158,7 @@ def save(spec: PolarSpec, path) -> None:
 
 def load(path) -> PolarSpec:
     with open(path, "r", encoding="ascii") as fh:
-        return from_dict(json.load(fh))
+        try:
+            return from_dict(json.load(fh))
+        except RecursionError:  # json nests one Python call per level
+            raise ValueError(f"code description {path} is nested too deeply") from None

@@ -3,10 +3,12 @@
 import concurrent.futures
 import math
 import os
+from itertools import groupby
 
 import numpy as np
 import pytest
 
+from beaconphy import analysis
 from beaconphy.analysis import (
     DEFAULT_MASTER_SEED,
     BerPoint,
@@ -49,16 +51,17 @@ def test_dist_stats_derived_from_histogram():
 
 
 def test_dist_experiment_reproducible_and_batch_independent():
+    # 4,100 frames span three encode batches: every weight and the longest
+    # run must be those of the whole array, encoded and scanned row by row
     spec = construct(32, 20)
-    msgs = draw_messages(300, spec.K, 0.9, 1234)
-    kw = dict(encoder="nspe", scrambler=ScramblerSpec())
-    a = run_dist_experiment(spec, msgs, **kw, batch=7)
-    b = run_dist_experiment(spec, msgs, **kw, batch=128)
-    assert np.array_equal(a.samples, b.samples)
-    assert np.array_equal(a.weights, b.weights)
-    assert a.max_run_length == b.max_run_length
-    c = run_dist_experiment(spec, msgs, **kw)
-    assert np.array_equal(a.samples, c.samples)
+    msgs = draw_messages(4100, spec.K, 0.9, 1234)
+    assert len(msgs) > 2 * analysis._DIST_BATCH
+    a = run_dist_experiment(spec, msgs, encoder="nspe", scrambler=ScramblerSpec())
+    x = encode_nspe(spec, msgs ^ keystream(ScramblerSpec(), spec.K))
+    assert np.array_equal(a.weights, x.sum(axis=1))
+    assert a.max_run_length == max(len(list(run)) for row in x for _, run in groupby(row))
+    b = run_dist_experiment(spec, msgs, encoder="nspe", scrambler=ScramblerSpec())
+    assert np.array_equal(a.weights, b.weights) and a.max_run_length == b.max_run_length
 
 
 def test_dist_experiment_seed_changes_samples():
@@ -73,8 +76,7 @@ def test_dist_samples_rebuild_from_numpy_streams():
     # drawing K uniforms, a bit being 1 below p1.  Rebuilt with numpy alone.
     spec = construct(64, 40)
     seed, p1, frames = 99, 0.8, 150
-    stats = run_dist_experiment(spec, draw_messages(frames, spec.K, p1, seed),
-                                scrambler=None, batch=64)
+    stats = run_dist_experiment(spec, draw_messages(frames, spec.K, p1, seed), scrambler=None)
     msgs = np.array([np.random.default_rng((seed, f)).random(spec.K) < p1
                      for f in range(frames)], dtype=np.uint8)
     assert np.array_equal(stats.samples, encode_nspe(spec, msgs).sum(axis=1) / spec.N)
@@ -110,8 +112,7 @@ def test_dist_experiment_scrambles_with_the_given_spec():
     spec = construct(64, 40)
     scrambler = ScramblerSpec(poly_mask=0x25, seed=0x1B)
     assert not np.array_equal(keystream(scrambler, spec.K), keystream(ScramblerSpec(), spec.K))
-    stats = run_dist_experiment(spec, draw_messages(200, spec.K, 0.8, 31),
-                                scrambler=scrambler, batch=64)
+    stats = run_dist_experiment(spec, draw_messages(200, spec.K, 0.8, 31), scrambler=scrambler)
     msgs, _ = _draw_frames(31, 0, 200, spec.K, 0.8)
     want = encode_nspe(spec, msgs ^ keystream(scrambler, spec.K)).sum(axis=1)
     assert np.array_equal(stats.weights, want)
@@ -126,23 +127,18 @@ def test_dist_experiment_validation():
                             encoder="other")
 
 
-@pytest.mark.parametrize("msgs_shape, batch, match", [
-    ((10, 8), -1, "batch must be a positive int, got -1"),
-    ((10, 8), 0, "batch must be a positive int, got 0"),
-    ((10, 8), 2.0, "batch must be a positive int, got 2.0"),
-    ((10, 8), True, "batch must be a positive int, got True"),
-    ((0, 8), 4, r"frames >= 1, K=8\) array, got shape \(0, 8\)"),
-    ((8,), 4, r"frames >= 1, K=8\) array, got shape \(8,\)"),
-    ((10, 7), 4, r"frames >= 1, K=8\) array, got shape \(10, 7\)"),
-], ids=["batch-negative", "batch-zero", "batch-float", "batch-bool", "no-frames", "one-dim",
-        "wrong-width"])
-def test_dist_experiment_rejects_bad_msgs_or_batch(msgs_shape, batch, match):
-    # each once returned garbage or raised a numpy error: batch=-1 gave the
-    # np.empty weights and max_run 0, no frames a DistStats whose mean divided
-    # by zero, a 1-D array numpy's AxisError, a wrong width a broadcast error
+@pytest.mark.parametrize("msgs_shape, match", [
+    ((0, 8), r"frames >= 1, K=8\) array, got shape \(0, 8\)"),
+    ((8,), r"frames >= 1, K=8\) array, got shape \(8,\)"),
+    ((10, 7), r"frames >= 1, K=8\) array, got shape \(10, 7\)"),
+], ids=["no-frames", "one-dim", "wrong-width"])
+def test_dist_experiment_rejects_bad_msgs_or_batch(msgs_shape, match):
+    # each once returned garbage or raised a numpy error: no frames a
+    # DistStats whose mean divided by zero, a 1-D array numpy's AxisError, a
+    # wrong width a broadcast error
     spec = construct(16, 8)
     with pytest.raises(ValueError, match=match):
-        run_dist_experiment(spec, np.zeros(msgs_shape, dtype=np.uint8), batch=batch)
+        run_dist_experiment(spec, np.zeros(msgs_shape, dtype=np.uint8))
 
 
 def test_ber_point_ratio():

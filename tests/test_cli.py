@@ -382,6 +382,24 @@ def test_code_description_that_is_not_an_object_exits_2(tmp_path, monkeypatch, c
     assert code == 2 and out == "" and "JSON object" in err
 
 
+@pytest.mark.parametrize("argv, n_in", [
+    (["simulate-dist", "--config", "deep.json", "--out-dir", "d"], 0),
+    (["simulate-ber", "--config", "deep.json", "--out", "x.csv"], 0),
+    (["encode", "--spec", "deep.json"], 4),
+    (["decode", "--spec", "deep.json"], 8),
+], ids=["simulate-dist", "simulate-ber", "encode", "decode"])
+def test_deeply_nested_json_exits_2_naming_the_file(tmp_path, monkeypatch, capsys, argv, n_in):
+    # json's decoder recurses once per level: this once ended in a RecursionError traceback
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "deep.json").write_text("[" * 100_000)
+    code, out, err = run_cli(argv, stdin_text="0" * n_in, monkeypatch=monkeypatch,
+                             capsys=capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "deep.json is nested too deeply" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert os.listdir(tmp_path) == ["deep.json"]
+
+
 @pytest.mark.parametrize("key, value", [
     ("info_set", 5), ("n", None), ("eps", [0.5]), ("n", 3.7), ("K", 1.9), ("info_set", [7.9]),
     ("N", True), ("info_set", [3, 5, 6, True]), ("eps", "0.5"),

@@ -65,9 +65,25 @@ def test_period_matches_reference_for_non_primitive_polynomial():
         ref = lfsr_reference(poly, seed, 2 * p)
         assert ref[:p] == ref[p : 2 * p]
         assert p <= 15
-        # Keystream tiles with the state period.
-        stream = keystream(spec, 3 * p).tolist()
-        assert stream == ref[:p] * 3
+        # Keystream tiles with the state period, also past a whole number of
+        # periods and short of one period.
+        assert keystream(spec, 3 * p).tolist() == ref[:p] * 3
+        assert keystream(spec, 3 * p + 1).tolist() == ref[:p] * 3 + ref[:1]
+        assert keystream(spec, p - 1).tolist() == ref[: p - 1]
+
+
+# x^15 + x^14 + 1, PRBS23 (x^23 + x^18 + 1) and PRBS31 (x^31 + x^28 + 1): a
+# frame's key must cost its own length in register steps, not a whole period.
+LONG_POLYS = [0xC001, 0x840001, 0x90000001]
+
+
+@pytest.mark.parametrize("poly", LONG_POLYS, ids=["x15", "prbs23", "prbs31"])
+def test_long_register_keystream_matches_reference(poly):
+    deg = poly.bit_length() - 1
+    seeds = [1, int(np.random.default_rng(poly).integers(1, 1 << deg))]
+    for seed in seeds:
+        spec = ScramblerSpec(poly_mask=poly, seed=seed)
+        assert keystream(spec, 158).tolist() == lfsr_reference(poly, seed, 158)
 
 
 def test_keystream_is_periodic_tiling():
