@@ -35,7 +35,7 @@ from .analysis import (
 )
 from .channel import ChannelParams
 from .polar_codec import encode_nspe, sc_decode
-from .polar_construction import construct, load, save
+from .polar_construction import construct, json_excerpt, load, save
 from .scrambler import DEFAULT_POLY, DEFAULT_SEED, ScramblerSpec, scramble
 
 DEFAULT_N = 256
@@ -162,7 +162,7 @@ def _from_sidecar(key: str, value, default):
     kinds = {float: (float, int), type(None): (type(None), int)}.get(type(default))
     if type(value) not in (kinds or (type(default),)):
         want = "int or null" if default is None else type(default).__name__
-        raise ValueError(f"config setting {key!r} must be {want}, got {json.dumps(value)}")
+        raise ValueError(f"config setting {key!r} must be {want}, got {json_excerpt(value)}")
     if isinstance(default, float):
         return float(value)
     if isinstance(value, list) and default:
@@ -199,7 +199,7 @@ def _settings(args, table: dict) -> dict:
             want = RETIRED_KEYS[key]
             if want is not None and (isinstance(cfg[key], bool) or cfg[key] != want):
                 raise ValueError(f"config setting {key!r} is retired and must be {want}, "
-                                 f"got {json.dumps(cfg[key])}")
+                                 f"got {json_excerpt(cfg[key])}")
     settings = {}
     for key, (default, parse, _) in table.items():
         if key in args:
@@ -221,7 +221,7 @@ def _reject_empty_or_repeated(key: str, values: list) -> None:
     seen = set()
     for item in map(json.dumps, values):
         if item in seen:
-            raise ValueError(f"setting {key!r} repeats {item}")
+            raise ValueError(f"setting {key!r} repeats {json_excerpt(json.loads(item))}")
         seen.add(item)
 
 
@@ -288,7 +288,8 @@ def cmd_simulate_dist(st) -> int:
         _reject_empty_or_repeated(key, st[key])
     for pair in st["sizes"]:
         if len(pair) != 2:
-            raise ValueError(f"config setting 'sizes' must be [N, K] pairs, got {pair}")
+            raise ValueError(f"config setting 'sizes' must be [N, K] pairs, "
+                             f"got {json_excerpt(pair)}")
     for enc in st["encoders"]:
         polar_encoder(enc)
     if st["scramble"] not in ("on", "off", "both"):

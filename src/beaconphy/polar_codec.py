@@ -33,10 +33,12 @@ The walk over the code tree is compiled once per (spec, exact, batch size)
 into a plan: numpy calls bound with out= to fixed views of one workspace
 (one LLR buffer per tree level, whose free rows serve as scratch, and the
 (N, batch) partial sums), and per guarded node a closure that, when the
-guard fails, runs the node's split, compiled the first time.  A call copies its LLRs in, runs the plan,
-re-encodes and gathers the message into a new array.  Workspaces are pooled
-per key, under a bounded lru_cache: a call pops one, or compiles a fresh
-one, and puts it back when done, so no two threads ever share one.
+guard fails, runs the node's split, compiled the first time.  The g step
+flips a's sign bit in scratch rows before one add, as a masked (where=)
+subtract is several times slower.  A call copies its LLRs in, runs the plan
+and its re-encode, and gathers the message into a new array.  Workspaces
+are pooled per key, under a bounded lru_cache: a call pops one, or compiles
+a fresh one, and puts it back when done, so no two threads ever share one.
 """
 
 from __future__ import annotations
@@ -49,17 +51,21 @@ import numpy as np
 from .bitstream import checked_uint8
 from .polar_construction import PolarSpec
 
+_ZERO = np.zeros(())  # plan operands are 0-d arrays, which numpy takes faster than scalars
+_SIGN_SHIFT = np.full(1, 63, np.uint64)  # to a float64's sign bit; numpy 1 casts a 0-d 63 to uint8
+
+
+def _stages(x: np.ndarray) -> list:
+    """Each butterfly stage's (upper, lower) views; x must be C-contiguous, or reshape copies."""
+    size, tail = x.shape[0], x.shape[1:]
+    views = [x.reshape((size // (2 << i), 2, 1 << i) + tail) for i in range(size.bit_length() - 1)]
+    return [(v[:, 0], v[:, 1]) for v in views]
+
 
 def _butterfly(x: np.ndarray) -> None:
-    """In-place transform along axis 0 of an (N, ...) uint8 array, which must be
-    C-contiguous, say freshly allocated: reshape copies any other array, and
-    the XORs would be lost with the copy."""
-    size, tail = x.shape[0], x.shape[1:]
-    half = 1
-    while half < size:
-        v = x.reshape((size // (2 * half), 2, half) + tail)
-        v[:, 0] ^= v[:, 1]
-        half *= 2
+    """In-place transform along axis 0 of a C-contiguous (N, ...) uint8 array."""
+    for upper, lower in _stages(x):
+        upper ^= lower
 
 
 def polar_transform(bits) -> np.ndarray:
@@ -116,11 +122,11 @@ def _compile(spec: PolarSpec, exact: bool, batch: int) -> tuple:
     """A fresh workspace for ``batch`` frames and the plan that decodes on it.
 
     Returns ``(llr, bits, plan)``.  With the root LLRs in ``llr[N:]``,
-    running each call of ``plan`` in turn leaves every position's partial
-    sum in ``bits``; rate-0 positions keep their zeros.  The calls are numpy
-    ufuncs with their operands bound to fixed views of the workspace, plus
-    one closure per guarded node, whose split is compiled the first time its
-    guard fails.
+    running each call of ``plan`` in turn leaves every position's decided
+    bit in ``bits``: its partial sums, re-encoded by the last calls.  The
+    calls are numpy ufuncs with their operands bound to fixed views of the
+    workspace, plus one closure per guarded node, whose split is compiled
+    the first time its guard fails.
     """
     N, cum = spec.N, (0, *itertools.accumulate(spec.info_mask().tolist()))
     # A node of size m reads rows m .. 2m, writes its children's LLRs to rows
@@ -146,13 +152,13 @@ def _compile(spec: PolarSpec, exact: bool, batch: int) -> tuple:
         if not info:  # rate 0: its partial sums are the zeros bits holds
             return []
         if info == m == 1:
-            return [partial(np.less, l, 0.0, x)]
+            return [partial(np.less, l, _ZERO, x)]
         if info == m and not exact and not split:
             fallback = lazy_split(lo, m)
 
             def rate1():
                 if np.minimum.reduce(np.abs(l, free), axis=None, initial=np.inf) > 0:
-                    np.less(l, 0.0, x)  # no tie or NaN
+                    np.less(l, _ZERO, x)  # no tie or NaN
                 else:
                     fallback()
             return [rate1]
@@ -161,7 +167,7 @@ def _compile(spec: PolarSpec, exact: bool, batch: int) -> tuple:
             while h > 1:  # the g steps of SC, whose left siblings are all rate 0
                 h >>= 1
                 sums.append(partial(np.add, free[h : 2 * h], free[:h], free[:h]))
-            return sums + [partial(np.less, free[:1], 0.0, x)]
+            return sums + [partial(np.less, free[:1], _ZERO, x)]
         if info == m - 1 and cum[lo + 1] == cum[lo] and not exact and not split:  # parity check
             fallback, w = lazy_split(lo, m), weak[:m]
 
@@ -169,7 +175,7 @@ def _compile(spec: PolarSpec, exact: bool, batch: int) -> tuple:
                 np.minimum.reduce(np.abs(l, free), axis=0, out=least)  # NaN in a NaN frame
                 np.equal(free, least, w)
                 if np.minimum.reduce(least, initial=np.inf) > 0 and np.count_nonzero(w) == batch:
-                    np.less(l, 0.0, x)  # Wagner: flip the least reliable bit of an odd frame
+                    np.less(l, _ZERO, x)  # Wagner: flip the least reliable bit of an odd frame
                     np.logical_xor.reduce(x, axis=0, out=odd)
                     np.logical_xor(x, np.logical_and(w, odd, w), x)
                 else:
@@ -190,13 +196,16 @@ def _compile(spec: PolarSpec, exact: bool, batch: int) -> tuple:
                          partial(np.copysign, out, free[:h], out)]
             plan += node(lo, h)
         if cum[lo + m] > cum[lo + h]:
-            plan.append(partial(np.add, b, a, out))
-            if left:
-                plan.append(partial(np.subtract, b, a, out, where=x[:h]))
-            plan += node(lo + h, h) + [partial(np.logical_xor, x[:h], x[h:], x[:h])]
+            if left:  # b - a is b + (-a): flip a's sign bit where x[:h] is 1, into free rows
+                flip, a = free[:h].view(np.uint64), free[:h]
+                plan += [partial(np.left_shift, x[:h].view(np.uint8), _SIGN_SHIFT, flip),
+                         partial(np.bitwise_xor, flip, l[:h].view(np.uint64), flip)]
+            plan += [partial(np.add, b, a, out)] + node(lo + h, h)
+            plan.append(partial(np.logical_xor, x[:h], x[h:], x[:h]))
         return plan
 
-    return llr, bits, node(0, N)
+    encode = [partial(np.bitwise_xor, u, v, u) for u, v in _stages(bits.view(np.uint8))]
+    return llr, bits, node(0, N) + encode
 
 
 @lru_cache(maxsize=8)
@@ -234,7 +243,6 @@ def sc_decode(spec: PolarSpec, llr, *, exact: bool = False) -> np.ndarray:
     with np.errstate(all="ignore"):  # inf - inf gives NaN, as in plain SC
         for op in plan:
             op()
-    _butterfly(bits.view(np.uint8))  # partial sums to decided bits
     msg = bits[spec.info_indices()].T.astype(np.uint8, order="C")  # a copy, never a view
     pool.append(workspace)
     return msg[0] if single else msg

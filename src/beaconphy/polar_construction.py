@@ -135,6 +135,12 @@ _FIELDS = {
 }
 
 
+def json_excerpt(value) -> str:
+    """A rejected value's JSON text for a one-line error message: its first 60 characters."""
+    text = json.dumps(value, default=repr)
+    return text if len(text) <= 60 else text[:60] + "..."
+
+
 def from_dict(doc: dict) -> PolarSpec:
     """The spec a code description stands for; a field of the wrong JSON type is rejected,
     never rounded."""
@@ -145,7 +151,7 @@ def from_dict(doc: dict) -> PolarSpec:
             raise ValueError(f"code description lacks field {key!r}")
         if not check(doc[key]):
             raise ValueError(f"code description field {key!r} must be {want}, "
-                             f"got {json.dumps(doc[key], default=repr)}")
+                             f"got {json_excerpt(doc[key])}")
     return PolarSpec(n=doc["n"], N=doc["N"], K=doc["K"], eps=float(doc["eps"]),
                      info_set=tuple(doc["info_set"]))
 

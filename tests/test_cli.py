@@ -400,6 +400,37 @@ def test_deeply_nested_json_exits_2_naming_the_file(tmp_path, monkeypatch, capsy
     assert os.listdir(tmp_path) == ["deep.json"]
 
 
+DEEP_LIST = "[" * 500 + "]" * 500  # about 1,000 characters of JSON, still loadable in-process
+LONG_LIST = json.dumps([0.5] * 200_000)  # about 1 MB
+_DIST = ["simulate-dist", "--config", "bad.json", "--out-dir", "d"]
+_SPEC = '{"n": 3, "N": 8, "K": 4, "eps": 0.5, "info_set": %s}'
+ECHO_CASES = {f"{name}-{kind}": (argv, n_in, doc % value)
+              for name, argv, n_in, doc in [
+                  ("sizes", _DIST, 0, '{"sizes": [[%s]]}'),
+                  ("frames", _DIST, 0, '{"frames": %s}'),
+                  ("retired-amplitude", ["simulate-ber", "--config", "bad.json", "--out", "x.csv"],
+                   0, '{"amplitude": %s}'),
+                  ("encode-info_set", ["encode", "--spec", "bad.json"], 4, _SPEC),
+                  ("decode-info_set", ["decode", "--spec", "bad.json"], 8, _SPEC)]
+              for kind, value in (("deep", DEEP_LIST), ("long", LONG_LIST))}
+ECHO_CASES["sizes-long-pair"] = (_DIST, 0, json.dumps({"sizes": [[0] * 200_000]}))
+ECHO_CASES["sizes-long-repeat"] = (_DIST, 0, json.dumps({"sizes": [[7] * 100_000] * 2}))
+
+
+@pytest.mark.parametrize("argv, n_in, doc", list(ECHO_CASES.values()), ids=list(ECHO_CASES))
+def test_rejected_json_value_is_echoed_in_short(tmp_path, monkeypatch, capsys, argv, n_in, doc):
+    # the error line once held the whole value: about 2,000 characters for a list nested
+    # 980 deep, and every byte of a multi-megabyte one
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text(doc)
+    code, out, err = run_cli(argv, stdin_text="0" * n_in, monkeypatch=monkeypatch,
+                             capsys=capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.endswith("...\n") and len(err) < 160
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert os.listdir(tmp_path) == ["bad.json"]
+
+
 @pytest.mark.parametrize("key, value", [
     ("info_set", 5), ("n", None), ("eps", [0.5]), ("n", 3.7), ("K", 1.9), ("info_set", [7.9]),
     ("N", True), ("info_set", [3, 5, 6, True]), ("eps", "0.5"),

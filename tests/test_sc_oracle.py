@@ -363,3 +363,37 @@ def test_threads_decoding_at_one_batch_size_match_sequential_decodes():
         sys.setswitchinterval(interval)
     for thread_got, thread_want in zip(got, want):
         assert np.array_equal(np.array(thread_got), np.array(thread_want))
+
+
+# --- the g step's sign-bit flip ---------------------------------------------------
+# sc_decode computes SC's b - a as b + (-a), flipping a's sign bit; IEEE 754 makes the
+# two equal, so these frames, at the edges of float64, must still decide as SC does.
+
+
+def sign_bit_frames(spec, rng):
+    """300 frames: subnormal LLRs, LLRs at +-1e308 (b - a overflows to -+inf), halves
+    equal or opposite at every level (b = a or b = -a, so g steps give signed zeros),
+    rows of -0.0 or of +-0.0 among +-1, and these mixed with AWGN LLRs within a row."""
+    N = spec.N
+    tiny = 5e-324 * rng.integers(-3, 4, (60, N)).astype(np.float64)
+    huge = rng.choice((-1e308, 1e308), (60, N))
+    mirrored = rng.integers(-3, 4, (60, 1)).astype(np.float64)
+    while mirrored.shape[1] < N:
+        mirrored = np.concatenate([mirrored, rng.choice((-1.0, 1.0), (60, 1)) * mirrored], axis=1)
+    zeros = rng.choice((0.0, -0.0, 1.0, -1.0), (60, N))
+    zeros[:30] = -0.0
+    kinds = np.stack([tiny, huge, mirrored, zeros, awgn_llr(spec, rng, 60, 0.7)])
+    mixed = np.take_along_axis(kinds, rng.integers(5, size=(1, 60, N)), axis=0)[0]
+    return np.concatenate([tiny, huge, mirrored, zeros, mixed])
+
+
+@pytest.mark.parametrize("exact", MODES)
+@pytest.mark.parametrize("batch", [1, 300])
+def test_sign_bit_edge_cases_match_the_oracle(batch, exact):
+    for spec in (construct(256, 158), construct(64, 32)):
+        llr = sign_bit_frames(spec, np.random.default_rng(1600 + spec.N))
+        with np.errstate(over="ignore"):  # 1e308 + 1e308 is inf, as in sc_decode
+            want = sc_oracle.sc_decode(spec.info_mask(), llr, exact=exact)
+        got = np.concatenate([sc_decode(spec, llr[lo : lo + batch], exact=exact)
+                              for lo in range(0, len(llr), batch)])
+        assert np.array_equal(got, want)
