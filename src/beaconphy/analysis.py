@@ -38,7 +38,9 @@ from .reed_solomon import (
 from .scrambler import ScramblerSpec, keystream
 
 DEFAULT_MASTER_SEED = 0xC0DEC
-DEFAULT_FRAME_BITS = 158
+DEFAULT_FRAME_BITS = 158  # message bits per frame: the paper's K
+DEFAULT_MIN_ERRORS = 100  # a BER point stops at this many bit errors,
+DEFAULT_MAX_FRAMES = 200_000  # or at this many frames
 MFTP_LIMIT_S = 5e-3
 _DIST_BATCH = 2048  # frames run_dist_experiment encodes per call
 
@@ -370,8 +372,8 @@ def run_ber_experiment(
     link,
     ebn0_db_points,
     *,
-    min_errors: int = 100,
-    max_frames: int = 50000,
+    min_errors: int = DEFAULT_MIN_ERRORS,
+    max_frames: int = DEFAULT_MAX_FRAMES,
     master_seed: int = DEFAULT_MASTER_SEED,
     batch: int = 1000,
     workers: int | None = None,

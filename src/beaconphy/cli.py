@@ -11,6 +11,7 @@ configs and a dead simulate-ber worker exit 2 with an error line."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -22,7 +23,10 @@ import numpy as np
 
 from . import bitstream
 from .analysis import (
+    DEFAULT_FRAME_BITS as DEFAULT_K,
     DEFAULT_MASTER_SEED,
+    DEFAULT_MAX_FRAMES,
+    DEFAULT_MIN_ERRORS,
     ENCODERS,
     PolarLink,
     RsLink,
@@ -35,11 +39,10 @@ from .analysis import (
 )
 from .channel import ChannelParams
 from .polar_codec import encode_nspe, sc_decode
-from .polar_construction import construct, json_excerpt, load, save
+from .polar_construction import PolarSpec, construct
 from .scrambler import DEFAULT_POLY, DEFAULT_SEED, ScramblerSpec, scramble
 
 DEFAULT_N = 256
-DEFAULT_K = 158
 DEFAULT_EPS = 0.5
 
 # The BER codes and their default sweeps, chosen so every curve brackets BER
@@ -47,7 +50,6 @@ DEFAULT_EPS = 0.5
 # The RS waterfalls are steep enough to need half-dB steps near the knee.
 DEFAULT_SWEEPS = {"polar": "8:1:12", "rs15_11": "12:1:15", "rs15_7": "12:0.5:15.5",
                   "rs15_3": "15:0.5:17.5", "uncoded": "10:1:15"}
-DEFAULT_MAX_FRAMES = 200_000
 MAX_SWEEP_POINTS = 10_000  # the default sweeps have 5 to 8
 
 
@@ -112,7 +114,7 @@ BER_SETTINGS = {
     "eps": DIST_SETTINGS["eps"],
     "poly": DIST_SETTINGS["poly"],
     "scrambler_seed": DIST_SETTINGS["scrambler_seed"],
-    "min_errors": (100, int, "bit errors collected per point"),
+    "min_errors": (DEFAULT_MIN_ERRORS, int, "bit errors collected per point"),
     "max_frames": (DEFAULT_MAX_FRAMES, int, "frame cap per point"),
     "batch": (1000, int, "frames per work unit"),
     "master_seed": DIST_SETTINGS["master_seed"],
@@ -156,20 +158,53 @@ def _help(default, parse, text: str) -> str:
     return text if parse is None or default is None else f"{text} (default {default})"
 
 
-def _from_sidecar(key: str, value, default):
-    """A sidecar value checked, nested items too, against its default's JSON type."""
+def json_excerpt(value) -> str:
+    """A rejected value's JSON text for a one-line error message: its first 60 characters."""
+    text = json.dumps(value, default=repr)
+    return text if len(text) <= 60 else text[:60] + "..."
+
+
+def _read_json(path, what: str) -> dict:
+    """The JSON object a file holds; what names the file in error messages."""
+    with open(path, "r", encoding="ascii") as fh:
+        try:
+            doc = json.load(fh)
+        except RecursionError:  # json nests one Python call per level
+            raise ValueError(f"{what} {path} is nested too deeply") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} {path} is not a JSON object")
+    return doc
+
+
+def _from_sidecar(key: str, value, default, noun: str = "config setting"):
+    """A JSON value checked, nested items too, against its default's JSON type."""
     # an int passes for a float, and for the worker count, whose default is None
     kinds = {float: (float, int), type(None): (type(None), int)}.get(type(default))
     if type(value) not in (kinds or (type(default),)):
         want = "int or null" if default is None else type(default).__name__
-        raise ValueError(f"config setting {key!r} must be {want}, got {json_excerpt(value)}")
+        raise ValueError(f"{noun} {key!r} must be {want}, got {json_excerpt(value)}")
     if isinstance(default, float):
         return float(value)
     if isinstance(value, list) and default:
-        return [_from_sidecar(key, v, default[0]) for v in value]
+        return [_from_sidecar(key, v, default[0], noun) for v in value]
     if isinstance(value, dict) and default:  # ebn0: one sweep per code
-        return {k: _from_sidecar(key, v, [*default.values()][0]) for k, v in value.items()}
+        return {k: _from_sidecar(key, v, [*default.values()][0], noun) for k, v in value.items()}
     return value
+
+
+# The fields of a code description, each with an example of its JSON type; others are ignored.
+_SPEC_FIELDS = {"n": 0, "N": 0, "K": 0, "eps": 0.0, "info_set": [0]}
+
+
+def load_spec(path) -> PolarSpec:
+    """The code a code description file stands for; a field of the wrong JSON type is rejected,
+    never rounded."""
+    doc, spec = _read_json(path, "code description"), {}
+    for key, example in _SPEC_FIELDS.items():
+        if key not in doc:
+            raise ValueError(f"code description lacks field {key!r}")
+        spec[key] = _from_sidecar(key, doc[key], example, "code description field")
+    return PolarSpec(**spec)
 
 
 # Keys older sidecars carry that no command reads, each with the one value at which such a sidecar
@@ -184,13 +219,7 @@ def _settings(args, table: dict) -> dict:
     setting, "command" or a retired key at its one value, is rejected."""
     cfg, path = {}, getattr(args, "config", None)  # only the experiments take --config
     if path:
-        with open(path, "r", encoding="ascii") as fh:
-            try:
-                cfg = json.load(fh)
-            except RecursionError:  # json nests one Python call per level
-                raise ValueError(f"config {path} is nested too deeply") from None
-        if not isinstance(cfg, dict):
-            raise ValueError(f"config {path} is not a JSON object")
+        cfg = _read_json(path, "config")
         if cfg.get("command", args.command) != args.command:
             raise ValueError(f"config {path} is for {cfg['command']}, not {args.command}")
         for key in sorted(cfg.keys() - table.keys() - {"command"}):
@@ -250,13 +279,13 @@ def _stdin_bits(expected: int | None = None) -> np.ndarray:
 
 
 def _spec(path):
-    return construct(DEFAULT_N, DEFAULT_K, DEFAULT_EPS) if path is None else load(path)
+    return construct(DEFAULT_N, DEFAULT_K, DEFAULT_EPS) if path is None else load_spec(path)
 
 
 def cmd_construct(st) -> int:
     spec = construct(st["N"], st["K"], st["eps"])
     out = st.pop("out")  # the sidecar records the code, not where it was written
-    save(spec, out)
+    _write_json(out, dataclasses.asdict(spec))
     _write_json(out + ".config.json", {"command": "construct", **st})
     print(f"wrote {out}: N={spec.N} K={spec.K} rate={spec.rate:.4f}")
     return 0

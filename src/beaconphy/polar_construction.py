@@ -8,7 +8,6 @@ degraded copy (2z - z^2) and an upgraded copy (z^2).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -110,61 +109,3 @@ def construct(N: int, K: int, eps: float = 0.5) -> PolarSpec:
     order = sorted(range(N), key=lambda i: (z[i], -i))
     return PolarSpec(n=n, N=N, K=K, eps=eps, info_set=tuple(sorted(order[:K])))
 
-
-def to_dict(spec: PolarSpec) -> dict:
-    return {
-        "n": spec.n,
-        "N": spec.N,
-        "K": spec.K,
-        "eps": spec.eps,
-        "info_set": list(spec.info_set),
-    }
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is no integer
-
-
-# field of a code description: (check of its JSON value, what the check asks for)
-_FIELDS = {
-    "n": (_is_int, "an integer"),
-    "N": (_is_int, "an integer"),
-    "K": (_is_int, "an integer"),
-    "eps": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
-    "info_set": (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
-}
-
-
-def json_excerpt(value) -> str:
-    """A rejected value's JSON text for a one-line error message: its first 60 characters."""
-    text = json.dumps(value, default=repr)
-    return text if len(text) <= 60 else text[:60] + "..."
-
-
-def from_dict(doc: dict) -> PolarSpec:
-    """The spec a code description stands for; a field of the wrong JSON type is rejected,
-    never rounded."""
-    if not isinstance(doc, dict):
-        raise ValueError("code description must be a JSON object")
-    for key, (check, want) in _FIELDS.items():
-        if key not in doc:
-            raise ValueError(f"code description lacks field {key!r}")
-        if not check(doc[key]):
-            raise ValueError(f"code description field {key!r} must be {want}, "
-                             f"got {json_excerpt(doc[key])}")
-    return PolarSpec(n=doc["n"], N=doc["N"], K=doc["K"], eps=float(doc["eps"]),
-                     info_set=tuple(doc["info_set"]))
-
-
-def save(spec: PolarSpec, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(to_dict(spec), fh, indent=1)
-        fh.write("\n")
-
-
-def load(path) -> PolarSpec:
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            return from_dict(json.load(fh))
-        except RecursionError:  # json nests one Python call per level
-            raise ValueError(f"code description {path} is nested too deeply") from None

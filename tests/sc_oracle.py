@@ -58,7 +58,7 @@ def sc_decode(info_mask, llr, *, exact: bool = False) -> np.ndarray:
         right = descend(variable_node(a, b, left), lo + h)
         return np.concatenate((left ^ right, right), axis=1)
 
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, and 1e308 + 1e308
         descend(arr, 0)
     msg = u_hat[:, info]
     return msg[0] if single else msg

@@ -1,6 +1,7 @@
 """Command-line interface tests: pipelines, experiments, reproducibility."""
 
 import concurrent.futures
+import dataclasses
 import io
 import json
 import os
@@ -12,8 +13,9 @@ import numpy as np
 import pytest
 
 from beaconphy import analysis, cli, reed_solomon
+from beaconphy.cli import load_spec
 from beaconphy.polar_codec import encode_nspe
-from beaconphy.polar_construction import construct, load
+from beaconphy.polar_construction import construct
 from beaconphy.reed_solomon import rs_encode
 from beaconphy.scrambler import ScramblerSpec, keystream
 
@@ -63,7 +65,7 @@ def test_construct_writes_loadable_spec(tmp_path, monkeypatch, capsys):
         ["construct", "--N", "32", "--K", "20", "--out", out],
         monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0
-    assert load(out) == construct(32, 20)
+    assert load_spec(out) == construct(32, 20)
     assert json.load(open(out + ".config.json")) == {
         "command": "construct", "N": 32, "K": 20, "eps": 0.5}
     assert "N=32" in stdout
@@ -105,7 +107,7 @@ def test_scramble_and_mftp_flags_take_hex_and_float_text(tmp_path, monkeypatch, 
     spec = str(tmp_path / "c.json")
     assert run_cli(["construct", "--N", "16", "--K", "8", "--eps", "0.25", "--out", spec],
                    monkeypatch=monkeypatch, capsys=capsys)[0] == 0
-    assert load(spec) == construct(16, 8, 0.25)
+    assert load_spec(spec) == construct(16, 8, 0.25)
     assert json.load(open(spec + ".config.json"))["eps"] == 0.25
 
 
@@ -376,10 +378,27 @@ def test_sidecar_ebn0_lacking_a_chosen_code_exits_2(tmp_path, monkeypatch, capsy
 def test_code_description_that_is_not_an_object_exits_2(tmp_path, monkeypatch, capsys):
     spec = _write_config(tmp_path / "spec.json", [])
     with pytest.raises(ValueError, match="JSON object"):
-        load(spec)
+        load_spec(spec)
     code, out, err = run_cli(["encode", "--spec", spec], stdin_text="0" * 8,
                              monkeypatch=monkeypatch, capsys=capsys)
     assert code == 2 and out == "" and "JSON object" in err
+
+
+def test_json_roundtrip(tmp_path):
+    spec = construct(64, 40, 0.4)
+    path = tmp_path / "code.json"
+    cli._write_json(path, dataclasses.asdict(spec))
+    assert load_spec(path) == spec
+    # the field order older files were written in, and a field the loader does not know
+    doc = {"n": 6, "N": 64, "K": 40, "eps": 0.4, "info_set": list(spec.info_set), "note": "x"}
+    assert load_spec(_write_config(path, doc)) == spec
+
+
+def test_load_spec_missing_field(tmp_path):
+    doc = dataclasses.asdict(construct(8, 4))
+    del doc["info_set"]
+    with pytest.raises(ValueError, match="^code description lacks field 'info_set'$"):
+        load_spec(_write_config(tmp_path / "code.json", doc))
 
 
 @pytest.mark.parametrize("argv, n_in", [
@@ -403,7 +422,7 @@ def test_deeply_nested_json_exits_2_naming_the_file(tmp_path, monkeypatch, capsy
 DEEP_LIST = "[" * 500 + "]" * 500  # about 1,000 characters of JSON, still loadable in-process
 LONG_LIST = json.dumps([0.5] * 200_000)  # about 1 MB
 _DIST = ["simulate-dist", "--config", "bad.json", "--out-dir", "d"]
-_SPEC = '{"n": 3, "N": 8, "K": 4, "eps": 0.5, "info_set": %s}'
+_SPEC = '{"n": 3, "N": 8, "K": 4, "eps": 0.5, "info_set": [%s]}'  # an item, checked as an int
 ECHO_CASES = {f"{name}-{kind}": (argv, n_in, doc % value)
               for name, argv, n_in, doc in [
                   ("sizes", _DIST, 0, '{"sizes": [[%s]]}'),
@@ -431,11 +450,31 @@ def test_rejected_json_value_is_echoed_in_short(tmp_path, monkeypatch, capsys, a
     assert os.listdir(tmp_path) == ["bad.json"]
 
 
-@pytest.mark.parametrize("key, value", [
-    ("info_set", 5), ("n", None), ("eps", [0.5]), ("n", 3.7), ("K", 1.9), ("info_set", [7.9]),
-    ("N", True), ("info_set", [3, 5, 6, True]), ("eps", "0.5"),
-], ids=["info_set-int", "n-null", "eps-list", "n-float", "K-float", "info_set-float", "N-bool",
-        "info_set-bool", "eps-text"])
+# one JSON value of each type
+JSON_VALUES = {"null": None, "true": True, "int": 7, "float": 0.5, "string": "x", "list": [0],
+               "object": {"x": 0}}
+
+
+def json_values_rejected_for(default):
+    """(type name, value) of each of JSON_VALUES that a setting or field with this default
+    rejects: any of another type, where an int passes for a float and for None."""
+    accepted = {type(default)} | ({int} if default is None or isinstance(default, float) else set())
+    return [(kind, value) for kind, value in JSON_VALUES.items() if type(value) not in accepted]
+
+
+MALFORMED_SPEC_CASES = {
+    "info_set-int": ("info_set", 5), "n-null": ("n", None), "eps-list": ("eps", [0.5]),
+    "n-float": ("n", 3.7), "K-float": ("K", 1.9), "info_set-float": ("info_set", [7.9]),
+    "N-bool": ("N", True), "info_set-bool": ("info_set", [3, 5, 6, True]),
+    "eps-text": ("eps", "0.5"),
+}
+MALFORMED_SPEC_CASES.update({f"{key}-as-{kind}": (key, value)
+                             for key, example in cli._SPEC_FIELDS.items()
+                             for kind, value in json_values_rejected_for(example)})
+
+
+@pytest.mark.parametrize("key, value", list(MALFORMED_SPEC_CASES.values()),
+                         ids=list(MALFORMED_SPEC_CASES))
 @pytest.mark.parametrize("command, n_in", [("encode", 4), ("decode", 8)])
 def test_malformed_code_description_exits_2(tmp_path, monkeypatch, capsys, command, n_in,
                                             key, value):
@@ -447,6 +486,7 @@ def test_malformed_code_description_exits_2(tmp_path, monkeypatch, capsys, comma
     assert code == 2 and out == ""
     assert err.startswith(f"error: code description field {key!r} must be ")
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert os.listdir(tmp_path) == ["bad.json"]
 
 
 @pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0, 1, -0.5])
@@ -480,6 +520,8 @@ def test_simulate_ber_missing_output_directory_fails_before_the_sweep(
     assert not (tmp_path / "nodir").exists()
 
 
+# Every setting of both experiments gets each JSON type its default rejects.  The worker count
+# never gets an int or null, so no case can start a process.
 @pytest.mark.parametrize("command, setting, value", [
     ("simulate-dist", "frames", "ten"),
     ("simulate-dist", "sizes", 5),
@@ -487,16 +529,22 @@ def test_simulate_ber_missing_output_directory_fails_before_the_sweep(
     ("simulate-ber", "exact_f", 1),
     ("simulate-ber", "workers", "two"),
     ("simulate-dist", "sizes", [[16]]),
-])
+] + [pytest.param(command, key, value, id=f"{command}-{key}-as-{kind}")
+     for command, table in (("simulate-dist", cli.DIST_SETTINGS), ("simulate-ber", cli.BER_SETTINGS))
+     for key, (default, _, _) in table.items()
+     for kind, value in json_values_rejected_for(default)])
 def test_sidecar_value_of_the_wrong_type_exits_2(tmp_path, monkeypatch, capsys,
                                                   command, setting, value):
-    cfg = _write_config(tmp_path / "c.json", {setting: value})
-    out_flag = "--out-dir" if command == "simulate-dist" else "--out"
-    code, out, err = run_cli([command, "--config", cfg, out_flag, str(tmp_path / "o")],
-                             monkeypatch=monkeypatch, capsys=capsys)
+    # no output flag, which would override the sidecar's out or out_dir: a run that wrongly went
+    # ahead would write into the working directory
+    monkeypatch.chdir(tmp_path)
+    _write_config(tmp_path / "c.json", {setting: value})
+    code, out, err = run_cli([command, "--config", "c.json"], monkeypatch=monkeypatch,
+                             capsys=capsys)
     assert code == 2 and out == ""
     assert err.startswith(f"error: config setting {setting!r} must be ")
-    assert not (tmp_path / "o").exists()
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert os.listdir(tmp_path) == ["c.json"]
 
 
 def test_sidecar_int_passes_for_a_float_setting(tmp_path, monkeypatch, capsys):

@@ -1,21 +1,13 @@
-"""Construction tests: recursion values, ordering rules, serialization."""
+"""Construction tests: recursion values, ordering rules, pickling."""
 
-import json
 import os
 import pickle
 
 import numpy as np
 import pytest
 
-from beaconphy.polar_construction import (
-    PolarSpec,
-    bhattacharyya_profile,
-    construct,
-    from_dict,
-    load,
-    save,
-    to_dict,
-)
+from beaconphy.cli import load_spec
+from beaconphy.polar_construction import PolarSpec, bhattacharyya_profile, construct
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -89,7 +81,7 @@ def test_construct_nesting():
 
 
 def test_construct_golden_regression():
-    golden = load(os.path.join(DATA_DIR, "polar_256_158.json"))
+    golden = load_spec(os.path.join(DATA_DIR, "polar_256_158.json"))
     spec = construct(256, 158, 0.5)
     assert spec == golden
 
@@ -136,19 +128,3 @@ def test_spec_arrays_are_built_once_and_read_only():
         with pytest.raises(ValueError):
             arr[0] = 1
 
-
-def test_json_roundtrip(tmp_path):
-    spec = construct(64, 40, 0.4)
-    path = tmp_path / "code.json"
-    save(spec, path)
-    assert load(path) == spec
-    doc = to_dict(spec)
-    assert from_dict(doc) == spec
-    assert from_dict(json.loads(json.dumps(doc))) == spec
-
-
-def test_from_dict_missing_field():
-    doc = to_dict(construct(8, 4))
-    del doc["info_set"]
-    with pytest.raises(ValueError):
-        from_dict(doc)
