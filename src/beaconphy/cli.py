@@ -39,7 +39,7 @@ from .analysis import (
 )
 from .channel import ChannelParams
 from .polar_codec import encode_nspe, sc_decode
-from .polar_construction import PolarSpec, construct
+from .polar_construction import PolarSpec, check_design, construct
 from .scrambler import DEFAULT_POLY, DEFAULT_SEED, ScramblerSpec, scramble
 
 DEFAULT_N = 256
@@ -371,6 +371,7 @@ def cmd_simulate_ber(st) -> int:
     _reject_empty_or_repeated("codes", codes)
     if isinstance(sweeps, list):  # --ebn0 gives every code the same sweep
         sweeps = dict.fromkeys(codes, sweeps)
+    check_design(st["N"], st["eps"])  # the sidecar records both whatever the codes
     scrambler = ScramblerSpec(poly_mask=st["poly"], seed=st["scrambler_seed"])
     links = []  # every link is built before the first point, so a bad size loses no results
     for name in codes:

@@ -19,6 +19,13 @@ def _check_eps(eps: float) -> None:
         raise ValueError("design erasure probability must lie in (0, 1)")
 
 
+def check_design(N: int, eps: float) -> None:
+    """Reject a code length N that is not a power of two and an eps outside (0, 1)."""
+    if N <= 0 or N & (N - 1):
+        raise ValueError("N must be a power of two")
+    _check_eps(eps)
+
+
 def bhattacharyya_profile(n: int, eps: float) -> np.ndarray:
     """Reliability parameter of each bit channel after n polarization levels.
 
@@ -56,7 +63,8 @@ class PolarSpec:
     info_set: tuple[int, ...]
 
     def __post_init__(self):
-        if self.N != 1 << self.n:
+        check_design(self.N, self.eps)
+        if int(self.N).bit_length() != self.n + 1:  # not 1 << n, which a huge n overflows
             raise ValueError("N must equal 2**n")
         if not 0 < self.K <= self.N:
             raise ValueError("K must satisfy 0 < K <= N")
@@ -65,7 +73,6 @@ class PolarSpec:
             raise ValueError("info_set must be K sorted distinct indices")
         if info and not 0 <= info[0] <= info[-1] < self.N:
             raise ValueError("info_set indices must lie in [0, N)")
-        _check_eps(self.eps)
         object.__setattr__(self, "info_set", info)
 
     @property
@@ -100,8 +107,7 @@ def construct(N: int, K: int, eps: float = 0.5) -> PolarSpec:
     the returned set is a deterministic function of (N, K, eps) and the sets
     for successive K are nested.
     """
-    if N <= 0 or N & (N - 1):
-        raise ValueError("N must be a power of two")
+    check_design(N, eps)
     if not 0 < K <= N:
         raise ValueError("K must satisfy 0 < K <= N")
     n = N.bit_length() - 1

@@ -15,9 +15,11 @@ the one of the 225 one-error and 23,625 two-error patterns that the roots
 alpha^1 .. alpha^4 of RS(15, 11), d = 5, tell apart; a dirty word whose
 n-k syndromes all match its pattern's is within distance 2 of a codeword,
 which as d >= 5 for every k is the one bounded-distance decoding returns.
-Only the other dirty words go one by one through Berlekamp-Massey, Chien
-search and Forney.  A detected uncorrectable word is flagged in the
-returned failure array; that is a value, not a fault.
+For RS(15, 11) the table is the whole decoder: every other dirty word lies
+beyond t = 2 and fails.  For k = 7 and 3 the other dirty words go one by
+one through Berlekamp-Massey, Chien search and Forney.  A detected
+uncorrectable word is flagged in the returned failure array; that is a
+value, not a fault.
 """
 
 from __future__ import annotations
@@ -58,24 +60,23 @@ _INV = [0] + [_EXP[15 - _LOG[a]] for a in range(1, 16)]
 _MUL_NP = np.array(_MUL, dtype=np.uint8)
 
 
-def _packed(exponents: np.ndarray) -> list[list[int]]:
+def _packed(exponents: np.ndarray) -> np.ndarray:
     """Row r, symbol s: s * alpha^exponents[r, i] in nibble i, for every i."""
     values = _MUL_NP[np.arange(16)[:, None], np.array(_EXP)[exponents % 15][:, None, :]]
-    return (values.astype(np.int64) << 4 * np.arange(exponents.shape[1])).sum(axis=-1).tolist()
+    return (values.astype(np.int64) << 4 * np.arange(exponents.shape[1])).sum(axis=-1)
 
 
 # Syndromes packed as nibbles: S_j occupies bits 4(j-1) .. 4j-1 for
-# j = 1 .. 12.  _SYN[p][s] holds S_1 .. S_12 of symbol s alone at position p,
+# j = 1 .. 12.  _SYN[p, s] holds S_1 .. S_12 of symbol s alone at position p,
 # that is s * alpha^(j (14 - p)); a word's packed syndromes are the XOR of
 # its 15 entries, since GF(16) addition is XOR.
 _MAX_SYN = 12
 _SYN = _packed(np.outer(N_SYMBOLS - 1 - np.arange(N_SYMBOLS), np.arange(1, _MAX_SYN + 1)))
-_SYN_NP = np.array(_SYN, dtype=np.int64)
 _POSITIONS = np.arange(N_SYMBOLS)
 # _EVAL[i][c] packs c * alpha^(-i d) for d = 0 .. 14 as nibbles, so XOR-ing
 # _EVAL[i][poly[i]] over an ascending polynomial evaluates it at every Chien
 # point alpha^-d at once; nibble d is the value at alpha^-d.
-_EVAL = _packed(-np.outer(np.arange(_MAX_SYN), np.arange(N_SYMBOLS)))
+_EVAL = _packed(-np.outer(np.arange(_MAX_SYN), np.arange(N_SYMBOLS))).tolist()
 
 
 def _error_tables():
@@ -85,7 +86,7 @@ def _error_tables():
     pos = (np.arange(226) - 1) // 15  # row 0 comes before every position
     one_error = np.zeros((226, N_SYMBOLS), dtype=np.uint8)
     one_error[np.arange(1, 226), pos[1:]] = np.arange(225) % 15 + 1
-    one_syn = np.concatenate([[0], _SYN_NP[:, 1:].ravel()])
+    one_syn = np.concatenate([[0], _SYN[:, 1:].ravel()])
     first, second = np.nonzero(pos[:, None] < pos)
     pairs = np.zeros(1 << 16, dtype="<u2")  # little-endian: a uint8 view reads a1, a2
     pairs[(one_syn[first] ^ one_syn[second]) & 0xFFFF] = first | second << 8
@@ -169,15 +170,14 @@ def rs_decode(spec: RsSpec, words):
     """Decode (..., n) received words; returns (msgs, failed).
 
     msgs is a (..., k) uint8 array of message symbols and failed a (...)
-    bool array.  Any pattern of up to t symbol errors is corrected.  An
-    inconsistent error locator (wrong root count, zero derivative, or
-    residual syndromes after correction) flags the word as failed instead
+    bool array.  Any pattern of up to t symbol errors is corrected.  A word
+    farther than t symbols from every codeword is flagged as failed instead
     of giving a wrong answer, and a failed word's symbols are zero.
     """
     words = _check_symbols(words, spec.n)
     flat = words.reshape(-1, N_SYMBOLS)
     k, mask = spec.k, spec.syndrome_mask
-    packed = np.bitwise_xor.reduce(_SYN_NP[_POSITIONS, flat], axis=-1) & mask
+    packed = np.bitwise_xor.reduce(_SYN[_POSITIONS, flat], axis=-1) & mask
     msgs = flat[:, :k].copy()
     failed = np.zeros(len(flat), dtype=bool)
     dirty = np.flatnonzero(packed)
@@ -232,25 +232,26 @@ def _eval_all(poly) -> int:
 
 
 def _correct(spec: RsSpec, recv: list[int], packed: int) -> list[int] | None:
-    """Berlekamp-Massey, Chien search and Forney on one word of 15 symbols
-    whose packed S_1 .. S_(n-k) are `packed`; its k corrected message
-    symbols, or None on failure."""
-    nsyn = N_SYMBOLS - spec.k
-    synd = [(packed >> 4 * j) & 15 for j in range(nsyn)]
+    """Berlekamp-Massey, Chien search and Forney on one word of 15 symbols whose packed
+    S_1 .. S_(n-k) are `packed`: its k corrected message symbols, or None on failure."""
+    if spec.t == 2:  # _PAIRS holds every pattern of weight <= 2, so a miss fails
+        return None
+    synd = [(packed >> 4 * j) & 15 for j in range(N_SYMBOLS - spec.k)]
     sigma = _berlekamp_massey(synd)
     n_errors = len(sigma) - 1
-    if n_errors > nsyn // 2:
+    if n_errors > spec.t:
         return None
 
-    # Chien search: a root alpha^-d locates an error at position 14 - d
+    # Chien search: a root alpha^-d locates an error at position 14 - d.  As n = q - 1,
+    # a shortest locator of degree L <= t with L distinct roots generates all n-k
+    # syndromes through an invertible Vandermonde system (Massey 1969): the corrected
+    # word is a codeword and sigma' is nonzero at every root, so no check follows this.
     values = _eval_all(sigma)
     roots = [d for d in range(N_SYMBOLS) if not (values >> 4 * d) & 15]
     if len(roots) != n_errors:
         return None
 
-    # Forney: omega = S(x) sigma(x) with S(x) = S_1 + S_2 x + ..., taken
-    # mod x^n_errors: a correctable pattern has deg omega < n_errors, and
-    # any other word fails the residual check whatever omega says
+    # Forney: omega = S(x) sigma(x) mod x^n_errors, with S(x) = S_1 + S_2 x + ...
     omega = [0] * n_errors
     for i, s in enumerate(synd[:n_errors]):
         row = _MUL[s]
@@ -261,17 +262,8 @@ def _correct(spec: RsSpec, recv: list[int], packed: int) -> list[int] | None:
 
     corrected = recv[:]
     for d in roots:
-        den = (deriv_values >> 4 * d) & 15
-        if den == 0:
-            return None
-        pos = N_SYMBOLS - 1 - d
-        err = _MUL[(omega_values >> 4 * d) & 15][_INV[den]]
-        corrected[pos] ^= err
-        packed ^= _SYN[pos][err]
-
-    # S(r + e) = S(r) + S(e), so the residual needs only the error symbols
-    if packed & spec.syndrome_mask:
-        return None
+        omega_d, deriv_d = (omega_values >> 4 * d) & 15, (deriv_values >> 4 * d) & 15
+        corrected[N_SYMBOLS - 1 - d] ^= _MUL[omega_d][_INV[deriv_d]]
     return corrected[: spec.k]
 
 

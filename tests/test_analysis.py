@@ -356,6 +356,17 @@ def test_ber_experiment_stops_after_quiet_point():
     assert points[0].bit_errors == 0
 
 
+def test_ber_experiment_stops_on_the_frame_whose_errors_reach_min_errors():
+    # min_errors is reached, not passed: a first frame with exactly that many
+    # bit errors ends the point by itself
+    link = UncodedLink()
+    first, = run_ber_experiment(link, [0.0], max_frames=1, batch=1)
+    assert first.frames_sent == 1 and first.bit_errors > 0
+    point, = run_ber_experiment(link, [0.0], min_errors=first.bit_errors,
+                                max_frames=1000, batch=1)
+    assert point.frames_sent == 1 and point.bit_errors == first.bit_errors
+
+
 def test_ber_experiment_validation():
     with pytest.raises(ValueError):
         run_ber_experiment(UncodedLink(), [10.0], min_errors=0)

@@ -501,6 +501,38 @@ def test_code_description_eps_outside_0_1_exits_2(tmp_path, monkeypatch, capsys,
     assert err == "error: design erasure probability must lie in (0, 1)\n"
 
 
+@pytest.mark.parametrize("n", [10**20, -1])
+@pytest.mark.parametrize("command, n_in", [("encode", 4), ("decode", 8)])
+def test_code_description_huge_or_negative_n_exits_2(tmp_path, monkeypatch, capsys, command, n_in,
+                                                      n):
+    # N is checked against n without 1 << n, which a huge n overflows and a negative n rejects
+    doc = {"n": n, "N": 8, "K": 4, "eps": 0.5, "info_set": [3, 5, 6, 7]}
+    spec = _write_config(tmp_path / "bad.json", doc)
+    code, out, err = run_cli([command, "--spec", spec], stdin_text="0" * n_in,
+                             monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and out == ""
+    assert err == "error: N must equal 2**n\n"
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--eps", "nan", "design erasure probability must lie in (0, 1)"),
+    ("--eps", "1", "design erasure probability must lie in (0, 1)"),
+    ("--N", "0", "N must be a power of two"),
+    ("--N", "100", "N must be a power of two"),
+])
+def test_simulate_ber_checks_polar_settings_whatever_the_codes(tmp_path, monkeypatch, capsys,
+                                                               flag, value, message):
+    # the sidecar records N and eps for every run, and NaN is not JSON
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(
+        ["simulate-ber", "--codes", "uncoded", "--ebn0", "10:1:10", "--max-frames", "10",
+         flag, value, "--out", "x.csv"],
+        monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("text", ["-19", "-1"])
 def test_scramble_rejects_a_negative_mask(monkeypatch, capsys, text):
     code, out, err = run_cli(["scramble", f"--poly={text}"], stdin_text="0101",

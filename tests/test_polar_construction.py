@@ -107,6 +107,11 @@ def test_spec_validation():
     for eps in (float("nan"), float("inf"), 0.0, 1.0, -0.5):
         with pytest.raises(ValueError, match=r"must lie in \(0, 1\)"):
             PolarSpec(n=2, N=4, K=2, eps=eps, info_set=(2, 3))
+    for n in (10**20, -1, 3):
+        with pytest.raises(ValueError, match=r"N must equal 2\*\*n"):
+            PolarSpec(n=n, N=4, K=2, eps=0.5, info_set=(2, 3))
+    # numpy integers have no bit_length of their own, and are accepted
+    assert PolarSpec(n=np.int64(2), N=np.int64(4), K=2, eps=0.5, info_set=(2, 3)).N == 4
 
 
 def test_spec_helpers():

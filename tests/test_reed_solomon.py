@@ -175,6 +175,26 @@ def test_decode_failure_value_occurs():
     assert failures > 0
 
 
+@pytest.mark.parametrize("k", (7, 3))
+def test_every_decoded_word_lies_within_t_of_its_codeword(k):
+    # Berlekamp-Massey's locator is trusted once its root count matches its
+    # degree; no residual-syndrome check follows.  Random words and codewords
+    # with t + 1 errors: whatever is not flagged must be within t symbols of
+    # its message's codeword.
+    rng = np.random.default_rng(109 + k)
+    spec = RsSpec(k)
+    codewords = rs_encode(spec, rng.integers(0, 16, (5000, k)))
+    pos = np.argsort(rng.random(codewords.shape), axis=1)[:, : spec.t + 1]
+    errors = rng.integers(1, 16, pos.shape, dtype=np.uint8)
+    np.put_along_axis(codewords, pos, np.take_along_axis(codewords, pos, axis=1) ^ errors, axis=1)
+    words = np.concatenate([rng.integers(0, 16, (40000, N_SYMBOLS), dtype=np.uint8), codewords])
+    msgs, failed = rs_decode(spec, words)
+    distance = np.count_nonzero(rs_encode(spec, msgs) != words, axis=1)
+    assert (distance[~failed] <= spec.t).all()
+    # more than 2 errors: decoded by Berlekamp-Massey, not the weight-2 table
+    assert (distance[~failed] > 2).any() and failed.any()
+
+
 def test_decode_validation():
     with pytest.raises(ValueError):
         rs_decode(RsSpec(11), [0] * 14)

@@ -274,6 +274,23 @@ def test_every_pattern_of_weight_at_most_two_matches_oracle(k, monkeypatch):
         assert np.array_equal(rs_oracle.rs_decode(ref_spec, word), msg), word
 
 
+def test_every_rs15_11_syndrome_matches_oracle_without_berlekamp_massey(monkeypatch):
+    # the zero message with every value of its four parity symbols gives each
+    # of the 65,536 syndromes once; the table alone decides every word
+    def unreachable(synd):
+        raise AssertionError(f"RS(15, 11) reached Berlekamp-Massey with {synd}")
+
+    monkeypatch.setattr(reed_solomon, "_berlekamp_massey", unreachable)
+    spec = RsSpec(11)
+    words = np.zeros((1 << 16, 15), dtype=np.uint8)
+    words[:, 11:] = np.arange(1 << 16)[:, None] >> 4 * np.arange(4) & 15
+    msgs, failed = rs_decode(spec, words)
+    assert np.count_nonzero(~failed) == 1 + 225 + 23625
+    distance = np.count_nonzero(rs_encode(spec, msgs) != words, axis=1)
+    assert (distance[~failed] <= 2).all()
+    _assert_same_as_oracle(11, words)
+
+
 @pytest.mark.parametrize("k", (7, 3))
 def test_table_entry_with_other_higher_syndromes_takes_the_miss_path(k, monkeypatch):
     # words whose S_1 .. S_4 name a table pattern that their S_5 .. S_(n-k)
