@@ -211,23 +211,22 @@ def run_dist_experiment(
 ) -> DistStats:
     """Encode each row of msgs (see draw_messages); collect ones-density statistics.
 
-    The messages are XORed with the scrambler's keystream first, unless
-    scrambler is None.  msgs is left as it is, so one draw serves every
-    encoder and scrambler setting: simulate-dist draws each size's messages
-    once and shares them across its encoders and scramble settings."""
+    The messages are XORed with the scrambler's keystream first; a scrambler
+    of None is an all-zero key.  msgs is left as it is, so one draw serves
+    every encoder and scrambler setting: simulate-dist draws each size's
+    messages once and shares them across its encoders and scramble settings."""
     polar_encoder(encoder)  # rejects a name outside ENCODERS
     shape = np.shape(msgs)
     if len(shape) != 2 or shape[0] < 1 or shape[1] != spec.K:
         raise ValueError(f"msgs must be a (frames >= 1, K={spec.K}) array, got shape {shape}")
-    ks = None if scrambler is None else keystream(scrambler, spec.K)
+    ks = np.zeros(spec.K, np.uint8) if scrambler is None else keystream(scrambler, spec.K)
     frames = shape[0]
     weights = np.empty(frames, dtype=np.int64)
     max_run = 0
     for lo in range(0, frames, _DIST_BATCH):
         hi = min(lo + _DIST_BATCH, frames)
         # (N, hi - lo) codewords, one column per frame, never transposed
-        x = encode_position_major(spec, msgs[lo:hi] if ks is None else msgs[lo:hi] ^ ks,
-                                  systematic=encoder == "systematic")
+        x = encode_position_major(spec, msgs[lo:hi] ^ ks, systematic=encoder == "systematic")
         x.sum(axis=0, dtype=np.int64, out=weights[lo:hi])
         max_run = max(max_run, bitstream.max_run_length(x.T))
     return DistStats(spec.N, weights, max_run)
@@ -258,29 +257,27 @@ def _frames(arr, width: int, what: str) -> np.ndarray:
 
 
 class PolarLink:
-    """Scrambler plus non-systematic polar encoder, decoded by SC."""
+    """Scrambler plus non-systematic polar encoder, decoded by SC.
+
+    Messages are XORed with key, the scrambler's keystream, before encoding
+    and after decoding; a scrambler of None is an all-zero key."""
 
     def __init__(self, spec: PolarSpec, scrambler: ScramblerSpec | None = ScramblerSpec(),
                  exact: bool = False):
         self.spec = spec
-        self.key = None if scrambler is None else keystream(scrambler, spec.K)
+        self.key = np.zeros(spec.K, np.uint8) if scrambler is None else keystream(scrambler, spec.K)
         self.exact = exact
         self.frame_bits = spec.K
         self.tx_bits = spec.N
         self.rate = self.frame_bits / self.tx_bits
 
     def encode(self, msgs: np.ndarray) -> np.ndarray:
-        msgs = _frames(msgs, self.frame_bits, "messages")
-        if self.key is not None:
-            msgs = msgs ^ self.key
-        return encode_nspe(self.spec, msgs)
+        return encode_nspe(self.spec, _frames(msgs, self.frame_bits, "messages") ^ self.key)
 
     def decode(self, y: np.ndarray, params: ChannelParams):
         y = _frames(y, self.tx_bits, "received samples")
         hat = sc_decode(self.spec, llr_demap(y, params), exact=self.exact)
-        if self.key is not None:
-            hat = hat ^ self.key
-        return hat, np.zeros(y.shape[0], dtype=bool)
+        return hat ^ self.key, np.zeros(y.shape[0], dtype=bool)
 
 
 class RsLink:
@@ -297,8 +294,7 @@ class RsLink:
             raise ValueError("frame_bits must be positive")
         self.spec = RsSpec(k)
         self.frame_bits = frame_bits
-        msg_symbols = -(-frame_bits // SYMBOL_BITS)
-        self.blocks = -(-msg_symbols // k)
+        self.blocks = -(-frame_bits // (SYMBOL_BITS * k))
         self.padded_symbols = self.blocks * k
         self.tx_bits = self.blocks * N_SYMBOLS * SYMBOL_BITS
         self.rate = self.frame_bits / self.tx_bits

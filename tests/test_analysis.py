@@ -179,6 +179,16 @@ def test_polar_link_without_scrambler():
     assert np.array_equal(hat, msgs)
 
 
+@pytest.mark.parametrize("scrambler", [ScramblerSpec(), None], ids=["scrambled", "unscrambled"])
+def test_float_messages_fail_alike_scrambled_or_not(scrambler):
+    # an unscrambled frame XORs an all-zero key, so both fail at the XOR
+    spec = construct(64, 40)
+    with pytest.raises(TypeError):
+        PolarLink(spec, scrambler).encode(np.zeros((2, 40)))
+    with pytest.raises(TypeError):
+        run_dist_experiment(spec, np.zeros((2, 40)), scrambler=scrambler)
+
+
 def test_rs_link_noiseless_roundtrip():
     rng = np.random.default_rng(17)
     params = ChannelParams(noise_var=0.01)
@@ -246,12 +256,14 @@ def test_ber_experiment_reproducible_across_workers():
     link = UncodedLink()
     kw = dict(min_errors=40, max_frames=4000,
               master_seed=777, batch=250)
-    serial = run_ber_experiment(link, [11.0, 12.0], workers=None, **kw)
-    pooled = run_ber_experiment(link, [11.0, 12.0], workers=2, **kw)
+    serial = run_ber_experiment(link, [11.0, 12.0, 30.0], workers=None, **kw)
+    pooled = run_ber_experiment(link, [11.0, 12.0, 30.0], workers=2, **kw)
     assert [(p.bits_sent, p.bit_errors, p.frames_sent, p.frame_errors)
             for p in serial] == \
            [(p.bits_sent, p.bit_errors, p.frames_sent, p.frame_errors)
             for p in pooled]
+    # error-free at 30 dB, the last point runs to its frame cap, past the pool's last submit
+    assert serial[-1] == BerPoint(30.0, 4000 * 158, 0, 4000, 0)
 
 
 def test_ber_counts_rebuild_from_numpy_streams():

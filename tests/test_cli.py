@@ -514,6 +514,31 @@ def test_code_description_huge_or_negative_n_exits_2(tmp_path, monkeypatch, caps
     assert err == "error: N must equal 2**n\n"
 
 
+@pytest.mark.parametrize("command, n_in", [("encode", 4), ("decode", 8)])
+def test_code_description_with_no_info_bit_exits_2(tmp_path, monkeypatch, capsys, command, n_in):
+    spec = _write_config(tmp_path / "k0.json", {"n": 3, "N": 8, "K": 0, "eps": 0.5, "info_set": []})
+    code, out, err = run_cli([command, "--spec", spec], stdin_text="0" * n_in,
+                             monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and out == ""
+    assert err == "error: K must satisfy 0 < K <= N\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["encode", "--spec", "huge.json"],
+    ["decode", "--spec", "huge.json"],
+    ["construct", "--N", str(2**100), "--K", "1", "--out", "code.json"],
+    ["simulate-ber", "--codes", "polar", "--N", str(2**100), "--out", "x.csv"],
+], ids=lambda argv: argv[0])
+def test_length_beyond_numpy_indexing_exits_2_naming_n(tmp_path, monkeypatch, capsys, argv):
+    # checked before anything of length N, such as the 2**n-float profile, is built
+    monkeypatch.chdir(tmp_path)
+    _write_config("huge.json", {"n": 100, "N": 2**100, "K": 1, "eps": 0.5, "info_set": [3]})
+    code, out, err = run_cli(argv, stdin_text="0", monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: N must not exceed {np.iinfo(np.intp).max}, got {2**100}\n"
+    assert os.listdir(tmp_path) == ["huge.json"]
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--eps", "nan", "design erasure probability must lie in (0, 1)"),
     ("--eps", "1", "design erasure probability must lie in (0, 1)"),

@@ -275,3 +275,8 @@ def test_bits_symbols_roundtrip():
     assert np.array_equal(symbols_to_bits(bits_to_symbols(bits)), bits)
     syms = rng.integers(0, 16, (4, 9)).astype(np.uint8)
     assert np.array_equal(bits_to_symbols(symbols_to_bits(syms)), syms)
+
+
+def test_bits_to_symbols_rejects_a_partial_symbol():
+    with pytest.raises(ValueError, match="bit count must be a multiple of 4"):
+        bits_to_symbols(np.zeros((2, 6), np.uint8))

@@ -53,8 +53,9 @@ def test_decode_and_screen_agree_with_oracle(k, monkeypatch):
     seen = _record_core(monkeypatch)
     msgs, failed = rs_decode(spec, words)
     assert msgs.dtype == np.uint8
-    # the core gets the oracle's syndromes, and only for dirty words
-    assert len(seen) > 50
+    # the core gets the oracle's syndromes, and only for dirty words; RS(15, 11) never
+    # calls it, as its pair table holds every pattern within t = 2
+    assert not seen if k == 11 else len(seen) > 50
     for word, packed in seen:
         assert packed == _packed_syndromes(k, word) != 0, word
     outcomes = {"clean": 0, "corrected": 0, "failed": 0}
