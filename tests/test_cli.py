@@ -1039,9 +1039,10 @@ def test_simulate_ber_rs_csv_matches_pinned_bytes(tmp_path, monkeypatch, capsys)
     # data/ber_rs_pinned.csv was written by the decoder that sent every dirty
     # block through Berlekamp-Massey, before the syndrome table; every point
     # but rs15_11 at 14 dB mixes blocks the table corrects with blocks it
-    # leaves to Berlekamp-Massey, and the run must exercise both paths
-    calls = {"dirty": 0, "miss": 0}
-    decode, core = analysis.rs_decode, reed_solomon._correct
+    # leaves to Berlekamp-Massey, and the run must exercise both paths and
+    # both of Berlekamp-Massey's cores
+    calls = {"dirty": 0, "miss": 0, "array": 0}
+    decode, core, array = analysis.rs_decode, reed_solomon._correct, reed_solomon._correct_batch
 
     def counting_decode(spec, words):
         # a systematic word is dirty when it differs from its message's codeword
@@ -1052,8 +1053,14 @@ def test_simulate_ber_rs_csv_matches_pinned_bytes(tmp_path, monkeypatch, capsys)
         calls["miss"] += 1
         return core(spec, word, packed)
 
+    def counting_array(spec, words, packed):
+        calls["miss"] += len(words)
+        calls["array"] += len(words)
+        return array(spec, words, packed)
+
     monkeypatch.setattr(analysis, "rs_decode", counting_decode)
     monkeypatch.setattr(reed_solomon, "_correct", counting_core)
+    monkeypatch.setattr(reed_solomon, "_correct_batch", counting_array)
     out = tmp_path / "rs.csv"
     code, _, _ = run_cli(
         ["simulate-ber", "--codes", "rs15_11,rs15_7,rs15_3", "--ebn0", "12:1:14",
@@ -1063,7 +1070,7 @@ def test_simulate_ber_rs_csv_matches_pinned_bytes(tmp_path, monkeypatch, capsys)
     assert code == 0
     pinned = os.path.join(os.path.dirname(__file__), "data", "ber_rs_pinned.csv")
     assert out.read_bytes() == open(pinned, "rb").read()
-    assert 0 < calls["miss"] < calls["dirty"] - 1000, calls
+    assert 0 < calls["array"] < calls["miss"] < calls["dirty"] - 1000, calls
 
 
 DATA = os.path.join(os.path.dirname(__file__), "data")

@@ -34,16 +34,31 @@ def _received_words(k: int, seed: int) -> np.ndarray:
 
 
 def _record_core(monkeypatch):
-    """Log (word, packed syndromes) for each word rs_decode sends to its scalar core."""
-    seen = []
-    core = reed_solomon._correct
+    """Log (word, packed syndromes) for each word rs_decode sends to a core:
+    seen["scalar"] for _correct, seen["array"] for _correct_batch."""
+    seen = {"scalar": [], "array": []}
+    scalar, array = reed_solomon._correct, reed_solomon._correct_batch
 
-    def recording_core(spec, word, packed):
-        seen.append((tuple(word), packed))
-        return core(spec, word, packed)
+    def recording_scalar(spec, word, packed):
+        seen["scalar"].append((tuple(word), packed))
+        return scalar(spec, word, packed)
 
-    monkeypatch.setattr(reed_solomon, "_correct", recording_core)
+    def recording_array(spec, words, packed):
+        seen["array"].extend(zip(map(tuple, words.tolist()), packed.tolist()))
+        return array(spec, words, packed)
+
+    monkeypatch.setattr(reed_solomon, "_correct", recording_scalar)
+    monkeypatch.setattr(reed_solomon, "_correct_batch", recording_array)
     return seen
+
+
+def _in_calls(decode, words, step):
+    """decode(words) made `step` words at a time, its outputs concatenated."""
+    parts = [decode(words[i : i + step]) for i in range(0, len(words), step)]
+    return tuple(np.concatenate(out) for out in zip(*parts))
+
+
+SMALL = reed_solomon._ARRAY_MIN - 1  # words per call, so no call holds _ARRAY_MIN misses
 
 
 @pytest.mark.parametrize("k", KS)
@@ -51,16 +66,21 @@ def test_decode_and_screen_agree_with_oracle(k, monkeypatch):
     spec, ref_spec = RsSpec(k), rs_oracle.RsSpec(k)
     words = _received_words(k, 1000 + k)
     seen = _record_core(monkeypatch)
+    # in one batch the misses reach the array core; in small calls, the scalar core
     msgs, failed = rs_decode(spec, words)
-    assert msgs.dtype == np.uint8
-    # the core gets the oracle's syndromes, and only for dirty words; RS(15, 11) never
-    # calls it, as its pair table holds every pattern within t = 2
-    assert not seen if k == 11 else len(seen) > 50
-    for word, packed in seen:
+    assert not seen["scalar"]
+    small = _in_calls(lambda w: rs_decode(spec, w), words, SMALL)
+    assert msgs.dtype == small[0].dtype == np.uint8
+    # each core gets the oracle's syndromes, and only for dirty words; RS(15, 11)
+    # calls neither, as its pair table holds every pattern within t = 2
+    assert seen["array"] == seen["scalar"]
+    assert not seen["array"] if k == 11 else len(seen["array"]) > 50
+    for word, packed in seen["array"]:
         assert packed == _packed_syndromes(k, word) != 0, word
     outcomes = {"clean": 0, "corrected": 0, "failed": 0}
-    for word, got, lost in zip(words, msgs, failed):
+    for word, got, lost, got_small, lost_small in zip(words, msgs, failed, *small):
         ref = rs_oracle.rs_decode(ref_spec, word)
+        assert lost_small == lost and np.array_equal(got_small, got), word
         if ref is None:
             assert lost and not got.any(), word
             outcomes["failed"] += 1
@@ -231,14 +251,14 @@ def _bits(words) -> np.ndarray:
     return bits.reshape(len(words), -1).astype(np.float64)
 
 
-def _decode_one_block_frames(k, words, monkeypatch):
-    """RsLink(k) on one-block frames: (message symbols, failed, the core's log)."""
+def _decode_one_block_frames(k, words, step):
+    """RsLink(k) on one-block frames, `step` frames a call: (message symbols, failed)."""
     link = RsLink(k, frame_bits=4 * k)
     assert link.blocks == 1
-    seen = _record_core(monkeypatch)
-    hat, failed = link.decode(_bits(words), ChannelParams.from_ebn0_db(10.0, link.rate))
+    params = ChannelParams.from_ebn0_db(10.0, link.rate)
+    hat, failed = _in_calls(lambda y: link.decode(y, params), _bits(words), step)
     syms = hat.reshape(len(words), k, 4) @ np.array([8, 4, 2, 1])
-    return syms, failed, seen
+    return syms, failed
 
 
 def test_syndrome_table_holds_every_pattern_of_weight_at_most_two():
@@ -267,10 +287,12 @@ def test_every_pattern_of_weight_at_most_two_matches_oracle(k, monkeypatch):
     msgs = rng.integers(0, 16, (225 + 23625, k))
     words = np.array([rs_oracle.rs_encode(ref_spec, m) for m in msgs], dtype=np.uint8)
     words ^= _error_patterns()
-    syms, failed, seen = _decode_one_block_frames(k, words, monkeypatch)
-    assert not failed.any() and np.array_equal(syms, msgs) and seen == []
+    seen = _record_core(monkeypatch)
+    no_core = {"scalar": [], "array": []}
+    syms, failed = _decode_one_block_frames(k, words, len(words))
+    assert not failed.any() and np.array_equal(syms, msgs) and seen == no_core
     got, failed = rs_decode(spec, words)
-    assert not failed.any() and np.array_equal(got, msgs) and seen == []
+    assert not failed.any() and np.array_equal(got, msgs) and seen == no_core
     for word, msg in zip(words, msgs):
         assert np.array_equal(rs_oracle.rs_decode(ref_spec, word), msg), word
 
@@ -278,10 +300,11 @@ def test_every_pattern_of_weight_at_most_two_matches_oracle(k, monkeypatch):
 def test_every_rs15_11_syndrome_matches_oracle_without_berlekamp_massey(monkeypatch):
     # the zero message with every value of its four parity symbols gives each
     # of the 65,536 syndromes once; the table alone decides every word
-    def unreachable(synd):
-        raise AssertionError(f"RS(15, 11) reached Berlekamp-Massey with {synd}")
+    def unreachable(*args):
+        raise AssertionError(f"RS(15, 11) reached Berlekamp-Massey with {args}")
 
     monkeypatch.setattr(reed_solomon, "_berlekamp_massey", unreachable)
+    monkeypatch.setattr(reed_solomon, "_correct_batch", unreachable)
     spec = RsSpec(11)
     words = np.zeros((1 << 16, 15), dtype=np.uint8)
     words[:, 11:] = np.arange(1 << 16)[:, None] >> 4 * np.arange(4) & 15
@@ -312,28 +335,78 @@ def test_table_entry_with_other_higher_syndromes_takes_the_miss_path(k, monkeypa
         if entry and rs_oracle.has_nonzero_syndrome(ref_spec, fixed):
             chosen.append(word)
     assert len(chosen) > 1000
-    syms, failed, seen = _decode_one_block_frames(k, np.array(chosen), monkeypatch)
-    assert [word for word, _ in seen] == [tuple(word) for word in chosen]
+    seen = _record_core(monkeypatch)
+    # in one batch every chosen word reaches the array core; in small calls, the scalar core
+    syms, failed = _decode_one_block_frames(k, np.array(chosen), len(chosen))
+    assert not seen["scalar"]
+    small = _decode_one_block_frames(k, np.array(chosen), SMALL)
+    for core in ("array", "scalar"):
+        assert [word for word, _ in seen[core]] == [tuple(word) for word in chosen], core
     outcomes = set()
-    for word, got, lost in zip(chosen, syms, failed):
+    for word, got, lost, got_small, lost_small in zip(chosen, syms, failed, *small):
         ref = rs_oracle.rs_decode(ref_spec, word)
-        assert lost == (ref is None), word
+        assert lost == lost_small == (ref is None), word
         if ref is not None:
-            assert np.array_equal(got, ref), word
+            assert np.array_equal(got, ref) and np.array_equal(got_small, ref), word
         outcomes.add(lost)
     assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("k", KS)
-def test_rs_link_decodes_one_frame_at_a_time_as_in_one_batch(k):
+def test_rs_link_decodes_one_frame_at_a_time_as_in_one_batch(k, monkeypatch):
     link = RsLink(k)
     params = ChannelParams.from_ebn0_db({11: 12.0, 7: 12.5, 3: 15.0}[k], link.rate)
     rng = np.random.default_rng(8000 + k)
     msgs = rng.integers(0, 2, (300, link.frame_bits), dtype=np.uint8)
     y = link.encode(msgs) + rng.normal(0.0, params.sigma, (300, link.tx_bits))
+    seen = _record_core(monkeypatch)
     hat, failed = link.decode(y, params)
     assert failed.any() and not failed.all()
+    # the batch's misses reach the array core, and no one-frame call does
+    batched = len(seen["array"])
+    assert (batched > 0) == (k != 11) and not seen["scalar"]
     for step in (1, 7):
         parts = [link.decode(y[i : i + step], params) for i in range(0, len(y), step)]
         assert np.array_equal(np.concatenate([p[0] for p in parts]), hat)
         assert np.array_equal(np.concatenate([p[1] for p in parts]), failed)
+        if step == 1:
+            assert len(seen["array"]) == batched and len(seen["scalar"]) == batched
+
+
+@pytest.mark.parametrize("k", (7, 3))
+def test_array_core_matches_scalar_core_on_random_syndromes(k):
+    # (word, packed syndromes) pairs that need not agree, so that Berlekamp-Massey
+    # meets every length; both failure kinds, L > t and a root count other than
+    # L, must occur, and every output and failure flag must match
+    spec = RsSpec(k)
+    rng = np.random.default_rng(9000 + k)
+    words = rng.integers(0, 16, (20000, 15), dtype=np.uint8)
+    packed = rng.integers(1, 1 << 4 * (15 - k), 20000, dtype=np.int64)
+    got, failed = reed_solomon._correct_batch(spec, words, packed)
+    kinds = set()
+    for word, s, got_word, lost in zip(words.tolist(), packed.tolist(), got, failed):
+        ref = reed_solomon._correct(spec, word, s)
+        assert lost == (ref is None), (word, s)
+        assert got_word.tolist() == (ref or [0] * k), (word, s)
+        length = len(reed_solomon._berlekamp_massey([s >> 4 * j & 15 for j in range(15 - k)])) - 1
+        kinds.add("corrected" if ref else "L > t" if length > spec.t else "roots != L")
+    assert kinds == {"corrected", "L > t", "roots != L"}
+
+
+@pytest.mark.parametrize("k", (7, 3))
+@pytest.mark.parametrize("misses", (reed_solomon._ARRAY_MIN - 1, reed_solomon._ARRAY_MIN))
+def test_batch_at_the_array_threshold_decodes_as_word_by_word(k, misses, monkeypatch):
+    # random words, almost all table misses, among clean and one-error codewords
+    rng = np.random.default_rng(10000 + 10 * k + misses)
+    ref_spec, spec = rs_oracle.RsSpec(k), RsSpec(k)
+    cws = np.array([rs_oracle.rs_encode(ref_spec, rng.integers(0, 16, k)) for _ in range(10)],
+                   dtype=np.uint8)
+    cws[5:, 0] ^= 1
+    words = rng.permutation(np.concatenate([cws, rng.integers(0, 16, (misses, 15), dtype=np.uint8)]))
+    seen = _record_core(monkeypatch)
+    msgs, failed = rs_decode(spec, words)
+    array = misses >= reed_solomon._ARRAY_MIN
+    assert (len(seen["array"]), len(seen["scalar"])) == ((misses, 0) if array else (0, misses))
+    one_by_one = _in_calls(lambda w: rs_decode(spec, w), words, 1)
+    assert np.array_equal(msgs, one_by_one[0]) and np.array_equal(failed, one_by_one[1])
+    _assert_same_as_oracle(k, words)
