@@ -300,7 +300,7 @@ class RsLink:
         self.rate = self.frame_bits / self.tx_bits
 
     def encode(self, msgs: np.ndarray) -> np.ndarray:
-        msgs = _frames(msgs, self.frame_bits, "messages")
+        msgs = bitstream.checked_uint8(_frames(msgs, self.frame_bits, "messages"), 1, "bits")
         nframes = msgs.shape[0]
         padded = np.zeros((nframes, self.padded_symbols * SYMBOL_BITS), dtype=np.uint8)
         padded[:, : self.frame_bits] = msgs
@@ -330,7 +330,7 @@ class UncodedLink:
         self.rate = self.frame_bits / self.tx_bits
 
     def encode(self, msgs: np.ndarray) -> np.ndarray:
-        return _frames(msgs, self.frame_bits, "messages")
+        return bitstream.checked_uint8(_frames(msgs, self.frame_bits, "messages"), 1, "bits")
 
     def decode(self, y: np.ndarray, params: ChannelParams):
         y = _frames(y, self.tx_bits, "received samples")

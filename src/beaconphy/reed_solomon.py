@@ -7,9 +7,10 @@ r evaluates as r[0] x^14 + ... + r[14].  Encoding is systematic with the
 message in the first k positions.  The generator polynomial has roots
 alpha^1 .. alpha^(n-k).
 
-Both entry points take arrays of any leading shape.  rs_encode is one
-lookup in a 16x16 multiplication table against a k x (n-k) parity matrix
-followed by an XOR reduction.  rs_decode gathers every word's nibble-packed
+Both entry points take arrays of any leading shape.  Encoding is linear, so
+rs_encode gathers each message symbol's codeword image from a per-k table of
+nibble-packed codewords and XORs the k images (Sarwate, CACM 1988, computes
+CRCs by such lookups).  rs_decode gathers every word's nibble-packed
 syndromes at once, 0 for a codeword.  _PAIRS, indexed by S_1 .. S_4, names
 the one of the 225 one-error and 23,625 two-error patterns that the roots
 alpha^1 .. alpha^4 of RS(15, 11), d = 5, tell apart; a dirty word whose
@@ -25,7 +26,6 @@ flagged in the returned failure array; that is a value, not a fault.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -58,14 +58,14 @@ def _build_tables():
 
 _EXP, _LOG, _MUL = _build_tables()
 _INV = [0] + [_EXP[15 - _LOG[a]] for a in range(1, 16)]
-_MUL_NP = np.array(_MUL, dtype=np.uint8)
-_INV_NP = np.array(_INV, dtype=np.uint8)
+_EXP_NP, _MUL_NP, _INV_NP = (np.array(t, dtype=np.uint8) for t in (_EXP, _MUL, _INV))
+_MUL_FLAT = _MUL_NP.ravel()  # _MUL_FLAT[a << 4 | b] = a * b, one gather for uint8 a, b < 16
 
 
-def _packed(exponents: np.ndarray) -> np.ndarray:
-    """Row r, symbol s: s * alpha^exponents[r, i] in nibble i, for every i."""
-    values = _MUL_NP[np.arange(16)[:, None], np.array(_EXP)[exponents % 15][:, None, :]]
-    return (values.astype(np.int64) << 4 * np.arange(exponents.shape[1])).sum(axis=-1)
+def _packed(factors: np.ndarray) -> np.ndarray:
+    """Row r, symbol s: s * factors[r, i] in nibble i, for every i."""
+    values = _MUL_NP[np.arange(16)[:, None], factors[:, None, :]]
+    return (values.astype(np.int64) << 4 * np.arange(factors.shape[1])).sum(axis=-1)
 
 
 # Syndromes packed as nibbles: S_j occupies bits 4(j-1) .. 4j-1 for
@@ -73,12 +73,12 @@ def _packed(exponents: np.ndarray) -> np.ndarray:
 # that is s * alpha^(j (14 - p)); a word's packed syndromes are the XOR of
 # its 15 entries, since GF(16) addition is XOR.
 _MAX_SYN = 12
-_SYN = _packed(np.outer(N_SYMBOLS - 1 - np.arange(N_SYMBOLS), np.arange(1, _MAX_SYN + 1)))
 _POSITIONS = np.arange(N_SYMBOLS)
+_SYN = _packed(_EXP_NP[np.outer(N_SYMBOLS - 1 - _POSITIONS, np.arange(1, _MAX_SYN + 1)) % 15])
 # _EVAL[i][c] packs c * alpha^(-i d) for d = 0 .. 14 as nibbles, so XOR-ing
 # _EVAL[i][poly[i]] over an ascending polynomial evaluates it at every Chien
 # point alpha^-d at once; nibble d is the value at alpha^-d.
-_EVAL_NP = _packed(-np.outer(np.arange(_MAX_SYN), np.arange(N_SYMBOLS)))
+_EVAL_NP = _packed(_EXP_NP[-np.outer(np.arange(_MAX_SYN), np.arange(N_SYMBOLS)) % 15])
 _EVAL = _EVAL_NP.tolist()
 
 
@@ -137,21 +137,16 @@ def generator_poly(n_minus_k: int) -> tuple[int, ...]:
     return tuple(g)
 
 
-@lru_cache(maxsize=8)
-def _parity_matrix(k: int) -> np.ndarray:
-    """Row i is the parity of the unit message e_i; encoding is linear over GF(16)."""
-    gen = generator_poly(N_SYMBOLS - k)
-    rows = []
-    for i in range(k):
-        rem = [0] * N_SYMBOLS
-        rem[i] = 1
-        for a in range(k):
-            coef = rem[a]
-            if coef:
-                for j in range(1, len(gen)):
-                    rem[a + j] ^= _MUL[gen[j]][coef]
-        rows.append(rem[k:])
-    return np.array(rows, dtype=np.uint8)
+@lru_cache(maxsize=4)
+def _image(k: int) -> np.ndarray:
+    """Entry 16 j + s: the codeword of s alone at message position j, symbol p
+    in nibble p.  Its parity is s times x^(14-j) mod the generator polynomial."""
+    gen = generator_poly(N_SYMBOLS - k)[1:]
+    rows, rem = np.eye(k, N_SYMBOLS, dtype=np.uint8), list(gen)  # rem = x^(n-k) mod g
+    for row in rows[::-1]:
+        row[k:] = rem
+        rem = [r ^ _MUL[rem[0]][c] for r, c in zip(rem[1:] + [0], gen)]  # times x, mod g
+    return _packed(rows)
 
 
 def _check_symbols(symbols, expected_len: int) -> np.ndarray:
@@ -165,8 +160,8 @@ def _check_symbols(symbols, expected_len: int) -> np.ndarray:
 def rs_encode(spec: RsSpec, msg) -> np.ndarray:
     """Systematic encode of (..., k) message symbols into (..., n) codewords."""
     msg = _check_symbols(msg, spec.k)
-    prods = _MUL_NP[msg[..., :, None], _parity_matrix(spec.k)]
-    return np.concatenate([msg, np.bitwise_xor.reduce(prods, axis=-2)], axis=-1)
+    words = np.bitwise_xor.reduce(_image(spec.k).take(msg + 16 * np.arange(spec.k)), axis=-1)
+    return (words[..., None] >> 4 * _POSITIONS & 15).astype(np.uint8)
 
 
 def rs_decode(spec: RsSpec, words):
@@ -282,17 +277,17 @@ _ARRAY_MIN = 20
 def _correct_batch(spec: RsSpec, words: np.ndarray, packed: np.ndarray):
     """_correct on every row of `words` at once: (k message symbols, failed) arrays."""
     nsyn, t, k = N_SYMBOLS - spec.k, spec.t, spec.k
-    synd = packed[:, None] >> 4 * np.arange(nsyn) & 15
+    synd = (packed[:, None] >> 4 * np.arange(nsyn) & 15).astype(np.uint8)
     # Berlekamp-Massey with L, b and shift = x^m B(x) held per word
     sigma, shift = np.zeros((2, len(words), nsyn + 1), dtype=np.uint8)
     sigma[:, 0] = shift[:, 1] = 1
     length = np.zeros(len(words), dtype=np.intp)
     b = sigma[:, 0].copy()
     for r in range(nsyn):
-        d = np.bitwise_xor.reduce(_MUL_NP[sigma[:, : r + 1], synd[:, r::-1]], axis=1)
+        d = np.bitwise_xor.reduce(_MUL_FLAT[sigma[:, : r + 1] << 4 | synd[:, r::-1]], axis=1)
         grow = (d != 0) & (2 * length <= r)
         kept = np.where(grow[:, None], sigma, shift)
-        sigma ^= _MUL_NP[_MUL_NP[d, _INV_NP[b]][:, None], shift]
+        sigma ^= _MUL_FLAT[(_MUL_FLAT[d << 4 | _INV_NP[b]] << 4)[:, None] | shift]
         length = np.where(grow, r + 1 - length, length)
         b = np.where(grow, d, b)
         shift[:, 1:] = kept[:, :-1]  # shift[:, 0] stays 0
@@ -307,35 +302,35 @@ def _correct_batch(spec: RsSpec, words: np.ndarray, packed: np.ndarray):
     ok = roots.sum(axis=1) == length
     lag = np.arange(t)[:, None] - np.arange(t)
     omega = np.bitwise_xor.reduce(
-        _MUL_NP[synd[:, None, :t] * (lag >= 0), sigma[:, np.maximum(lag, 0)]], axis=2)
+        _MUL_FLAT[synd[:, None, :t] * (lag >= 0) << 4 | sigma[:, np.maximum(lag, 0)]], axis=2)
     deriv = sigma[:, 1:].copy()
     deriv[:, 1::2] = 0
     both = np.bitwise_xor.reduce(_EVAL_NP[np.arange(t), np.stack([omega, deriv])], axis=2)
     # message position p is Chien point d = 14 - p
     omega_d, deriv_d = both[..., None] >> 4 * (N_SYMBOLS - 1 - np.arange(k)) & 15
-    errors = _MUL_NP[omega_d, _INV_NP[deriv_d]] * roots[:, : -k - 1 : -1]
+    errors = _MUL_FLAT[omega_d << 4 | _INV_NP[deriv_d]] * roots[:, : -k - 1 : -1]
     return (words[:, :k] ^ errors) * ok[:, None], ~ok
 
 
-def bits_to_symbols(bits) -> np.ndarray:
-    """Pack bits into 4-bit symbols, first bit = most significant.
+# Byte strings carried as 2- and 4-byte integers, so that a uint8 view of a gather
+# reads _NIBBLES[b] as byte b's high and low nibble and _BITS[s] as symbol s's bits.
+_BYTE = np.arange(256, dtype=np.uint8)[:, None]
+_NIBBLES = np.hstack([_BYTE >> 4, _BYTE & 15]).view("<u2").ravel()
+_BITS = np.unpackbits(_BYTE[:16], axis=1)[:, 4:].copy().view("<u4").ravel()
 
-    The bits are expected to be 0 or 1; this is not checked.
-    """
+
+def bits_to_symbols(bits) -> np.ndarray:
+    """Pack bits into 4-bit symbols, first bit = most significant, a whole
+    row into bytes at once.  Bits are expected to be 0 or 1; any other value
+    packs as 1."""
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.shape[-1] % SYMBOL_BITS:
         raise ValueError("bit count must be a multiple of 4")
-    shaped = bits.reshape(bits.shape[:-1] + (bits.shape[-1] // SYMBOL_BITS, SYMBOL_BITS))
-    weights = np.array([8, 4, 2, 1], dtype=np.uint8)
-    return shaped @ weights
+    nibbles = _NIBBLES.take(np.packbits(bits, axis=-1)).view(np.uint8)
+    return nibbles[..., : bits.shape[-1] // SYMBOL_BITS]
 
 
 def symbols_to_bits(symbols) -> np.ndarray:
-    """Unpack 4-bit symbols into bits, most significant bit first.
-
-    The symbols are expected to lie in [0, 16); this is not checked.
-    """
-    symbols = np.asarray(symbols)
-    shifts = np.array([3, 2, 1, 0])
-    bits = (symbols[..., None] >> shifts) & 1
-    return bits.reshape(bits.shape[:-2] + (math.prod(bits.shape[-2:]),)).astype(np.uint8)
+    """Unpack 4-bit symbols into bits, most significant bit first.  Symbols
+    are expected to lie in [0, 16); this is not checked."""
+    return _BITS.take(np.asarray(symbols, dtype=np.uint8)).view(np.uint8)

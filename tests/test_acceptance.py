@@ -12,6 +12,7 @@ import math
 import os
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,8 +305,8 @@ def test_criterion_11_sidecar_reruns_are_byte_identical(tmp_path, monkeypatch, c
              "dist_systematic_on_64x40.csv", "dist_systematic_off_64x40.csv",
              "summary.csv"]
     for name in names:
-        a = open(os.path.join(dist1, name), "rb").read()
-        b = open(os.path.join(dist2, name), "rb").read()
+        a = Path(dist1, name).read_bytes()
+        b = Path(dist2, name).read_bytes()
         assert a == b, f"{name} differs between original and sidecar rerun"
 
     ber1 = str(tmp_path / "ber1.csv")
@@ -315,8 +316,8 @@ def test_criterion_11_sidecar_reruns_are_byte_identical(tmp_path, monkeypatch, c
     ber2 = str(tmp_path / "ber2.csv")
     run(["simulate-ber", "--config", ber1 + ".config.json", "--out", ber2,
          "--workers", "2"])
-    a = open(ber1, "rb").read()
-    b = open(ber2, "rb").read()
+    a = Path(ber1).read_bytes()
+    b = Path(ber2).read_bytes()
     print(f"criterion 11: {len(names)} distribution files and the BER CSV "
           f"reproduce byte for byte across worker settings")
     assert a == b

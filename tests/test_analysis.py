@@ -511,6 +511,21 @@ def test_links_reject_misshapen_frames():
         UncodedLink().decode(np.zeros((3, 162)), params)
 
 
+@pytest.mark.parametrize("link", [PolarLink(construct(256, 158)), RsLink(7), UncodedLink()],
+                         ids=lambda link: type(link).__name__)
+def test_links_reject_non_bit_messages(link):
+    # RsLink packs bits with np.packbits, which would send a 2 as a 1
+    msgs = np.zeros((2, link.frame_bits), np.uint8)
+    msgs[1, 3] = 2
+    with pytest.raises(ValueError, match=r"bits must lie in \[0, 2\)"):
+        link.encode(msgs)
+    with pytest.raises(ValueError, match=r"bits must lie in \[0, 2\)"):
+        link.encode(np.full((1, link.frame_bits), -1, np.int8))
+    # a polar frame meets the scrambler key's uint8 XOR first, which refuses floats
+    with pytest.raises(TypeError if isinstance(link, PolarLink) else ValueError):
+        link.encode(np.zeros((1, link.frame_bits)))
+
+
 @pytest.mark.parametrize("link", [RsLink(3), RsLink(7), RsLink(11), PolarLink(construct(256, 158)),
                                   UncodedLink()], ids=lambda link: type(link).__name__)
 def test_links_take_an_empty_batch(link):

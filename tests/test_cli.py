@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,7 +67,7 @@ def test_construct_writes_loadable_spec(tmp_path, monkeypatch, capsys):
         monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0
     assert load_spec(out) == construct(32, 20)
-    assert json.load(open(out + ".config.json")) == {
+    assert json.loads(Path(out + ".config.json").read_text()) == {
         "command": "construct", "N": 32, "K": 20, "eps": 0.5}
     assert "N=32" in stdout
 
@@ -108,7 +109,7 @@ def test_scramble_and_mftp_flags_take_hex_and_float_text(tmp_path, monkeypatch, 
     assert run_cli(["construct", "--N", "16", "--K", "8", "--eps", "0.25", "--out", spec],
                    monkeypatch=monkeypatch, capsys=capsys)[0] == 0
     assert load_spec(spec) == construct(16, 8, 0.25)
-    assert json.load(open(spec + ".config.json"))["eps"] == 0.25
+    assert json.loads(Path(spec + ".config.json").read_text())["eps"] == 0.25
 
 
 def test_encode_decode_roundtrip(monkeypatch, capsys):
@@ -179,10 +180,10 @@ def test_simulate_dist_outputs_and_rerun(tmp_path, monkeypatch, capsys):
             "--scramble", "on", "--frames", "120", "--out-dir", out1]
     code, _, _ = run_cli(argv, monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0
-    csv1 = open(os.path.join(out1, "dist_nspe_on_32x16.csv"), "rb").read()
-    summary1 = open(os.path.join(out1, "summary.csv"), "rb").read()
+    csv1 = Path(out1, "dist_nspe_on_32x16.csv").read_bytes()
+    summary1 = Path(out1, "summary.csv").read_bytes()
     sidecar = os.path.join(out1, "config.json")
-    cfg = json.load(open(sidecar))
+    cfg = json.loads(Path(sidecar).read_text())
     assert cfg["frames"] == 120 and cfg["sizes"] == [[32, 16]]
 
     # Rerun solely from the sidecar into a fresh directory.  Older sidecars
@@ -195,8 +196,8 @@ def test_simulate_dist_outputs_and_rerun(tmp_path, monkeypatch, capsys):
         ["simulate-dist", "--config", sidecar, "--out-dir", out2],
         monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0
-    csv2 = open(os.path.join(out2, "dist_nspe_on_32x16.csv"), "rb").read()
-    summary2 = open(os.path.join(out2, "summary.csv"), "rb").read()
+    csv2 = Path(out2, "dist_nspe_on_32x16.csv").read_bytes()
+    summary2 = Path(out2, "summary.csv").read_bytes()
     assert csv1 == csv2
     assert summary1 == summary2
 
@@ -225,11 +226,11 @@ def test_simulate_dist_rows_are_plain_numbers(tmp_path, monkeypatch, capsys):
          "--frames", "60", "--out-dir", out],
         monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0
-    summary = open(os.path.join(out, "summary.csv")).read().splitlines()
+    summary = Path(out, "summary.csv").read_text().splitlines()
     assert len(summary) == 5
     for line in summary[1:]:
         enc, scr, n, k, _, frames, lo, hi, mean = line.split(",")
-        rows = open(os.path.join(out, f"dist_{enc}_{scr}_{n}x{k}.csv")).read().splitlines()
+        rows = Path(out, f"dist_{enc}_{scr}_{n}x{k}.csv").read_text().splitlines()
         assert rows[0] == "frame_index,ones_fraction" and len(rows) == int(frames) + 1
         values = [float(row.split(",")[1]) for row in rows[1:]]
         assert min(values) == float(lo) and max(values) == float(hi)
@@ -263,7 +264,7 @@ def test_simulate_ber_csv_and_rerun(tmp_path, monkeypatch, capsys):
             "--out", out1]
     code, _, _ = run_cli(argv, monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0
-    body1 = open(out1, "rb").read()
+    body1 = Path(out1).read_bytes()
     lines = body1.decode().splitlines()
     assert lines[0] == "code,ebn0_db,bits,bit_errors,frames,frame_errors,ber"
     assert all(line.startswith("uncoded,") for line in lines[1:])
@@ -274,7 +275,7 @@ def test_simulate_ber_csv_and_rerun(tmp_path, monkeypatch, capsys):
         ["simulate-ber", "--config", sidecar, "--out", out2, "--workers", "2"],
         monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0
-    body2 = open(out2, "rb").read()
+    body2 = Path(out2).read_bytes()
     assert body1 == body2
 
 
@@ -336,8 +337,8 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path, monkeypatch, capsys):
     exact, plain = str(tmp_path / "exact.csv"), str(tmp_path / "plain.csv")
     assert run_cli(base + ["--exact-f", "--out", exact], capsys=capsys)[0] == 0
     assert run_cli(base + ["--out", plain], capsys=capsys)[0] == 0
-    assert json.load(open(exact + ".config.json"))["exact_f"] is True
-    assert json.load(open(plain + ".config.json"))["exact_f"] is False
+    assert json.loads(Path(exact + ".config.json").read_text())["exact_f"] is True
+    assert json.loads(Path(plain + ".config.json").read_text())["exact_f"] is False
 
 
 def _write_config(path, doc):
@@ -611,8 +612,8 @@ def test_sidecar_int_passes_for_a_float_setting(tmp_path, monkeypatch, capsys):
     code, out, _ = run_cli(["simulate-dist", "--config", cfg, "--out-dir", str(out_dir)],
                            monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0 and "p1=1:" in out
-    assert json.load(open(out_dir / "config.json"))["p1"] == 1.0
-    assert open(out_dir / "summary.csv").read().splitlines()[1].split(",")[4] == "1.0"
+    assert json.loads((out_dir / "config.json").read_text())["p1"] == 1.0
+    assert (out_dir / "summary.csv").read_text().splitlines()[1].split(",")[4] == "1.0"
 
 
 def test_flag_overrides_sidecar_which_overrides_default(tmp_path, monkeypatch, capsys):
@@ -626,9 +627,9 @@ def test_flag_overrides_sidecar_which_overrides_default(tmp_path, monkeypatch, c
                           "--frames", "50", "--out-dir", str(second)],
                          monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0
-    rows = open(second / "dist_nspe_on_16x8.csv").read().splitlines()
+    rows = (second / "dist_nspe_on_16x8.csv").read_text().splitlines()
     assert len(rows) == 51
-    cfg = json.load(open(second / "config.json"))
+    cfg = json.loads((second / "config.json").read_text())
     assert cfg["frames"] == 50 and cfg["sizes"] == [[16, 8]] and cfg["scramble"] == "on"
     assert cfg["out_dir"] == str(second) and cfg["p1"] == 0.9
 
@@ -642,9 +643,9 @@ def test_flag_overrides_sidecar_which_overrides_default(tmp_path, monkeypatch, c
                           "--min-errors", "200", "--out", two],
                          monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0
-    frames = [int(open(path).read().splitlines()[1].split(",")[4]) for path in (one, two)]
+    frames = [int(Path(path).read_text().splitlines()[1].split(",")[4]) for path in (one, two)]
     assert frames[1] > frames[0]
-    cfg = json.load(open(two + ".config.json"))
+    cfg = json.loads(Path(two + ".config.json").read_text())
     assert cfg["min_errors"] == 200 and cfg["ebn0"] == {"uncoded": [11.0]}
     assert cfg["batch"] == 100 and cfg["max_frames"] == cli.DEFAULT_MAX_FRAMES
 
@@ -666,7 +667,7 @@ def _ber_run_with_sidecar(tmp_path, monkeypatch, capsys):
                           "--min-errors", "20", "--max-frames", "600", "--batch", "200",
                           "--out", out], monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0
-    return out, json.load(open(out + ".config.json"))
+    return out, json.loads(Path(out + ".config.json").read_text())
 
 
 @pytest.mark.parametrize("value", [1.0, 1], ids=["float", "int"])
@@ -680,8 +681,8 @@ def test_sidecar_with_the_retired_on_level_at_1_reruns_byte_for_byte(
     code, _, err = run_cli(["simulate-ber", "--config", _write_config(tmp_path / "old.json", cfg),
                             "--out", again], monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0 and err == ""
-    assert open(again, "rb").read() == open(out, "rb").read()
-    assert "amplitude" not in json.load(open(again + ".config.json"))
+    assert Path(again).read_bytes() == Path(out).read_bytes()
+    assert "amplitude" not in json.loads(Path(again + ".config.json").read_text())
 
 
 @pytest.mark.parametrize("value, shown", [(2.0, "2.0"), (True, "true"), ("1.0", '"1.0"')],
@@ -917,12 +918,12 @@ def test_flag_text_and_sidecar_value_resolve_to_the_same_setting(
     code, by_flag_out, _ = run_cli([command, *_argv(base), *_argv({key: text})],
                                    monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0
-    by_flag = json.load(open(written))
+    by_flag = json.loads(Path(written).read_text())
     cfg = _write_config(tmp_path / "c.json", {key: value})
     code, by_sidecar_out, _ = run_cli([command, *_argv(base), "--config", cfg],
                                       monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0
-    by_sidecar = json.load(open(written))
+    by_sidecar = json.loads(Path(written).read_text())
     assert by_flag[key] == value
     assert by_flag == by_sidecar and by_flag_out == by_sidecar_out
 
@@ -1069,7 +1070,7 @@ def test_simulate_ber_rs_csv_matches_pinned_bytes(tmp_path, monkeypatch, capsys)
         monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0
     pinned = os.path.join(os.path.dirname(__file__), "data", "ber_rs_pinned.csv")
-    assert out.read_bytes() == open(pinned, "rb").read()
+    assert out.read_bytes() == Path(pinned).read_bytes()
     assert 0 < calls["array"] < calls["miss"] < calls["dirty"] - 1000, calls
 
 
@@ -1094,7 +1095,7 @@ def test_simulate_dist_csvs_match_pinned_bytes(tmp_path, monkeypatch, capsys):
     assert len(names) == 9 and sorted(os.listdir(pinned)) == sorted(names + ["stdout.txt"])
     assert sorted(os.listdir(out)) == sorted(names + ["config.json"])
     for name in names:
-        assert (out / name).read_bytes() == open(os.path.join(pinned, name), "rb").read(), name
+        assert (out / name).read_bytes() == Path(pinned, name).read_bytes(), name
 
 
 def test_simulate_dist_draws_each_size_once_and_leaves_the_draw_intact(
@@ -1136,7 +1137,7 @@ def test_simulate_ber_polar_csv_matches_pinned_bytes(batch, tmp_path, monkeypatc
          "--min-errors", "1000000", "--batch", batch, "--workers", "1", "--out", str(out)],
         monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0
-    assert out.read_bytes() == open(os.path.join(DATA, "ber_polar_pinned.csv"), "rb").read()
+    assert out.read_bytes() == Path(DATA, "ber_polar_pinned.csv").read_bytes()
 
 
 def test_simulate_ber_fails_when_a_worker_dies(tmp_path):

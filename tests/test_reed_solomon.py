@@ -277,6 +277,20 @@ def test_bits_symbols_roundtrip():
     assert np.array_equal(bits_to_symbols(symbols_to_bits(syms)), syms)
 
 
+@pytest.mark.parametrize("shape", [(7,), (3, 5), (2, 3, 9), (4, 1), (0, 7), (3, 0), (0,), (2, 0, 5)])
+def test_bits_symbols_roundtrip_on_odd_counts_leading_axes_and_empty_inputs(shape):
+    # an odd symbol count ends half-way through the last packed byte
+    rng = np.random.default_rng(sum(shape) + len(shape))
+    syms = rng.integers(0, 16, shape).astype(np.uint8)
+    bits = ((syms[..., None] >> np.array([3, 2, 1, 0])) & 1).reshape(shape[:-1] + (4 * shape[-1],))
+    got_bits = symbols_to_bits(syms)
+    assert got_bits.dtype == np.uint8 and got_bits.shape == bits.shape
+    assert np.array_equal(got_bits, bits)
+    got_syms = bits_to_symbols(bits)
+    assert got_syms.dtype == np.uint8 and got_syms.shape == syms.shape
+    assert np.array_equal(got_syms, syms)
+
+
 def test_bits_to_symbols_rejects_a_partial_symbol():
     with pytest.raises(ValueError, match="bit count must be a multiple of 4"):
         bits_to_symbols(np.zeros((2, 6), np.uint8))

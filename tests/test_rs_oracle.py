@@ -104,6 +104,18 @@ def test_batched_encode_matches_oracle(k):
             assert np.array_equal(got[f, b], rs_oracle.rs_encode(ref_spec, msgs[f, b]))
 
 
+@pytest.mark.parametrize("k", KS)
+def test_encode_matches_oracle_on_every_single_symbol_message(k):
+    # every entry of the codeword-image table, one message symbol at a time
+    msgs = np.zeros((k, 16, k), dtype=np.uint8)
+    msgs[np.arange(k), :, np.arange(k)] = np.arange(16)
+    got = rs_encode(RsSpec(k), msgs)
+    ref_spec = rs_oracle.RsSpec(k)
+    for j in range(k):
+        for s in range(16):
+            assert np.array_equal(got[j, s], rs_oracle.rs_encode(ref_spec, msgs[j, s])), (j, s)
+
+
 def test_batched_encode_validation():
     spec = RsSpec(7)
     with pytest.raises(ValueError):
@@ -149,6 +161,35 @@ def test_rs_link_decode_matches_oracle_loop(k):
     assert np.array_equal(hat, ref_hat[:, : link.frame_bits])
     # 12 dB is below every crossing: some frames fail, yet blocks still decode
     assert failed.any() and hat.any()
+
+
+def _oracle_link_encode(link: RsLink, msgs: np.ndarray) -> np.ndarray:
+    """Per-block scalar encoding with the packing written out independently."""
+    spec = rs_oracle.RsSpec(link.spec.k)
+    padded = np.zeros((len(msgs), link.padded_symbols * 4), dtype=np.int64)
+    padded[:, : link.frame_bits] = msgs
+    syms = padded.reshape(len(msgs), link.blocks, link.spec.k, 4) @ np.array([8, 4, 2, 1])
+    words = np.array([[rs_oracle.rs_encode(spec, block) for block in frame] for frame in syms])
+    bits = (words[..., None] >> np.array([3, 2, 1, 0])) & 1
+    return bits.reshape(len(msgs), -1).astype(np.uint8)
+
+
+@pytest.mark.parametrize("k, frame_bits", [(7, 140), (11, 44), (3, 10)])
+def test_rs_link_matches_oracle_loop_when_tx_bits_are_not_whole_bytes(k, frame_bits):
+    # 300, 60 and 60 transmitted bits: each row ends half-way through a byte
+    link = RsLink(k, frame_bits=frame_bits)
+    assert link.tx_bits % 8 == 4
+    params = ChannelParams.from_ebn0_db(10.0, link.rate)
+    rng = np.random.default_rng(4000 + frame_bits)
+    msgs = rng.integers(0, 2, (300, frame_bits), dtype=np.uint8)
+    tx = link.encode(msgs)
+    assert np.array_equal(tx, _oracle_link_encode(link, msgs))
+    y = tx + rng.normal(0.0, params.sigma, tx.shape)
+    hat, failed = link.decode(y, params)
+    ref_hat, ref_failed = _oracle_link_decode(k, y)
+    assert np.array_equal(failed, ref_failed)
+    assert np.array_equal(hat, ref_hat[:, :frame_bits])
+    assert failed.any() and hat.any() and not failed.all()
 
 
 def _assert_same_as_oracle(k, words):
