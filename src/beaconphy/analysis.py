@@ -17,6 +17,7 @@ import os
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import starmap
 from multiprocessing import get_context
 
@@ -126,19 +127,18 @@ def _frame_generators(master_seed: int, lo: int, hi: int):
             yield gen
 
 
-def _draw_frames(master_seed: int, lo: int, hi: int, n_bits: int, p_one: float,
-                 noise_bits: int = 0, sigma: float = 0.0):
-    """Frames lo .. hi-1, one row each: n_bits bits (u < p_one), then noise_bits normals.
+def _draw_frames(master_seed: int, lo: int, msgs: np.ndarray, p_one: float,
+                 noise: np.ndarray, sigma: float) -> None:
+    """Fill row i of msgs (uint8 bits, u < p_one) and of noise (normals) from frame lo + i.
 
     Frame f draws from np.random.default_rng((master_seed, f)) alone:
-    random(n_bits), then normal(0, sigma, noise_bits).  The uniforms are
-    thresholded _CHUNK frames at a time and the noise is scaled once.
+    random(msgs.shape[1]), then normal(0, sigma, noise.shape[1]).  The
+    uniforms are thresholded _CHUNK frames at a time and the noise is
+    scaled once.
     """
-    n = hi - lo
-    msgs = np.empty((n, n_bits), dtype=np.uint8)
-    noise = np.empty((n, noise_bits), dtype=np.float64)
+    (n, n_bits), noise_bits = msgs.shape, noise.shape[1]
     u = np.empty((min(n, _CHUNK), n_bits), dtype=np.float64)
-    for i, gen in enumerate(_frame_generators(master_seed, lo, hi)):
+    for i, gen in enumerate(_frame_generators(master_seed, lo, lo + n)):
         c = i % _CHUNK
         gen.random(out=u[c])
         if noise_bits:
@@ -147,7 +147,6 @@ def _draw_frames(master_seed: int, lo: int, hi: int, n_bits: int, p_one: float,
             np.less(u[: c + 1], p_one, out=msgs[i - c : i + 1].view(bool))
     noise *= sigma
     noise += 0.0  # normal() returns 0.0 + sigma * z, which turns z = -0.0 into +0.0
-    return msgs, noise
 
 
 @dataclass
@@ -199,7 +198,9 @@ def draw_messages(frames: int, n_bits: int, p1: float, master_seed: int) -> np.n
         raise ValueError("p1 must lie in [0, 1]")
     if frames <= 0:
         raise ValueError("frame count must be positive")
-    return _draw_frames(master_seed, 0, frames, n_bits, p1)[0]
+    msgs = np.empty((frames, n_bits), dtype=np.uint8)
+    _draw_frames(master_seed, 0, msgs, p1, np.empty((frames, 0)), 0.0)
+    return msgs
 
 
 def run_dist_experiment(
@@ -312,7 +313,7 @@ class RsLink:
         failed block decodes to zero."""
         y = _frames(y, self.tx_bits, "received samples")
         nframes = y.shape[0]
-        hard = (y > 0.5).astype(np.uint8)
+        hard = np.greater(y, 0.5).view(np.uint8)
         words = bits_to_symbols(hard).reshape(nframes * self.blocks, N_SYMBOLS)
         msgs, failed = rs_decode(self.spec, words)
         bits = symbols_to_bits(msgs.reshape(nframes, self.padded_symbols))[:, : self.frame_bits]
@@ -334,17 +335,29 @@ class UncodedLink:
 
     def decode(self, y: np.ndarray, params: ChannelParams):
         y = _frames(y, self.tx_bits, "received samples")
-        hard = (y > 0.5).astype(np.uint8)
-        return hard, np.zeros(y.shape[0], dtype=bool)
+        return np.greater(y, 0.5).view(np.uint8), np.zeros(y.shape[0], dtype=bool)
+
+
+@lru_cache(maxsize=1)  # the last batch shape only, so a finished link's buffers are freed
+def _buffers(frames: int, frame_bits: int, tx_bits: int) -> list:
+    """The idle (messages, noise) buffers of one batch shape."""
+    return []
 
 
 def _run_batch(link, params: ChannelParams, lo: int, hi: int, master_seed: int):
+    """Bit and frame counts of frames lo .. hi-1, run on a pooled buffer pair."""
     nframes = hi - lo
-    msgs, noise = _draw_frames(master_seed, lo, hi, link.frame_bits, 0.5,
-                               link.tx_bits, params.sigma)
-    y = modulate_ook(link.encode(msgs)) + noise
+    pool = _buffers(nframes, link.frame_bits, link.tx_bits)
+    try:
+        msgs, y = pool.pop()
+    except IndexError:
+        msgs = np.empty((nframes, link.frame_bits), dtype=np.uint8)
+        y = np.empty((nframes, link.tx_bits))
+    _draw_frames(master_seed, lo, msgs, 0.5, y, params.sigma)
+    y += modulate_ook(link.encode(msgs))  # noise + x, the same IEEE sums as x + noise
     hat, failed = link.decode(y, params)
     per_frame = np.where(failed, link.frame_bits, (hat != msgs).sum(axis=1))
+    pool.append((msgs, y))
     return (
         nframes * link.frame_bits,
         int(per_frame.sum()),

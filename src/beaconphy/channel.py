@@ -62,7 +62,10 @@ def modulate_ook(bits) -> np.ndarray:
 def llr_demap(y, params: ChannelParams) -> np.ndarray:
     """Exact per-sample LLR log P(y|0)/P(y|1) = (1 - 2 y) / (2 sigma^2).
 
-    Positive means bit 0 is more likely; y = 1/2 maps to 0.
+    Positive means bit 0 is more likely; y = 1/2 maps to 0.  One array holds
+    -2 y + 1, the same IEEE sum as 1 - 2 y, since IEEE 754 defines 1 - t as 1 + (-t).
     """
-    y = np.asarray(y, dtype=np.float64)
-    return (1.0 - 2.0 * y) / (2.0 * params.noise_var)
+    llr = -2.0 * np.asarray(y, dtype=np.float64)
+    llr += 1.0
+    llr /= 2.0 * params.noise_var
+    return llr

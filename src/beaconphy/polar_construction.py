@@ -112,6 +112,6 @@ def construct(N: int, K: int, eps: float = 0.5) -> PolarSpec:
     check_design(N, eps)  # before the profile allocates 2**n floats; PolarSpec checks K
     n = N.bit_length() - 1
     z = bhattacharyya_profile(n, eps)
-    order = sorted(range(N), key=lambda i: (z[i], -i))
-    return PolarSpec(n=n, N=N, K=K, eps=eps, info_set=tuple(sorted(order[:K])))
+    order = np.lexsort((-np.arange(N), z))  # by z, then by larger index
+    return PolarSpec(n=n, N=N, K=K, eps=eps, info_set=tuple(np.sort(order[:K]).tolist()))
 

@@ -31,12 +31,19 @@ from beaconphy.reed_solomon import N_SYMBOLS, rs_decode, RsSpec
 from beaconphy.scrambler import ScramblerSpec, keystream
 
 
+def _drawn(seed, lo, hi, n_bits, p_one, noise_bits=0, sigma=0.0):
+    """_draw_frames of frames lo .. hi-1 into fresh arrays, returned as (msgs, noise)."""
+    msgs, noise = np.empty((hi - lo, n_bits), np.uint8), np.empty((hi - lo, noise_bits))
+    _draw_frames(seed, lo, msgs, p_one, noise, sigma)
+    return msgs, noise
+
+
 def test_bias_model_validation_and_sampling():
     spec = construct(16, 8)
     for p1 in (1.5, -0.1, float("nan")):
         with pytest.raises(ValueError, match="p1"):
             draw_messages(1, spec.K, p1, DEFAULT_MASTER_SEED)
-    v, _ = _draw_frames(5, 0, 1, 100000, 0.9)
+    v, _ = _drawn(5, 0, 1, 100000, 0.9)
     assert abs(v.mean() - 0.9) < 0.01
 
 
@@ -113,7 +120,7 @@ def test_dist_experiment_scrambles_with_the_given_spec():
     scrambler = ScramblerSpec(poly_mask=0x25, seed=0x1B)
     assert not np.array_equal(keystream(scrambler, spec.K), keystream(ScramblerSpec(), spec.K))
     stats = run_dist_experiment(spec, draw_messages(200, spec.K, 0.8, 31), scrambler=scrambler)
-    msgs, _ = _draw_frames(31, 0, 200, spec.K, 0.8)
+    msgs, _ = _drawn(31, 0, 200, spec.K, 0.8)
     want = encode_nspe(spec, msgs ^ keystream(scrambler, spec.K)).sum(axis=1)
     assert np.array_equal(stats.weights, want)
 
@@ -266,6 +273,46 @@ def test_ber_experiment_reproducible_across_workers():
     assert serial[-1] == BerPoint(30.0, 4000 * 158, 0, 4000, 0)
 
 
+def test_pooled_batch_buffers_leave_no_stale_data():
+    # Batches of two links and four shapes, each run once on buffers that the
+    # pool hands back poisoned (NaN noise, 255 message bytes) and once on
+    # fresh ones: every count must agree, so each batch overwrites all of its
+    # buffers.  The pool keeps the last shape only: the second batch of each
+    # 500-frame polar and 40-frame RS pair reuses the first one's pair, and a
+    # batch of another shape frees it.
+    links = {"polar": PolarLink(construct(256, 158)), "rs15_3": RsLink(3)}
+    batches = [("polar", 7.0, 0, 500), ("polar", 7.0, 500, 1000), ("rs15_3", 14.0, 500, 540),
+               ("rs15_3", 14.0, 540, 580), ("polar", 7.0, 1000, 1500),
+               ("polar", 7.0, 1500, 1537), ("rs15_3", 14.0, 1000, 1037)]
+    analysis._buffers.cache_clear()
+    pooled, reuses = [], 0
+    for name, db, lo, hi in batches:
+        link = links[name]
+        idle = analysis._buffers(hi - lo, link.frame_bits, link.tx_bits)
+        for msgs, noise in idle:
+            msgs.fill(255)
+            noise.fill(np.nan)
+        reused = [id(a) for a in idle[0]] if idle else None
+        params = ChannelParams.from_ebn0_db(db, link.rate)
+        pooled.append(analysis._run_batch(link, params, lo, hi, 4242))
+        assert reused is None or [id(a) for a in idle[0]] == reused
+        reuses += reused is not None
+        assert analysis._buffers.cache_info().currsize == 1
+    assert reuses == 2
+    fresh = []
+    for name, db, lo, hi in batches:
+        analysis._buffers.cache_clear()
+        link = links[name]
+        params = ChannelParams.from_ebn0_db(db, link.rate)
+        fresh.append(analysis._run_batch(link, params, lo, hi, 4242))
+    assert pooled == fresh
+    assert all(0 < nferr < nframes for _, _, nframes, nferr in fresh)
+    # worker processes keep pools of their own; their counts match the serial run's
+    kw = dict(min_errors=10**9, max_frames=1037, master_seed=4242, batch=500)
+    assert run_ber_experiment(links["polar"], [7.0], workers=2, **kw) == \
+        run_ber_experiment(links["polar"], [7.0], **kw)
+
+
 def test_ber_counts_rebuild_from_numpy_streams():
     # README's contract: frame f draws from default_rng((master_seed, f)),
     # first K uniforms (bit = u < 0.5), then K N(0, sigma^2) noise samples.
@@ -328,14 +375,14 @@ def test_draw_frames_match_numpy_streams(seed, noise_bits, edges):
     n_bits, sigma = 23, 0.7
     for j, (lo, hi) in enumerate(zip(edges, edges[1:])):
         p_one = [0.5, 0.9, 1.0, 0.0][j % 4]
-        msgs, noise = _draw_frames(seed, lo, hi, n_bits, p_one, noise_bits, sigma)
+        msgs, noise = _drawn(seed, lo, hi, n_bits, p_one, noise_bits, sigma)
         want_msgs, want_noise = _numpy_frames(seed, lo, hi, n_bits, p_one, noise_bits, sigma)
         assert msgs.dtype == np.uint8 and msgs.tobytes() == want_msgs.tobytes()
         assert noise.shape == want_noise.shape and noise.tobytes() == want_noise.tobytes()
 
 
 def test_draw_frames_empty_range_and_negative_seed():
-    msgs, noise = _draw_frames(7, 5, 5, 158, 0.5, 256, 0.5)
+    msgs, noise = _drawn(7, 5, 5, 158, 0.5, 256, 0.5)
     assert msgs.shape == (0, 158) and noise.shape == (0, 256)
     with pytest.raises(ValueError) as numpys:
         np.random.default_rng((-1, 0))
@@ -343,7 +390,7 @@ def test_draw_frames_empty_range_and_negative_seed():
     # a negative seed is rejected before any frame is drawn, so an empty range too
     for lo, hi in [(0, 3), (5, 5), (2**32, 2**32 + 1)]:
         with pytest.raises(ValueError) as ours:
-            _draw_frames(-1, lo, hi, 158, 0.5)
+            _drawn(-1, lo, hi, 158, 0.5)
         assert str(ours.value) == str(numpys.value)
 
 

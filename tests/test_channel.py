@@ -62,6 +62,21 @@ def test_modulate_ook():
         modulate_ook([0, 2])
 
 
+def test_llr_demap_bit_identical_to_three_temporary_formula():
+    # One array, -2 y then + 1 then / (2 sigma^2), against the formula it replaced.
+    special = [0.0, -0.0, 0.5, -0.5, 1.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+               2.2250738585072014e-308, -1e-310, 1e308, -1e308, 1.7976931348623157e308]
+    y = np.concatenate([special, np.random.default_rng(3).normal(0.5, 2.0, 4000)])
+    for noise_var in (0.5, 0.37, 1e-300, 1e300):
+        p = ChannelParams(noise_var=noise_var)
+        with np.errstate(all="ignore"):  # 2 * 1e308 overflows to inf in both
+            want = (1.0 - 2.0 * y) / (2.0 * p.noise_var)
+            got = llr_demap(y, p)
+        assert np.array_equal(got, want, equal_nan=True)
+        real = ~np.isnan(want)
+        assert np.array_equal(np.signbit(got[real]), np.signbit(want[real]))
+
+
 def test_llr_demap_hand_values():
     # sigma^2 = 0.5: llr(y) = (1 - 2y).
     p = ChannelParams(noise_var=0.5)

@@ -1121,7 +1121,7 @@ def test_simulate_dist_draws_each_size_once_and_leaves_the_draw_intact(
          "--scramble", "both", "--frames", "300", "--out-dir", str(tmp_path / "d")],
         monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0
-    assert [args[2:5] for args in draws] == [(300, 158, 0.9), (300, 16, 0.9)]
+    assert [(args[2].shape, args[3]) for args in draws] == [((300, 158), 0.9), ((300, 16), 0.9)]
     # four configurations encode each size's one array
     assert len(seen) == 8 and len(set(seen[:4])) == len(set(seen[4:])) == 1
 

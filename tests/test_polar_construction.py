@@ -80,6 +80,17 @@ def test_construct_nesting():
         prev = cur
 
 
+def test_construct_order_matches_sorted_reference():
+    # The positions are ordered by one lexsort; the Python sort it replaced is the reference.
+    for eps in (0.5, 0.3, 0.9, 1e-3, 0.999):
+        for n in range(13):
+            N = 1 << n
+            z = bhattacharyya_profile(n, eps)
+            order = sorted(range(N), key=lambda i: (z[i], -i))
+            for K in {1, N // 3 or 1, N // 2 or 1, N}:
+                assert construct(N, K, eps).info_set == tuple(sorted(order[:K]))
+
+
 def test_construct_golden_regression():
     golden = load_spec(os.path.join(DATA_DIR, "polar_256_158.json"))
     spec = construct(256, 158, 0.5)
