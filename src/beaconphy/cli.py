@@ -285,6 +285,7 @@ def _spec(path):
 def cmd_construct(st) -> int:
     spec = construct(st["N"], st["K"], st["eps"])
     out = st.pop("out")  # the sidecar records the code, not where it was written
+    _reject_directories((out, out + ".config.json"))
     _write_json(out, dataclasses.asdict(spec))
     _write_json(out + ".config.json", {"command": "construct", **st})
     print(f"wrote {out}: N={spec.N} K={spec.K} rate={spec.rate:.4f}")
@@ -389,6 +390,8 @@ def cmd_simulate_ber(st) -> int:
             ChannelParams.from_ebn0_db(db, link.rate)
         links.append(link)
     st["ebn0"] = {name: sweeps[name] for name in codes}
+    if not st["out"]:
+        raise ValueError("output path is empty")
     out_dir = os.path.dirname(st["out"]) or "."
     if not os.path.isdir(out_dir):
         raise ValueError(f"output directory {out_dir!r} does not exist")

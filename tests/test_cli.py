@@ -176,15 +176,16 @@ def test_pipeline_length_errors(monkeypatch, capsys):
 
 def test_simulate_dist_outputs_and_rerun(tmp_path, monkeypatch, capsys):
     out1 = str(tmp_path / "a")
+    # 2049 frames: one more than an encode batch
     argv = ["simulate-dist", "--sizes", "32:16", "--encoders", "nspe",
-            "--scramble", "on", "--frames", "120", "--out-dir", out1]
-    code, _, _ = run_cli(argv, monkeypatch=monkeypatch, capsys=capsys)
+            "--scramble", "on", "--frames", "2049", "--out-dir", out1]
+    code, stdout1, _ = run_cli(argv, monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0
     csv1 = Path(out1, "dist_nspe_on_32x16.csv").read_bytes()
     summary1 = Path(out1, "summary.csv").read_bytes()
     sidecar = os.path.join(out1, "config.json")
     cfg = json.loads(Path(sidecar).read_text())
-    assert cfg["frames"] == 120 and cfg["sizes"] == [[32, 16]]
+    assert cfg["frames"] == 2049 and cfg["sizes"] == [[32, 16]]
 
     # Rerun solely from the sidecar into a fresh directory.  Older sidecars
     # carry a "workers" key, which the rerun ignores.
@@ -192,10 +193,10 @@ def test_simulate_dist_outputs_and_rerun(tmp_path, monkeypatch, capsys):
     with open(sidecar, "w") as fh:
         json.dump(cfg, fh)
     out2 = str(tmp_path / "b")
-    code, _, _ = run_cli(
+    code, stdout2, _ = run_cli(
         ["simulate-dist", "--config", sidecar, "--out-dir", out2],
         monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 0
+    assert code == 0 and stdout2 == stdout1
     csv2 = Path(out2, "dist_nspe_on_32x16.csv").read_bytes()
     summary2 = Path(out2, "summary.csv").read_bytes()
     assert csv1 == csv2
@@ -875,7 +876,7 @@ ROW_SAMPLES = {
     "p1": ("0.25", 0.25),
     "frames": ("7", 7),
     "eps": ("0.375", 0.375),
-    "poly": ("1d", 0x1D),
+    "poly": ("90000001", 0x90000001),  # PRBS31, x^31 + x^28 + 1
     "scrambler_seed": ("a", 0xA),
     "master_seed": ("12", 12),
     "codes": ("uncoded,rs15_7", ["uncoded", "rs15_7"]),
@@ -964,6 +965,69 @@ def test_pipeline_bad_flag_text_exits_2_with_one_error_line(tmp_path, monkeypatc
     assert code == 2 and stdout == "" and err.startswith(want)
     assert err.count("\n") == 1 and "Traceback" not in err
     assert os.listdir(tmp_path) == []
+
+
+# Every setting with a parser gets each of these texts as --flag=text.  The worker count gets none:
+# a count it accepted would start processes.
+BAD_TEXTS = {"0": "0", "-1": "-1", "nan": "nan", "inf": "inf", "empty": "", "1e400": "1e400",
+             "x": "x", "3:1": "3:1", "0x": "0x", "20-digit": "9" * 20, "1.5": "1.5", "comma": ",",
+             "-0": "-0"}
+TEXT_MATRIX = [(command, key, name) for command, (table, _, _) in cli.COMMANDS.items()
+               for key, (_, parse, _) in table.items() if parse is not None and key != "workers"
+               for name in BAD_TEXTS]
+# Flags that keep an accepted run tiny; the tested flag comes after them, and the last one wins.
+MATRIX_BASE = {"construct": ["--N", "8", "--K", "4"],
+               "simulate-dist": ["--sizes", "16:8", "--frames", "2"],
+               "simulate-ber": ["--codes", "uncoded", "--ebn0", "10:1:10", "--max-frames", "10"]}
+# The texts a setting takes: any path but the empty one, seeds, p1 = 0, huge caps and masks, and
+# mftp's frame length and clock rate.
+MATRIX_ACCEPTS = {
+    *((command, key, name) for command, key in [("construct", "out"), ("simulate-ber", "out"),
+                                                ("simulate-dist", "out_dir")]
+      for name in BAD_TEXTS if name != "empty"),
+    *((command, "poly", "20-digit") for command in ("scramble", "simulate-dist", "simulate-ber")),
+    ("simulate-dist", "p1", "0"), ("simulate-dist", "p1", "-0"),
+    *((command, "master_seed", name) for command in ("simulate-dist", "simulate-ber")
+      for name in ("0", "-0", "20-digit")),
+    *(("simulate-ber", key, "20-digit") for key in ("min_errors", "max_frames", "batch")),
+    ("mftp", "frame_bits", "20-digit"), ("mftp", "clock_hz", "20-digit"),
+    ("mftp", "clock_hz", "1.5"),
+}
+
+
+@pytest.mark.parametrize("command, key, name", TEXT_MATRIX, ids=["-".join(c) for c in TEXT_MATRIX])
+def test_flag_text_exits_2_with_one_error_line_unless_allowed(tmp_path, monkeypatch, capsys,
+                                                              command, key, name):
+    monkeypatch.chdir(tmp_path)
+    argv = [command, *MATRIX_BASE.get(command, []), f"{cli._flag(key)}={BAD_TEXTS[name]}"]
+    code, out, err = run_cli(argv, stdin_text="0101", monkeypatch=monkeypatch, capsys=capsys)
+    if (command, key, name) in MATRIX_ACCEPTS:
+        assert code == 0 and err == ""
+    else:
+        assert code == 2 and out == "" and os.listdir(tmp_path) == []
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_module_entry_point_exits_2_with_one_error_line():
+    # python -m runs the module's own sys.exit(main()), which no in-process test reaches
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-m", "beaconphy.cli", "mftp", "--clock-hz", "nan"],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: clock_hz must be finite and positive\n"
+
+
+@pytest.mark.parametrize("taken", ["x.json", "x.json.config.json"])
+def test_construct_output_that_is_a_directory_fails_before_writing(tmp_path, monkeypatch, capsys,
+                                                                   taken):
+    (tmp_path / taken).mkdir()
+    code, stdout, err = run_cli(
+        ["construct", "--N", "8", "--K", "4", "--out", str(tmp_path / "x.json")],
+        monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 2 and stdout == ""
+    assert err == f"error: output {str(tmp_path / taken)!r} is a directory\n"
+    assert os.listdir(tmp_path) == [taken] and os.listdir(tmp_path / taken) == []
 
 
 @pytest.mark.parametrize("taken", ["x.csv", "x.csv.config.json"])
