@@ -31,14 +31,15 @@ split into its two halves as SC does.
 
 The walk over the code tree is compiled once per (spec, exact, batch size)
 into a plan: numpy calls bound with out= to fixed views of one workspace
-(one LLR buffer per tree level, whose free rows serve as scratch, and the
-(N, batch) partial sums), and per guarded node a closure that, when the
-guard fails, runs the node's split, compiled the first time.  The g step
-flips a's sign bit in scratch rows before one add, as a masked (where=)
-subtract is several times slower.  A call copies its LLRs in, runs the plan
-and its re-encode, and gathers the message into a new array.  Workspaces
-are pooled per key, under a bounded lru_cache: a call pops one, or compiles
-a fresh one, and puts it back when done, so no two threads ever share one.
+(one LLR buffer per tree level, whose free rows serve as scratch, rows
+that hold what the guards test, and the (N, batch) partial sums).
+Guarded nodes run unchecked; if one check of every guard after the
+re-encode fails, the plan runs again with each guarded node checking its
+own and running its split, compiled once, where it fails.  The g step
+flips a's sign bit before one add, as a masked (where=) subtract is slower.
+A call copies its LLRs in, runs the plan and gathers the message into a
+new array.  Workspaces are pooled per key, under a bounded lru_cache: a call
+pops one, or compiles one, and puts it back, so no two threads share one.
 """
 
 from __future__ import annotations
@@ -125,86 +126,115 @@ def _compile(spec: PolarSpec, exact: bool, batch: int) -> tuple:
     running each call of ``plan`` in turn leaves every position's decided
     bit in ``bits``: its partial sums, re-encoded by the last calls.  The
     calls are numpy ufuncs with their operands bound to fixed views of the
-    workspace, plus one closure per guarded node, whose split is compiled
-    the first time its guard fails.
+    workspace; the last checks every guard the others assumed, and if one
+    failed, runs them again with each guarded node checking its own.
     """
     N, cum = spec.N, (0, *itertools.accumulate(spec.info_mask().tolist()))
+
+    def guarded(lo, m):
+        info = cum[lo + m] - cum[lo]  # rate 1 above one position, or a parity check
+        return not exact and m > 1 and (info == m or info == m - 1 > 1 and cum[lo + 1] == cum[lo])
+
     # A node of size m reads rows m .. 2m, writes its children's LLRs to rows
-    # m/2 .. m, and takes rows 0 .. m, free until then, as scratch.
+    # m/2 .. m, and takes rows 0 .. m, free until then, as scratch.  For the last
+    # check, `held` keeps each rate-1 node's LLRs and each parity-check node's
+    # least |LLR| per frame, and weak[lo : lo + m] the latter's least-|LLR| mask.
     llr = np.empty((2 * N, batch))
-    bits = np.zeros((N, batch), dtype=bool)
-    weak, least, odd = np.empty((N, batch), bool), np.empty(batch), np.empty(batch, bool)
+    held = llr[N:] if guarded(0, N) and cum[N] == N else np.empty((N, batch))
+    bits, weak = np.zeros((2, N, batch), bool)
+    flips, least, odd = np.empty((N, batch), bool), np.empty(batch), np.empty(batch, bool)
+    checks, used, parity = {}, 0, 0  # checks: a guarded node's last call -> its guard's check
 
-    def lazy_split(lo, m):
-        plan = []
+    def take(k):
+        nonlocal used
+        used += k
+        return held[used - k : used]
 
-        def run():
-            if not plan:
-                plan.extend(node(lo, m, split=True))
-            for op in plan:
-                op()
-        return run
+    def into(lo, m, fast, rows):  # where node (lo, m)'s parent writes its LLRs
+        return take(m) if fast and guarded(lo, m) and cum[lo + m] - cum[lo] == m else rows
 
-    def node(lo, m, split=False):
-        """The calls that decide node (lo, m), its split if ``split``; never rate 0, as a
-        rate-0 node's partial sums are the zeros ``bits`` holds and it needs none."""
+    def node(lo, m, l, fast, split=False):
+        """The calls that decide node (lo, m) from its LLRs ``l``, its split if ``split``;
+        never rate 0, as a rate-0 node's partial sums are the zeros ``bits`` holds.
+        Outside the plan's own walk (``fast``), a guarded node's calls end in its check."""
+        nonlocal parity
         info, h = cum[lo + m] - cum[lo], m >> 1
-        l, x, free = llr[m : 2 * m], bits[lo : lo + m], llr[:m]
+        x, free = bits[lo : lo + m], llr[:m]
         if info == m == 1:
             return [partial(np.less, l, _ZERO, x)]
-        if info == m and not exact and not split:
-            fallback = lazy_split(lo, m)
+        if guarded(lo, m) and not split:
+            w, flip, halves = weak[lo : lo + m], flips[:m], []
+            run = [partial(np.less, l, _ZERO, x)]
+            if info < m:  # Wagner: flip the least reliable bit of an odd frame
+                low = take(1)[0] if fast else least
+                run = [partial(np.abs, l, free), partial(np.minimum.reduce, free, axis=0, out=low),
+                       partial(np.equal, free, low, w), *run,  # none in a NaN frame
+                       partial(np.logical_xor.reduce, x, axis=0, out=odd),
+                       partial(np.logical_and, w, odd, flip), partial(np.logical_xor, x, flip, x)]
 
-            def rate1():
-                if np.minimum.reduce(np.abs(l, free), axis=None, initial=np.inf) > 0:
-                    np.less(l, _ZERO, x)  # no tie or NaN
-                else:
-                    fallback()
-            return [rate1]
+            def check():  # after the node's calls: its split over their bits if the guard failed
+                if not (np.minimum.reduce(np.abs(l, free), axis=None, initial=np.inf) > 0
+                        and (info == m or np.count_nonzero(w) == batch)):  # a tie or NaN
+                    if not halves:  # compiled the first time it is needed
+                        halves.extend(node(lo, m, l, False, split=True))
+                    for op in halves:
+                        op()
+            if not fast:
+                return run + [check]
+            parity += info < m
+            checks[run[-1]] = check
+            return run
         if info == 1 and cum[lo + m - 1] == cum[lo]:  # repetition
             sums = [partial(np.add, l[h:], l[:h], free[:h])]
             while h > 1:  # the g steps of SC, whose left siblings are all rate 0
                 h >>= 1
                 sums.append(partial(np.add, free[h : 2 * h], free[:h], free[:h]))
             return sums + [partial(np.less, free[:1], _ZERO, x)]
-        if info == m - 1 and cum[lo + 1] == cum[lo] and not exact and not split:  # parity check
-            fallback, w = lazy_split(lo, m), weak[:m]
-
-            def spc():
-                np.minimum.reduce(np.abs(l, free), axis=0, out=least)  # NaN in a NaN frame
-                np.equal(free, least, w)
-                if np.minimum.reduce(least, initial=np.inf) > 0 and np.count_nonzero(w) == batch:
-                    np.less(l, _ZERO, x)  # Wagner: flip the least reliable bit of an odd frame
-                    np.logical_xor.reduce(x, axis=0, out=odd)
-                    np.logical_xor(x, np.logical_and(w, odd, w), x)
-                else:
-                    fallback()
-            return [spc]
-        a, b, out, left = l[:h], l[h:], free[h:], cum[lo + h] > cum[lo]
-        plan = []
+        # one view of each operand block for all the calls that use it
+        a, b, head, tail, xa = l[:h], l[h:], free[:h], free[h:], x[:h]
+        plan, left = [], cum[lo + h] > cum[lo]
         if left:
+            out = into(lo, h, fast, tail)
             if exact:
                 plan += [partial(np.divide, l, 2.0, free), partial(np.tanh, free, free),
-                         partial(np.multiply, free[:h], out, out),
+                         partial(np.multiply, head, tail, out),
                          partial(np.arctanh, out, out), partial(np.multiply, 2.0, out, out)]
             else:
-                # a * b carries sign(a) sign(b), also when it underflows to +-0;
-                # it is NaN only where min(|a|, |b|) is 0 or NaN.
-                plan += [partial(np.abs, l, free), partial(np.minimum, free[:h], out, out=out),
-                         partial(np.multiply, a, b, free[:h]),
-                         partial(np.copysign, out, free[:h], out)]
-            plan += node(lo, h)
+                # a * b carries sign(a) sign(b), also when it underflows to +-0; it is NaN
+                # only where min(|a|, |b|) is 0 or NaN.  np.minimum takes out= by keyword: at
+                # batch 1 (numpy 2.4) a positional out costs 1.4 us, not 0.44; np.add's costs less.
+                plan += [partial(np.abs, l, free), partial(np.minimum, head, tail, out=out),
+                         partial(np.multiply, a, b, head), partial(np.copysign, out, head, out)]
+            plan += node(lo, h, out, fast)
         if cum[lo + m] > cum[lo + h]:
             if left:  # b - a is b + (-a): flip a's sign bit where x[:h] is 1, into free rows
-                flip, a = free[:h].view(np.uint64), free[:h]
-                plan += [partial(np.left_shift, x[:h].view(np.uint8), _SIGN_SHIFT, flip),
-                         partial(np.bitwise_xor, flip, l[:h].view(np.uint64), flip)]
-            plan += [partial(np.add, b, a, out)] + node(lo + h, h)
-            plan.append(partial(np.logical_xor, x[:h], x[h:], x[:h]))
+                flip = head.view(np.uint64)
+                plan += [partial(np.left_shift, xa.view(np.uint8), _SIGN_SHIFT, flip),
+                         partial(np.bitwise_xor, flip, a.view(np.uint64), flip)]
+                a = head
+            out = into(lo + h, h, fast, tail)
+            plan += [partial(np.add, b, a, out)] + node(lo + h, h, out, fast)
+            plan.append(partial(np.logical_xor, xa, x[h:], xa))
         return plan
 
     encode = [partial(np.bitwise_xor, u, v, u) for u, v in _stages(bits.view(np.uint8))]
-    return llr, bits, node(0, N) + encode
+    plan = node(0, N, into(0, N, True, llr[N:]), True) + encode
+
+    def settle():
+        """Keep the walk's decisions if every held |LLR| is nonzero and not NaN and each
+        parity-check node found one least |LLR| per frame; else zero them and walk again."""
+        np.abs(held[:used], llr[:used])  # llr[:N] is free once the walk is done
+        if (np.minimum.reduce(llr[:used], axis=None, initial=np.inf) > 0
+                and np.count_nonzero(weak) == parity * batch):
+            return
+        bits.fill(False)
+        for op in plan[:-1]:
+            op()
+            if op in checks:
+                checks[op]()
+    if used:
+        plan.append(settle)
+    return llr, bits, plan
 
 
 @lru_cache(maxsize=8)

@@ -9,6 +9,7 @@ check the reference itself.
 
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -326,6 +327,55 @@ def test_lazy_splits_match_the_oracle_before_and_after_they_are_built(batch, exa
                              awgn_llr(spec, rng, 4 * batch, 0.6)])
     for lo in range(0, len(frames) - batch + 1, batch):
         assert_matches_oracle(spec, frames[lo : lo + batch], exact)
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_only_batches_that_fail_a_guard_walk_the_plan_twice(batch):
+    # The plan's last call checks every guard its rate-1 and parity-check nodes
+    # assumed.  A check that always failed would still decide as SC does, but
+    # at twice the cost, so the walks of the pooled plan are counted here.
+    spec = construct(256, 158)
+    rng = np.random.default_rng(1250 + batch)
+    polar_codec._pool.cache_clear()
+    clean = awgn_llr(spec, rng, 3 * batch, 0.6)
+    sc_decode(spec, clean[:batch])
+    plan = polar_codec._pool(spec, False, batch)[0][2]
+    first, walks = plan[0], []
+
+    def counted():
+        walks.append(None)
+        first()
+    plan[0] = counted
+
+    def walks_of(llr):
+        before = len(walks)
+        assert_matches_oracle(spec, llr, False)
+        return len(walks) - before
+    assert walks_of(clean[batch : 2 * batch]) == 1
+    for row in awkward_frames(spec, rng):
+        frames = clean[2 * batch : 3 * batch].copy()
+        frames[batch // 2] = row
+        assert walks_of(frames) == 2
+    assert walks_of(clean[:batch]) == 1
+
+
+def test_a_tied_frame_builds_only_the_splits_it_needs():
+    # Every parity-check node ties on a noiseless finite codeword, so its
+    # splits are built: at batch 1 about 70 KB, where building the split of
+    # every guarded node took about 630 KB.
+    spec = construct(256, 158)
+    rng = np.random.default_rng(1270)
+    polar_codec._pool.cache_clear()
+    sc_decode(spec, awgn_llr(spec, rng, 1, 0.6)[0])
+    msg = rng.integers(0, 2, spec.K, dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        got = sc_decode(spec, 3.0 * (1.0 - 2.0 * encode_nspe(spec, msg)))
+        grown = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, msg)
+    assert grown < 150_000
 
 
 def test_batch_sizes_in_turn_match_the_oracle():
