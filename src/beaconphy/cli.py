@@ -339,6 +339,8 @@ def cmd_simulate_dist(st) -> int:
     names = [f"dist_{enc}_{scr}_{n_bits}x{k_bits}.csv"
              for n_bits, k_bits in st["sizes"] for enc, scr in configs]
     out_dir = parent = st["out_dir"]
+    if not out_dir:
+        raise ValueError("output path is empty")
     while parent and not os.path.exists(parent):  # makedirs needs a directory at the base
         parent = os.path.dirname(parent)
     if parent and not os.path.isdir(parent):

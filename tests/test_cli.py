@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -70,14 +71,6 @@ def test_construct_writes_loadable_spec(tmp_path, monkeypatch, capsys):
     assert json.loads(Path(out + ".config.json").read_text()) == {
         "command": "construct", "N": 32, "K": 20, "eps": 0.5}
     assert "N=32" in stdout
-
-
-def test_construct_rejects_bad_length(tmp_path, monkeypatch, capsys):
-    out = str(tmp_path / "code.json")
-    code, _, err = run_cli(["construct", "--N", "12", "--K", "4", "--out", out],
-                           monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 2
-    assert "power of two" in err
 
 
 def test_scramble_pipeline_identity(monkeypatch, capsys):
@@ -162,18 +155,6 @@ def test_custom_spec_file_flows_through(tmp_path, monkeypatch, capsys):
     assert code == 0 and back.strip() == msg
 
 
-def test_pipeline_length_errors(monkeypatch, capsys):
-    code, _, err = run_cli(["encode"], stdin_text="1010",
-                           monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 2 and "158" in err
-    code, _, err = run_cli(["decode"], stdin_text="10",
-                           monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 2
-    code, _, err = run_cli(["scramble"], stdin_text="10x0",
-                           monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 2 and "'0' and '1'" in err
-
-
 def test_simulate_dist_outputs_and_rerun(tmp_path, monkeypatch, capsys):
     out1 = str(tmp_path / "a")
     # 2049 frames: one more than an encode batch
@@ -211,15 +192,6 @@ def test_simulate_dist_has_no_workers_option(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "w")
 
 
-def test_simulate_dist_rejected_seed_leaves_no_directory(tmp_path, monkeypatch, capsys):
-    out = tmp_path / "D"
-    code, _, err = run_cli(
-        ["simulate-dist", "--master-seed", "-1", "--frames", "5", "--out-dir", str(out)],
-        monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 2 and err.startswith("error: expected non-negative integer")
-    assert not out.exists()
-
-
 def test_simulate_dist_rows_are_plain_numbers(tmp_path, monkeypatch, capsys):
     out = str(tmp_path / "p")
     code, _, _ = run_cli(
@@ -250,14 +222,6 @@ def test_simulate_dist_both_writes_two_files(tmp_path, monkeypatch, capsys):
     assert os.path.exists(os.path.join(out, "dist_nspe_off_16x8.csv"))
 
 
-def test_simulate_dist_rejects_bad_encoder(tmp_path, monkeypatch, capsys):
-    code, _, err = run_cli(
-        ["simulate-dist", "--encoders", "magic", "--frames", "5",
-         "--out-dir", str(tmp_path / "x")],
-        monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 2 and "encoder" in err
-
-
 def test_simulate_ber_csv_and_rerun(tmp_path, monkeypatch, capsys):
     out1 = str(tmp_path / "ber1.csv")
     argv = ["simulate-ber", "--codes", "uncoded", "--ebn0", "11:1:12",
@@ -280,30 +244,6 @@ def test_simulate_ber_csv_and_rerun(tmp_path, monkeypatch, capsys):
     assert body1 == body2
 
 
-def test_simulate_ber_rejects_unknown_code(tmp_path, monkeypatch, capsys):
-    code, _, err = run_cli(
-        ["simulate-ber", "--codes", "turbo", "--out", str(tmp_path / "x.csv")],
-        monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 2 and "unknown code" in err
-
-
-@pytest.mark.parametrize("code_name", ["rs15_7", "uncoded", "polar"])
-def test_simulate_ber_rejects_zero_frame_bits(tmp_path, monkeypatch, capsys, code_name):
-    code, _, err = run_cli(
-        ["simulate-ber", "--codes", code_name, "--K", "0", "--ebn0", "10:1:10",
-         "--max-frames", "10", "--out", str(tmp_path / "x.csv")],
-        monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 2 and err.startswith("error: ")
-
-
-def test_simulate_ber_rejects_negative_master_seed(tmp_path, monkeypatch, capsys):
-    code, _, err = run_cli(
-        ["simulate-ber", "--codes", "uncoded", "--ebn0", "10:1:10", "--max-frames", "10",
-         "--master-seed", "-1", "--out", str(tmp_path / "x.csv")],
-        monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 2 and err.startswith("error: expected non-negative integer")
-
-
 def test_mftp_output(monkeypatch, capsys):
     code, out, _ = run_cli(["mftp", "--frame-bits", "256"],
                            monkeypatch=monkeypatch, capsys=capsys)
@@ -313,13 +253,6 @@ def test_mftp_output(monkeypatch, capsys):
                            monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0
     assert "frame_time_ms=10.24" in out and "compliant=NO" in out
-
-
-@pytest.mark.parametrize("clock", ["nan", "inf", "0"])
-def test_mftp_rejects_a_clock_that_is_not_finite_and_positive(monkeypatch, capsys, clock):
-    code, out, err = run_cli(["mftp", "--clock-hz", clock], monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 2 and out == ""
-    assert err == "error: clock_hz must be finite and positive\n"
 
 
 def test_parser_is_built_once_and_keeps_no_state(tmp_path, monkeypatch, capsys):
@@ -348,44 +281,6 @@ def _write_config(path, doc):
     return str(path)
 
 
-def test_missing_or_unwritable_files_exit_2(tmp_path, monkeypatch, capsys):
-    missing = str(tmp_path / "missing.json")
-    for argv in (["simulate-dist", "--config", missing, "--out-dir", str(tmp_path / "d")],
-                 ["simulate-ber", "--config", missing, "--out", str(tmp_path / "b.csv")],
-                 ["encode", "--spec", missing],
-                 ["construct", "--out", str(tmp_path / "nodir" / "c.json")]):
-        code, out, err = run_cli(argv, monkeypatch=monkeypatch, capsys=capsys)
-        assert code == 2 and out == "" and err.startswith("error: "), argv
-    assert sorted(os.listdir(tmp_path)) == []
-
-
-def test_config_that_is_not_an_object_exits_2(tmp_path, monkeypatch, capsys):
-    cfg = _write_config(tmp_path / "list.json", [["sizes", [[16, 8]]]])
-    out_dir = tmp_path / "d"
-    code, out, err = run_cli(["simulate-dist", "--config", cfg, "--out-dir", str(out_dir)],
-                             monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 2 and out == "" and "not a JSON object" in err
-    assert not out_dir.exists()
-
-
-def test_sidecar_ebn0_lacking_a_chosen_code_exits_2(tmp_path, monkeypatch, capsys):
-    cfg = _write_config(tmp_path / "c.json", {"codes": ["uncoded"], "ebn0": {"polar": [10.0]}})
-    out = tmp_path / "x.csv"
-    code, stdout, err = run_cli(["simulate-ber", "--config", cfg, "--out", str(out)],
-                                monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 2 and stdout == "" and "'ebn0'" in err and "'uncoded'" in err
-    assert not out.exists()
-
-
-def test_code_description_that_is_not_an_object_exits_2(tmp_path, monkeypatch, capsys):
-    spec = _write_config(tmp_path / "spec.json", [])
-    with pytest.raises(ValueError, match="JSON object"):
-        load_spec(spec)
-    code, out, err = run_cli(["encode", "--spec", spec], stdin_text="0" * 8,
-                             monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 2 and out == "" and "JSON object" in err
-
-
 def test_json_roundtrip(tmp_path):
     spec = construct(64, 40, 0.4)
     path = tmp_path / "code.json"
@@ -401,209 +296,6 @@ def test_load_spec_missing_field(tmp_path):
     del doc["info_set"]
     with pytest.raises(ValueError, match="^code description lacks field 'info_set'$"):
         load_spec(_write_config(tmp_path / "code.json", doc))
-
-
-@pytest.mark.parametrize("argv, n_in", [
-    (["simulate-dist", "--config", "deep.json", "--out-dir", "d"], 0),
-    (["simulate-ber", "--config", "deep.json", "--out", "x.csv"], 0),
-    (["encode", "--spec", "deep.json"], 4),
-    (["decode", "--spec", "deep.json"], 8),
-], ids=["simulate-dist", "simulate-ber", "encode", "decode"])
-def test_deeply_nested_json_exits_2_naming_the_file(tmp_path, monkeypatch, capsys, argv, n_in):
-    # json's decoder recurses once per level: this once ended in a RecursionError traceback
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "deep.json").write_text("[" * 100_000)
-    code, out, err = run_cli(argv, stdin_text="0" * n_in, monkeypatch=monkeypatch,
-                             capsys=capsys)
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and "deep.json is nested too deeply" in err
-    assert err.count("\n") == 1 and "Traceback" not in err
-    assert os.listdir(tmp_path) == ["deep.json"]
-
-
-DEEP_LIST = "[" * 500 + "]" * 500  # about 1,000 characters of JSON, still loadable in-process
-LONG_LIST = json.dumps([0.5] * 200_000)  # about 1 MB
-_DIST = ["simulate-dist", "--config", "bad.json", "--out-dir", "d"]
-_SPEC = '{"n": 3, "N": 8, "K": 4, "eps": 0.5, "info_set": [%s]}'  # an item, checked as an int
-ECHO_CASES = {f"{name}-{kind}": (argv, n_in, doc % value)
-              for name, argv, n_in, doc in [
-                  ("sizes", _DIST, 0, '{"sizes": [[%s]]}'),
-                  ("frames", _DIST, 0, '{"frames": %s}'),
-                  ("retired-amplitude", ["simulate-ber", "--config", "bad.json", "--out", "x.csv"],
-                   0, '{"amplitude": %s}'),
-                  ("encode-info_set", ["encode", "--spec", "bad.json"], 4, _SPEC),
-                  ("decode-info_set", ["decode", "--spec", "bad.json"], 8, _SPEC)]
-              for kind, value in (("deep", DEEP_LIST), ("long", LONG_LIST))}
-ECHO_CASES["sizes-long-pair"] = (_DIST, 0, json.dumps({"sizes": [[0] * 200_000]}))
-ECHO_CASES["sizes-long-repeat"] = (_DIST, 0, json.dumps({"sizes": [[7] * 100_000] * 2}))
-
-
-@pytest.mark.parametrize("argv, n_in, doc", list(ECHO_CASES.values()), ids=list(ECHO_CASES))
-def test_rejected_json_value_is_echoed_in_short(tmp_path, monkeypatch, capsys, argv, n_in, doc):
-    # the error line once held the whole value: about 2,000 characters for a list nested
-    # 980 deep, and every byte of a multi-megabyte one
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "bad.json").write_text(doc)
-    code, out, err = run_cli(argv, stdin_text="0" * n_in, monkeypatch=monkeypatch,
-                             capsys=capsys)
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.endswith("...\n") and len(err) < 160
-    assert err.count("\n") == 1 and "Traceback" not in err
-    assert os.listdir(tmp_path) == ["bad.json"]
-
-
-# one JSON value of each type
-JSON_VALUES = {"null": None, "true": True, "int": 7, "float": 0.5, "string": "x", "list": [0],
-               "object": {"x": 0}}
-
-
-def json_values_rejected_for(default):
-    """(type name, value) of each of JSON_VALUES that a setting or field with this default
-    rejects: any of another type, where an int passes for a float and for None."""
-    accepted = {type(default)} | ({int} if default is None or isinstance(default, float) else set())
-    return [(kind, value) for kind, value in JSON_VALUES.items() if type(value) not in accepted]
-
-
-MALFORMED_SPEC_CASES = {
-    "info_set-int": ("info_set", 5), "n-null": ("n", None), "eps-list": ("eps", [0.5]),
-    "n-float": ("n", 3.7), "K-float": ("K", 1.9), "info_set-float": ("info_set", [7.9]),
-    "N-bool": ("N", True), "info_set-bool": ("info_set", [3, 5, 6, True]),
-    "eps-text": ("eps", "0.5"),
-}
-MALFORMED_SPEC_CASES.update({f"{key}-as-{kind}": (key, value)
-                             for key, example in cli._SPEC_FIELDS.items()
-                             for kind, value in json_values_rejected_for(example)})
-
-
-@pytest.mark.parametrize("key, value", list(MALFORMED_SPEC_CASES.values()),
-                         ids=list(MALFORMED_SPEC_CASES))
-@pytest.mark.parametrize("command, n_in", [("encode", 4), ("decode", 8)])
-def test_malformed_code_description_exits_2(tmp_path, monkeypatch, capsys, command, n_in,
-                                            key, value):
-    doc = {"n": 3, "N": 8, "K": 4, "eps": 0.5, "info_set": [3, 5, 6, 7]}
-    doc[key] = value
-    spec = _write_config(tmp_path / "bad.json", doc)
-    code, out, err = run_cli([command, "--spec", spec], stdin_text="0" * n_in,
-                             monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 2 and out == ""
-    assert err.startswith(f"error: code description field {key!r} must be ")
-    assert err.count("\n") == 1 and "Traceback" not in err
-    assert os.listdir(tmp_path) == ["bad.json"]
-
-
-@pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0, 1, -0.5])
-@pytest.mark.parametrize("command, n_in", [("encode", 4), ("decode", 8)])
-def test_code_description_eps_outside_0_1_exits_2(tmp_path, monkeypatch, capsys, command, n_in,
-                                                  eps):
-    doc = {"n": 3, "N": 8, "K": 4, "eps": eps, "info_set": [3, 5, 6, 7]}
-    spec = _write_config(tmp_path / "bad.json", doc)
-    code, out, err = run_cli([command, "--spec", spec], stdin_text="0" * n_in,
-                             monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 2 and out == ""
-    assert err == "error: design erasure probability must lie in (0, 1)\n"
-
-
-@pytest.mark.parametrize("n", [10**20, -1])
-@pytest.mark.parametrize("command, n_in", [("encode", 4), ("decode", 8)])
-def test_code_description_huge_or_negative_n_exits_2(tmp_path, monkeypatch, capsys, command, n_in,
-                                                      n):
-    # N is checked against n without 1 << n, which a huge n overflows and a negative n rejects
-    doc = {"n": n, "N": 8, "K": 4, "eps": 0.5, "info_set": [3, 5, 6, 7]}
-    spec = _write_config(tmp_path / "bad.json", doc)
-    code, out, err = run_cli([command, "--spec", spec], stdin_text="0" * n_in,
-                             monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 2 and out == ""
-    assert err == "error: N must equal 2**n\n"
-
-
-@pytest.mark.parametrize("command, n_in", [("encode", 4), ("decode", 8)])
-def test_code_description_with_no_info_bit_exits_2(tmp_path, monkeypatch, capsys, command, n_in):
-    spec = _write_config(tmp_path / "k0.json", {"n": 3, "N": 8, "K": 0, "eps": 0.5, "info_set": []})
-    code, out, err = run_cli([command, "--spec", spec], stdin_text="0" * n_in,
-                             monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 2 and out == ""
-    assert err == "error: K must satisfy 0 < K <= N\n"
-
-
-@pytest.mark.parametrize("argv", [
-    ["encode", "--spec", "huge.json"],
-    ["decode", "--spec", "huge.json"],
-    ["construct", "--N", str(2**100), "--K", "1", "--out", "code.json"],
-    ["simulate-ber", "--codes", "polar", "--N", str(2**100), "--out", "x.csv"],
-], ids=lambda argv: argv[0])
-def test_length_beyond_numpy_indexing_exits_2_naming_n(tmp_path, monkeypatch, capsys, argv):
-    # checked before anything of length N, such as the 2**n-float profile, is built
-    monkeypatch.chdir(tmp_path)
-    _write_config("huge.json", {"n": 100, "N": 2**100, "K": 1, "eps": 0.5, "info_set": [3]})
-    code, out, err = run_cli(argv, stdin_text="0", monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 2 and out == ""
-    assert err == f"error: N must not exceed {np.iinfo(np.intp).max}, got {2**100}\n"
-    assert os.listdir(tmp_path) == ["huge.json"]
-
-
-@pytest.mark.parametrize("flag, value, message", [
-    ("--eps", "nan", "design erasure probability must lie in (0, 1)"),
-    ("--eps", "1", "design erasure probability must lie in (0, 1)"),
-    ("--N", "0", "N must be a power of two"),
-    ("--N", "100", "N must be a power of two"),
-])
-def test_simulate_ber_checks_polar_settings_whatever_the_codes(tmp_path, monkeypatch, capsys,
-                                                               flag, value, message):
-    # the sidecar records N and eps for every run, and NaN is not JSON
-    monkeypatch.chdir(tmp_path)
-    code, out, err = run_cli(
-        ["simulate-ber", "--codes", "uncoded", "--ebn0", "10:1:10", "--max-frames", "10",
-         flag, value, "--out", "x.csv"],
-        monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 2 and out == ""
-    assert err == f"error: {message}\n"
-    assert os.listdir(tmp_path) == []
-
-
-@pytest.mark.parametrize("text", ["-19", "-1"])
-def test_scramble_rejects_a_negative_mask(monkeypatch, capsys, text):
-    code, out, err = run_cli(["scramble", f"--poly={text}"], stdin_text="0101",
-                             monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 2 and out == ""
-    assert err == "error: polynomial mask must be nonnegative\n"
-
-
-def test_simulate_ber_missing_output_directory_fails_before_the_sweep(
-        tmp_path, monkeypatch, capsys):
-    out = tmp_path / "nodir" / "x.csv"
-    code, stdout, err = run_cli(
-        ["simulate-ber", "--codes", "uncoded", "--ebn0", "10:1:10", "--max-frames", "10",
-         "--out", str(out)],
-        monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 2 and stdout == "" and err.startswith("error: ")
-    assert not (tmp_path / "nodir").exists()
-
-
-# Every setting of both experiments gets each JSON type its default rejects.  The worker count
-# never gets an int or null, so no case can start a process.
-@pytest.mark.parametrize("command, setting, value", [
-    ("simulate-dist", "frames", "ten"),
-    ("simulate-dist", "sizes", 5),
-    ("simulate-dist", "sizes", [[16, "8"]]),
-    ("simulate-ber", "exact_f", 1),
-    ("simulate-ber", "workers", "two"),
-    ("simulate-dist", "sizes", [[16]]),
-] + [pytest.param(command, key, value, id=f"{command}-{key}-as-{kind}")
-     for command, table in (("simulate-dist", cli.DIST_SETTINGS), ("simulate-ber", cli.BER_SETTINGS))
-     for key, (default, _, _) in table.items()
-     for kind, value in json_values_rejected_for(default)])
-def test_sidecar_value_of_the_wrong_type_exits_2(tmp_path, monkeypatch, capsys,
-                                                  command, setting, value):
-    # no output flag, which would override the sidecar's out or out_dir: a run that wrongly went
-    # ahead would write into the working directory
-    monkeypatch.chdir(tmp_path)
-    _write_config(tmp_path / "c.json", {setting: value})
-    code, out, err = run_cli([command, "--config", "c.json"], monkeypatch=monkeypatch,
-                             capsys=capsys)
-    assert code == 2 and out == ""
-    assert err.startswith(f"error: config setting {setting!r} must be ")
-    assert err.count("\n") == 1 and "Traceback" not in err
-    assert os.listdir(tmp_path) == ["c.json"]
 
 
 def test_sidecar_int_passes_for_a_float_setting(tmp_path, monkeypatch, capsys):
@@ -651,31 +343,16 @@ def test_flag_overrides_sidecar_which_overrides_default(tmp_path, monkeypatch, c
     assert cfg["batch"] == 100 and cfg["max_frames"] == cli.DEFAULT_MAX_FRAMES
 
 
-def test_sidecar_with_an_unknown_key_exits_2(tmp_path, monkeypatch, capsys):
-    cfg = _write_config(tmp_path / "typo.json", {"sizes": [[16, 8]], "frame": 5})
-    out_dir = tmp_path / "d"
-    code, out, err = run_cli(["simulate-dist", "--config", cfg, "--out-dir", str(out_dir)],
-                             monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 2 and out == ""
-    assert err == "error: config setting 'frame' is not a simulate-dist setting\n"
-    assert not out_dir.exists()
-
-
-def _ber_run_with_sidecar(tmp_path, monkeypatch, capsys):
-    """A short uncoded simulate-ber run: (csv path, its sidecar as a dict)."""
+@pytest.mark.parametrize("value", [1.0, 1], ids=["float", "int"])
+def test_sidecar_with_the_retired_on_level_at_1_reruns_byte_for_byte(
+        tmp_path, monkeypatch, capsys, value):
+    # sidecars written while the on-level was a setting record "amplitude": 1.0
     out = str(tmp_path / "run1.csv")
     code, _, _ = run_cli(["simulate-ber", "--codes", "uncoded", "--ebn0", "11:1:12",
                           "--min-errors", "20", "--max-frames", "600", "--batch", "200",
                           "--out", out], monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0
-    return out, json.loads(Path(out + ".config.json").read_text())
-
-
-@pytest.mark.parametrize("value", [1.0, 1], ids=["float", "int"])
-def test_sidecar_with_the_retired_on_level_at_1_reruns_byte_for_byte(
-        tmp_path, monkeypatch, capsys, value):
-    # sidecars written while the on-level was a setting record "amplitude": 1.0
-    out, cfg = _ber_run_with_sidecar(tmp_path, monkeypatch, capsys)
+    cfg = json.loads(Path(out + ".config.json").read_text())
     assert "amplitude" not in cfg
     cfg["amplitude"] = value
     again = str(tmp_path / "run2.csv")
@@ -684,21 +361,6 @@ def test_sidecar_with_the_retired_on_level_at_1_reruns_byte_for_byte(
     assert code == 0 and err == ""
     assert Path(again).read_bytes() == Path(out).read_bytes()
     assert "amplitude" not in json.loads(Path(again + ".config.json").read_text())
-
-
-@pytest.mark.parametrize("value, shown", [(2.0, "2.0"), (True, "true"), ("1.0", '"1.0"')],
-                         ids=["2.0", "true", "text"])
-def test_sidecar_with_the_retired_on_level_at_another_value_exits_2(
-        tmp_path, monkeypatch, capsys, value, shown):
-    _, cfg = _ber_run_with_sidecar(tmp_path, monkeypatch, capsys)
-    cfg["amplitude"] = value
-    again = tmp_path / "run2.csv"
-    code, stdout, err = run_cli(
-        ["simulate-ber", "--config", _write_config(tmp_path / "old.json", cfg),
-         "--out", str(again)], monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 2 and stdout == ""
-    assert err == f"error: config setting 'amplitude' is retired and must be 1.0, got {shown}\n"
-    assert not again.exists() and not os.path.exists(str(again) + ".config.json")
 
 
 def test_retired_amplitude_flag_is_a_usage_error(tmp_path, monkeypatch, capsys):
@@ -710,113 +372,23 @@ def test_retired_amplitude_flag_is_a_usage_error(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv, want", [
-    (["simulate-dist", "--encoders", ","], "error: setting 'encoders' is empty\n"),
-    (["simulate-dist", "--encoders", ""], "error: setting 'encoders' is empty\n"),
-    (["simulate-ber", "--codes", ""], "error: setting 'codes' is empty\n"),
-    (["simulate-ber", "--codes", " , "], "error: setting 'codes' is empty\n"),
-], ids=["encoders-comma", "encoders-blank", "codes-blank", "codes-comma"])
-def test_empty_selection_exits_2_before_any_output(tmp_path, monkeypatch, capsys, argv, want):
-    monkeypatch.chdir(tmp_path)
-    code, stdout, err = run_cli(argv, monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 2 and stdout == "" and err == want
-    assert os.listdir(tmp_path) == []
+class InProcessExecutor:
+    """Stands in for ProcessPoolExecutor: runs each task as it is submitted, so no process
+    starts."""
 
+    def __init__(self, processes, **_):
+        pass
 
-@pytest.mark.parametrize("command, doc, want", [
-    ("simulate-dist", {"encoders": []}, "setting 'encoders' is empty"),
-    ("simulate-dist", {"sizes": []}, "setting 'sizes' is empty"),
-    ("simulate-ber", {"codes": []}, "setting 'codes' is empty"),
-    ("simulate-ber", {"codes": ["uncoded"], "ebn0": {"uncoded": []}},
-     "config setting 'ebn0' has no sweep for code 'uncoded'"),
-], ids=["encoders", "sizes", "codes", "ebn0"])
-def test_empty_selection_in_a_sidecar_exits_2(tmp_path, monkeypatch, capsys, command, doc, want):
-    monkeypatch.chdir(tmp_path)
-    cfg = _write_config(tmp_path / "c.json", doc)
-    code, stdout, err = run_cli([command, "--config", cfg], monkeypatch=monkeypatch,
-                                capsys=capsys)
-    assert code == 2 and stdout == "" and err == f"error: {want}\n"
-    assert os.listdir(tmp_path) == ["c.json"]
+    def __enter__(self):
+        return self
 
+    def __exit__(self, *exc):
+        return False
 
-@pytest.mark.parametrize("command, flag, text, doc, want", [
-    ("simulate-dist", "--encoders", "nspe,systematic,nspe", {"encoders": ["nspe", "nspe"]},
-     'setting \'encoders\' repeats "nspe"'),
-    ("simulate-dist", "--sizes", "16:8,32:16,16:8", {"sizes": [[16, 8], [32, 16], [16, 8]]},
-     "setting 'sizes' repeats [16, 8]"),
-    ("simulate-ber", "--codes", "uncoded,uncoded", {"codes": ["uncoded", "uncoded"]},
-     'setting \'codes\' repeats "uncoded"'),
-], ids=["encoders", "sizes", "codes"])
-def test_repeated_selection_exits_2_before_any_output(tmp_path, monkeypatch, capsys,
-                                                      command, flag, text, doc, want):
-    monkeypatch.chdir(tmp_path)
-    code, stdout, err = run_cli([command, flag, text], monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 2 and stdout == "" and err == f"error: {want}\n"
-    assert os.listdir(tmp_path) == []
-    cfg = _write_config(tmp_path / "c.json", doc)
-    code, stdout, err = run_cli([command, "--config", cfg], monkeypatch=monkeypatch,
-                                capsys=capsys)
-    assert code == 2 and stdout == "" and err == f"error: {want}\n"
-    assert os.listdir(tmp_path) == ["c.json"]
-
-
-def test_sidecar_of_the_other_command_exits_2(tmp_path, monkeypatch, capsys):
-    dist_dir = tmp_path / "d"
-    argv = ["simulate-dist", "--sizes", "16:8", "--frames", "5", "--out-dir", str(dist_dir)]
-    assert run_cli(argv, monkeypatch=monkeypatch, capsys=capsys)[0] == 0
-    out = tmp_path / "x.csv"
-    code, stdout, err = run_cli(
-        ["simulate-ber", "--config", str(dist_dir / "config.json"), "--out", str(out)],
-        monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 2 and stdout == ""
-    assert "simulate-dist" in err and "simulate-ber" in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("extra", [
-    ["--ebn0", "0:inf:12"],
-    ["--ebn0", "0:1:inf"],
-    ["--ebn0", "nan:1:12"],
-    ["--ebn0=-inf:1:12"],
-    ["--ebn0=-4000:1:-4000"],
-    ["--ebn0", "4000:1:4000"],
-    *(["--ebn0=" + text] for text in OVER_LONG_SWEEPS),
-])
-def test_simulate_ber_rejects_non_finite_ebn0_or_amplitude(tmp_path, monkeypatch, capsys,
-                                                          extra):
-    out = tmp_path / "x.csv"
-    code, stdout, err = run_cli(
-        ["simulate-ber", "--codes", "uncoded", "--max-frames", "10", *extra, "--out", str(out)],
-        monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 2 and stdout == "" and err.startswith("error: ")
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("value, message", [
-    ("NaN", "Eb/N0 must be finite and within 3000 dB of 0, got nan dB"),
-    ("4000.0", "Eb/N0 must be finite and within 3000 dB of 0, got 4000.0 dB"),
-], ids=["nan", "4000"])
-def test_sidecar_nan_ebn0_exits_2(tmp_path, monkeypatch, capsys, value, message):
-    cfg = tmp_path / "c.json"
-    # the bad value on the second code is found before the first code's point is simulated
-    cfg.write_text('{"codes": ["uncoded", "rs15_7"], '
-                   f'"ebn0": {{"uncoded": [10.0], "rs15_7": [{value}]}}, "max_frames": 10}}')
-    out = tmp_path / "x.csv"
-    code, stdout, err = run_cli(["simulate-ber", "--config", str(cfg), "--out", str(out)],
-                                monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 2 and stdout == ""
-    assert err == f"error: {message}\n"
-    assert not out.exists()
-
-
-def test_simulate_ber_rejects_a_worker_count_below_one(tmp_path, monkeypatch, capsys):
-    out = tmp_path / "z.csv"
-    code, stdout, err = run_cli(
-        ["simulate-ber", "--codes", "uncoded", "--workers", "-3", "--out", str(out)],
-        monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 2 and stdout == ""
-    assert err == "error: min_errors, max_frames, batch and workers must be positive\n"
-    assert not out.exists()
+    def submit(self, func, *args):
+        future = concurrent.futures.Future()
+        future.set_result(func(*args))
+        return future
 
 
 @pytest.mark.parametrize("workers", ["3000000000", str(10**20)])
@@ -824,24 +396,11 @@ def test_simulate_ber_worker_count_beyond_a_c_int_runs_like_one_worker(tmp_path,
                                                                       capsys, workers):
     sizes = []
 
-    class Executor:
-        """Runs each batch as it is submitted, so no process starts."""
+    def executor(processes, **kwargs):
+        sizes.append(processes)
+        return InProcessExecutor(processes, **kwargs)
 
-        def __init__(self, processes, **_):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, func, *args):
-            future = concurrent.futures.Future()
-            future.set_result(func(*args))
-            return future
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Executor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", executor)
     runs = {}
     for count in ("1", workers):
         out = tmp_path / f"{count}.csv"
@@ -855,17 +414,361 @@ def test_simulate_ber_worker_count_beyond_a_c_int_runs_like_one_worker(tmp_path,
     assert sizes == [os.cpu_count() or 1] * 2  # one pool per code
 
 
-def test_simulate_ber_frame_too_large_for_memory_exits_2(tmp_path, monkeypatch, capsys):
-    # 2^58 one-byte bits per frame: beyond the 57-bit virtual address space of
-    # any 64-bit machine, so the allocation fails and is never granted.
-    out = tmp_path / "y.csv"
-    code, stdout, err = run_cli(
-        ["simulate-ber", "--codes", "uncoded", "--K", str(2**58), "--max-frames", "1",
-         "--batch", "1", "--out", str(out)],
-        monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 2 and stdout == "" and err.startswith("error: ")
+DIR = None  # an input of a rejection that is an empty directory
+
+
+def _tree(root: Path) -> dict:
+    """Each path under root, relative, with its bytes, or DIR."""
+    return {str(path.relative_to(root)): DIR if path.is_dir() else path.read_bytes()
+            for path in root.rglob("*")}
+
+
+def assert_clean_rejection(tmp_path, monkeypatch, capsys, argv, want, stdin="", files={}):
+    """Check that bad input is rejected cleanly: cli.main(argv), run on stdin in the empty
+    directory tmp_path once files (path: text, a JSON value or DIR) are written there, exits 2
+    with empty stdout and the one stderr line 'error: <want>', where want is the exact text or a
+    re.fullmatch pattern.  No batch of frames and no simulate-dist configuration may finish, and
+    the directory must hold the input files, unchanged, and nothing else."""
+    monkeypatch.chdir(tmp_path)
+    for name, body in files.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if body is DIR:
+            path.mkdir()
+        else:
+            path.write_text(body if isinstance(body, str) else json.dumps(body))
+    before, done = _tree(tmp_path), []
+
+    def recording(func):
+        def run(*args, **kwargs):
+            result = func(*args, **kwargs)
+            done.append(func.__name__)
+            return result
+        return run
+
+    monkeypatch.setattr(analysis, "_run_batch", recording(analysis._run_batch))
+    monkeypatch.setattr(cli, "run_dist_experiment", recording(cli.run_dist_experiment))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessExecutor)
+    code, out, err = run_cli(argv, stdin, monkeypatch, capsys)
+    assert (code, out) == (2, ""), err
+    assert done == []
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
     assert "Traceback" not in err
-    assert not out.exists()
+    message = err[len("error: "):-1]
+    if isinstance(want, re.Pattern):
+        assert want.fullmatch(message), message
+    else:
+        assert message == want
+    assert _tree(tmp_path) == before
+
+
+def reject(row_id, argv, want, stdin="", files={}):
+    """A row of REJECTIONS; see assert_clean_rejection."""
+    return pytest.param(argv, want, stdin, files, id=row_id)
+
+
+def starts(prefix: str) -> re.Pattern:
+    """A pattern for any message that begins with prefix."""
+    return re.compile(re.escape(prefix) + ".+")
+
+
+ANY_MESSAGE = re.compile(".+")
+
+
+# one JSON value of each type
+JSON_VALUES = {"null": None, "true": True, "int": 7, "float": 0.5, "string": "x", "list": [0],
+               "object": {"x": 0}}
+
+
+def json_values_rejected_for(default):
+    """(type name, value) of each of JSON_VALUES that a setting or field with this default
+    rejects: any of another type, where an int passes for a float and for None."""
+    accepted = {type(default)} | ({int} if default is None or isinstance(default, float) else set())
+    return [(kind, value) for kind, value in JSON_VALUES.items() if type(value) not in accepted]
+
+
+# Every setting of both experiments gets each JSON type its default rejects, from a sidecar and
+# with no output flag, which would override the sidecar's out or out_dir.
+SIDECAR_TYPE_CASES = {
+    "simulate-dist-frames-ten": ("simulate-dist", "frames", "ten"),
+    "simulate-dist-sizes-5": ("simulate-dist", "sizes", 5),
+    "simulate-dist-sizes-item-text": ("simulate-dist", "sizes", [[16, "8"]]),
+    "simulate-ber-exact_f-1": ("simulate-ber", "exact_f", 1),
+    "simulate-ber-workers-two": ("simulate-ber", "workers", "two"),
+    "simulate-dist-sizes-short-pair": ("simulate-dist", "sizes", [[16]]),
+}
+SIDECAR_TYPE_CASES.update({
+    f"{command}-{key}-as-{kind}": (command, key, value)
+    for command, table in (("simulate-dist", cli.DIST_SETTINGS), ("simulate-ber", cli.BER_SETTINGS))
+    for key, (default, _, _) in table.items()
+    for kind, value in json_values_rejected_for(default)})
+
+_SPEC = {"n": 3, "N": 8, "K": 4, "eps": 0.5, "info_set": [3, 5, 6, 7]}
+MALFORMED_SPEC_CASES = {
+    "info_set-int": ("info_set", 5), "n-null": ("n", None), "eps-list": ("eps", [0.5]),
+    "n-float": ("n", 3.7), "K-float": ("K", 1.9), "info_set-float": ("info_set", [7.9]),
+    "N-bool": ("N", True), "info_set-bool": ("info_set", [3, 5, 6, True]),
+    "eps-text": ("eps", "0.5"),
+}
+MALFORMED_SPEC_CASES.update({f"{key}-as-{kind}": (key, value)
+                             for key, example in cli._SPEC_FIELDS.items()
+                             for kind, value in json_values_rejected_for(example)})
+# checked before anything of length N, such as the 2**n-float profile, is built
+TOO_LONG = f"N must not exceed {np.iinfo(np.intp).max}, got {2**100}"
+# Each code description the encode and decode commands reject, with the message.
+SPEC_CASES = {
+    "not-an-object": ([], "code description bad.json is not a JSON object"),
+    # json's decoder recurses once per level: this once ended in a RecursionError traceback
+    "nested-too-deeply": ("[" * 100_000, "code description bad.json is nested too deeply"),
+    **{f"eps-{eps}": ({**_SPEC, "eps": eps}, "design erasure probability must lie in (0, 1)")
+       for eps in (float("nan"), float("inf"), 0, 1, -0.5)},
+    # N is checked against n without 1 << n, which a huge n overflows and a negative n rejects
+    **{f"n-{n}": ({**_SPEC, "n": n}, "N must equal 2**n") for n in (10**20, -1)},
+    "no-info-bit": ({"n": 3, "N": 8, "K": 0, "eps": 0.5, "info_set": []},
+                    "K must satisfy 0 < K <= N"),
+    "N-beyond-numpy-indexing": ({"n": 100, "N": 2**100, "K": 1, "eps": 0.5, "info_set": [3]},
+                                TOO_LONG),
+    **{f"field-{case}": ({**_SPEC, key: value}, starts(f"code description field {key!r} must be "))
+       for case, (key, value) in MALFORMED_SPEC_CASES.items()},
+}
+
+# The error line once held the whole rejected value: about 2,000 characters for a list nested
+# 980 deep, and every byte of a multi-megabyte one.  It now holds its first 60 characters.
+DEEP_LIST = "[" * 500 + "]" * 500  # about 1,000 characters of JSON, still loadable in-process
+LONG_LIST = json.dumps([0.5] * 200_000)  # about 1 MB
+_DIST = ["simulate-dist", "--config", "bad.json", "--out-dir", "d"]
+_INFO_SET = '{"n": 3, "N": 8, "K": 4, "eps": 0.5, "info_set": [%s]}'  # an item, checked as an int
+ECHO_CASES = {f"{name}-{kind}": (argv, n_in, doc % value, shown)
+              for name, argv, n_in, doc, shown in [
+                  ("sizes", _DIST, 0, '{"sizes": [[%s]]}',
+                   "config setting 'sizes' must be int, got "),
+                  ("frames", _DIST, 0, '{"frames": %s}',
+                   "config setting 'frames' must be int, got "),
+                  ("retired-amplitude", ["simulate-ber", "--config", "bad.json", "--out", "x.csv"],
+                   0, '{"amplitude": %s}',
+                   "config setting 'amplitude' is retired and must be 1.0, got "),
+                  ("encode-info_set", ["encode", "--spec", "bad.json"], 4, _INFO_SET,
+                   "code description field 'info_set' must be int, got "),
+                  ("decode-info_set", ["decode", "--spec", "bad.json"], 8, _INFO_SET,
+                   "code description field 'info_set' must be int, got ")]
+              for kind, value in (("deep", DEEP_LIST), ("long", LONG_LIST))}
+ECHO_CASES["sizes-long-pair"] = (_DIST, 0, json.dumps({"sizes": [[0] * 200_000]}),
+                                 "config setting 'sizes' must be [N, K] pairs, got ")
+ECHO_CASES["sizes-long-repeat"] = (_DIST, 0, json.dumps({"sizes": [[7] * 100_000] * 2}),
+                                   "setting 'sizes' repeats ")
+
+
+def sidecar_of(command: str, **changes) -> dict:
+    """The sidecar a run of command with every setting at its default writes, with changes."""
+    table = cli.COMMANDS[command][0]
+    return {"command": command, **{key: row[0] for key, row in table.items()}, **changes}
+
+
+_BER = ["simulate-ber", "--codes", "uncoded", "--ebn0", "10:1:10", "--max-frames", "10"]
+_DIST16 = ["simulate-dist", "--sizes", "16:8", "--frames", "5"]
+_MISSING = "[Errno 2] No such file or directory: 'missing.json'"
+_BAD_SWEEP = "argument --ebn0: bad sweep {!r}, expected finite start:step:stop"
+_FAR_EBN0 = "Eb/N0 must be finite and within 3000 dB of 0, got {} dB"
+REJECTIONS = [
+    # construct
+    reject("construct-N-not-a-power-of-two",
+           ["construct", "--N", "12", "--K", "4", "--out", "code.json"],
+           "N must be a power of two"),
+    reject("construct-N-text", ["construct", "--N", "ten"],
+           "argument --N: invalid literal for int() with base 10: 'ten'", "0" * 158),
+    reject("construct-N-beyond-numpy-indexing",
+           ["construct", "--N", str(2**100), "--K", "1", "--out", "code.json"], TOO_LONG),
+    reject("construct-out-in-missing-directory", ["construct", "--out", "nodir/c.json"],
+           "[Errno 2] No such file or directory: 'nodir/c.json'"),
+    *(reject(f"construct-out-{taken}-is-a-directory",
+             ["construct", "--N", "8", "--K", "4", "--out", "x.json"],
+             f"output {taken!r} is a directory", files={taken: DIR})
+      for taken in ("x.json", "x.json.config.json")),
+
+    # scramble, encode, decode and mftp
+    reject("scramble-bad-character", ["scramble"], "bitstream text may only contain '0' and '1'",
+           "10x0"),
+    *(reject(f"scramble-poly{text}", ["scramble", f"--poly={text}"],
+             "polynomial mask must be nonnegative", "0101") for text in ("-19", "-1")),
+    *(reject(f"scramble-{flag}-text", ["scramble", f"--{flag}", "zz"],
+             f"argument --{flag}: not a hex value: 'zz'", "0" * 158) for flag in ("poly", "seed")),
+    reject("encode-short-message", ["encode"], "expected 158 input bits, got 4", "1010"),
+    reject("decode-short-word", ["decode"], "expected 256 input bits, got 2", "10"),
+    reject("encode-unknown-encoder", ["encode", "--encoder", "bogus"],
+           "unknown encoder 'bogus'; choose from nspe, systematic", "0" * 158),
+    reject("encode-missing-spec", ["encode", "--spec", "missing.json"], _MISSING),
+    *(reject(f"{command}-spec-{case}", [command, "--spec", "bad.json"], want, "0" * n_in,
+             {"bad.json": doc})
+      for command, n_in in (("encode", 4), ("decode", 8))
+      for case, (doc, want) in SPEC_CASES.items()),
+    *(reject(f"mftp-clock-hz-{clock}", ["mftp", "--clock-hz", clock],
+             "clock_hz must be finite and positive") for clock in ("nan", "inf", "0")),
+    reject("mftp-frame-bits-text", ["mftp", "--frame-bits", "many"],
+           "argument --frame-bits: invalid literal for int() with base 10: 'many'", "0" * 158),
+    reject("mftp-clock-hz-text", ["mftp", "--clock-hz", "x"],
+           "argument --clock-hz: could not convert string to float: 'x'", "0" * 158),
+
+    # simulate-dist
+    reject("simulate-dist-negative-master-seed",
+           ["simulate-dist", "--master-seed", "-1", "--frames", "5", "--out-dir", "D"],
+           "expected non-negative integer"),
+    reject("simulate-dist-unknown-encoder",
+           ["simulate-dist", "--encoders", "magic", "--frames", "5", "--out-dir", "x"],
+           "unknown encoder 'magic'; choose from nspe, systematic"),
+    *(reject(f"simulate-dist-{flag[2:]}-text", ["simulate-dist", flag, text, "--out-dir", "o"],
+             want)
+      for flag, text, want in [
+          ("--frames", "ten", "argument --frames: invalid literal for int() with base 10: 'ten'"),
+          ("--poly", "zz", "argument --poly: not a hex value: 'zz'"),
+          ("--sizes", "16-8", "argument --sizes: bad size '16-8', expected N:K"),
+          ("--scramble", "bogus", "scramble must be on, off or both")]),
+    reject("simulate-dist-bad-later-size",
+           ["simulate-dist", "--sizes", "16:8,100:50", "--frames", "50", "--out-dir", "d"],
+           "N must be a power of two"),
+    reject("simulate-dist-out-dir-empty", [*_DIST16, "--out-dir="], "output path is empty"),
+    reject("simulate-dist-sidecar-out-dir-empty", ["simulate-dist", "--config", "c.json"],
+           "output path is empty", files={"c.json": {"sizes": [[16, 8]], "frames": 5,
+                                                     "out_dir": ""}}),
+    reject("simulate-dist-out-dir-is-a-file", [*_DIST16, "--out-dir", "d"],
+           "output directory 'd' is not a directory", files={"d": "kept\n"}),
+    reject("simulate-dist-out-dir-under-a-file", [*_DIST16, "--out-dir", "afile/sub/deeper"],
+           "output directory 'afile' is not a directory", files={"afile": "kept\n"}),
+    *(reject(f"simulate-dist-{taken}-is-a-directory", [*_DIST16, "--out-dir", "d"],
+             f"output 'd/{taken}' is a directory", files={f"d/{taken}": DIR})
+      for taken in ("summary.csv", "config.json", "dist_nspe_on_16x8.csv")),
+    reject("simulate-dist-missing-config",
+           ["simulate-dist", "--config", "missing.json", "--out-dir", "d"], _MISSING),
+    reject("simulate-dist-config-not-an-object",
+           ["simulate-dist", "--config", "list.json", "--out-dir", "d"],
+           "config list.json is not a JSON object", files={"list.json": [["sizes", [[16, 8]]]]}),
+    reject("simulate-dist-config-nested-too-deeply",
+           ["simulate-dist", "--config", "deep.json", "--out-dir", "d"],
+           "config deep.json is nested too deeply", files={"deep.json": "[" * 100_000}),
+    reject("simulate-dist-sidecar-unknown-key",
+           ["simulate-dist", "--config", "typo.json", "--out-dir", "d"],
+           "config setting 'frame' is not a simulate-dist setting",
+           files={"typo.json": {"sizes": [[16, 8]], "frame": 5}}),
+
+    # simulate-ber
+    reject("simulate-ber-unknown-code", ["simulate-ber", "--codes", "turbo", "--out", "x.csv"],
+           "unknown code 'turbo'; choose from polar, rs15_11, rs15_7, rs15_3, uncoded"),
+    *(reject(f"simulate-ber-K-0-{name}",
+             ["simulate-ber", "--codes", name, "--K", "0", "--ebn0", "10:1:10",
+              "--max-frames", "10", "--out", "x.csv"], want)
+      for name, want in [("rs15_7", "frame_bits must be positive"),
+                         ("uncoded", "frame_bits must be positive"),
+                         ("polar", "K must satisfy 0 < K <= N")]),
+    reject("simulate-ber-negative-master-seed", [*_BER, "--master-seed", "-1", "--out", "x.csv"],
+           "expected non-negative integer"),
+    reject("simulate-ber-worker-count-below-one",
+           ["simulate-ber", "--codes", "uncoded", "--workers", "-3", "--out", "z.csv"],
+           "min_errors, max_frames, batch and workers must be positive"),
+    # 2^58 one-byte bits per frame: beyond the 57-bit virtual address space of any 64-bit
+    # machine, so the allocation fails and is never granted
+    reject("simulate-ber-frame-too-large-for-memory",
+           ["simulate-ber", "--codes", "uncoded", "--K", str(2**58), "--max-frames", "1",
+            "--batch", "1", "--out", "y.csv"],
+           re.compile(r"Unable to allocate .+ for an array with shape \(1, 288230376151711744\) "
+                      r"and data type uint8")),
+    # the sidecar records N and eps for every run, and NaN is not JSON
+    *(reject(f"simulate-ber-uncoded-{flag[2:]}-{value}", [*_BER, flag, value, "--out", "x.csv"],
+             want)
+      for flag, value, want in [
+          ("--eps", "nan", "design erasure probability must lie in (0, 1)"),
+          ("--eps", "1", "design erasure probability must lie in (0, 1)"),
+          ("--N", "0", "N must be a power of two"),
+          ("--N", "100", "N must be a power of two")]),
+    reject("simulate-ber-bad-polar-size-after-uncoded",
+           ["simulate-ber", "--codes", "uncoded,polar", "--N", "100", "--ebn0", "10:1:11",
+            "--max-frames", "20000", "--out", "x.csv"], "N must be a power of two"),
+    reject("simulate-ber-N-beyond-numpy-indexing",
+           ["simulate-ber", "--codes", "polar", "--N", str(2**100), "--out", "x.csv"], TOO_LONG),
+    *(reject(f"simulate-ber-{flag[2:]}-text", ["simulate-ber", flag, text, "--out", "o"], want)
+      for flag, text, want in [
+          ("--eps", "loud", "argument --eps: could not convert string to float: 'loud'"),
+          ("--ebn0", "10:1", _BAD_SWEEP.format("10:1"))]),
+    *(reject(f"simulate-ber-ebn0-{extra[-1].removeprefix('--ebn0=')}",
+             ["simulate-ber", "--codes", "uncoded", "--max-frames", "10", *extra, "--out", "x.csv"],
+             want)
+      for extra, want in [
+          (["--ebn0", "0:inf:12"], _BAD_SWEEP.format("0:inf:12")),
+          (["--ebn0", "0:1:inf"], _BAD_SWEEP.format("0:1:inf")),
+          (["--ebn0", "nan:1:12"], _BAD_SWEEP.format("nan:1:12")),
+          (["--ebn0=-inf:1:12"], _BAD_SWEEP.format("-inf:1:12")),
+          (["--ebn0=-4000:1:-4000"], _FAR_EBN0.format(-4000.0)),
+          (["--ebn0", "4000:1:4000"], _FAR_EBN0.format(4000.0)),
+          *((["--ebn0=" + text], "argument --ebn0: sweep has more than 10000 points")
+            for text in OVER_LONG_SWEEPS)]),
+    reject("simulate-ber-out-in-missing-directory", [*_BER, "--out", "nodir/x.csv"],
+           "output directory 'nodir' does not exist"),
+    *(reject(f"simulate-ber-{taken}-is-a-directory", [*_BER, "--out", "x.csv"],
+             f"output {taken!r} is a directory", files={taken: DIR})
+      for taken in ("x.csv", "x.csv.config.json")),
+    reject("simulate-ber-missing-config",
+           ["simulate-ber", "--config", "missing.json", "--out", "b.csv"], _MISSING),
+    reject("simulate-ber-config-nested-too-deeply",
+           ["simulate-ber", "--config", "deep.json", "--out", "x.csv"],
+           "config deep.json is nested too deeply", files={"deep.json": "[" * 100_000}),
+    reject("simulate-ber-sidecar-of-simulate-dist",
+           ["simulate-ber", "--config", "d/config.json", "--out", "x.csv"],
+           "config d/config.json is for simulate-dist, not simulate-ber",
+           files={"d/config.json": sidecar_of("simulate-dist")}),
+    reject("simulate-ber-sidecar-ebn0-lacks-a-chosen-code",
+           ["simulate-ber", "--config", "c.json", "--out", "x.csv"],
+           "config setting 'ebn0' has no sweep for code 'uncoded'",
+           files={"c.json": {"codes": ["uncoded"], "ebn0": {"polar": [10.0]}}}),
+    # the bad value on the second code is found before the first code's point is simulated
+    *(reject(f"simulate-ber-sidecar-ebn0-{value}",
+             ["simulate-ber", "--config", "c.json", "--out", "x.csv"], _FAR_EBN0.format(shown),
+             files={"c.json": '{"codes": ["uncoded", "rs15_7"], '
+                              f'"ebn0": {{"uncoded": [10.0], "rs15_7": [{value}]}}, '
+                              '"max_frames": 10}'})
+      for value, shown in (("NaN", "nan"), ("4000.0", "4000.0"))),
+    # sidecars written while the on-level was a setting record "amplitude": 1.0
+    *(reject(f"simulate-ber-sidecar-retired-amplitude-{name}",
+             ["simulate-ber", "--config", "old.json", "--out", "run2.csv"],
+             f"config setting 'amplitude' is retired and must be 1.0, got {shown}",
+             files={"old.json": sidecar_of("simulate-ber", amplitude=value)})
+      for name, value, shown in (("2.0", 2.0, "2.0"), ("true", True, "true"),
+                                 ("text", "1.0", '"1.0"'))),
+
+    # empty or repeated selections, from a flag or a sidecar
+    *(reject(f"{argv[0]}-{argv[1][2:]}-empty-{name}", argv, f"setting {argv[1][2:]!r} is empty")
+      for name, argv in [("comma", ["simulate-dist", "--encoders", ","]),
+                         ("blank", ["simulate-dist", "--encoders", ""]),
+                         ("blank", ["simulate-ber", "--codes", ""]),
+                         ("comma", ["simulate-ber", "--codes", " , "])]),
+    *(reject(f"{command}-sidecar-{key}-empty", [command, "--config", "c.json"], want,
+             files={"c.json": doc})
+      for command, key, doc, want in [
+          ("simulate-dist", "encoders", {"encoders": []}, "setting 'encoders' is empty"),
+          ("simulate-dist", "sizes", {"sizes": []}, "setting 'sizes' is empty"),
+          ("simulate-ber", "codes", {"codes": []}, "setting 'codes' is empty"),
+          ("simulate-ber", "ebn0", {"codes": ["uncoded"], "ebn0": {"uncoded": []}},
+           "config setting 'ebn0' has no sweep for code 'uncoded'")]),
+    *(row
+      for command, key, text, values, shown in [
+          ("simulate-dist", "encoders", "nspe,systematic,nspe", ["nspe", "nspe"], '"nspe"'),
+          ("simulate-dist", "sizes", "16:8,32:16,16:8", [[16, 8], [32, 16], [16, 8]], "[16, 8]"),
+          ("simulate-ber", "codes", "uncoded,uncoded", ["uncoded", "uncoded"], '"uncoded"')]
+      for row in (reject(f"{command}-{key}-repeated", [command, f"--{key}", text],
+                         f"setting {key!r} repeats {shown}"),
+                  reject(f"{command}-sidecar-{key}-repeated", [command, "--config", "c.json"],
+                         f"setting {key!r} repeats {shown}", files={"c.json": {key: values}}))),
+
+    # generated: a value of the wrong JSON type, and a rejected value echoed in short
+    *(reject(f"{name}-in-sidecar", [command, "--config", "c.json"],
+             starts(f"config setting {setting!r} must be "), files={"c.json": {setting: value}})
+      for name, (command, setting, value) in SIDECAR_TYPE_CASES.items()),
+    *(reject(f"echo-{name}", argv, re.compile(re.escape(shown) + r".{60}\.\.\."),
+             "0" * n_in, {"bad.json": doc})
+      for name, (argv, n_in, doc, shown) in ECHO_CASES.items()),
+]
+
+
+@pytest.mark.parametrize("argv, want, stdin, files", REJECTIONS)
+def test_rejected_input_exits_2_cleanly(tmp_path, monkeypatch, capsys, argv, want, stdin, files):
+    assert_clean_rejection(tmp_path, monkeypatch, capsys, argv, want, stdin, files)
 
 
 # Per setting, a flag's text and the sidecar value it stands for; out and out_dir take a path.
@@ -929,51 +832,13 @@ def test_flag_text_and_sidecar_value_resolve_to_the_same_setting(
     assert by_flag == by_sidecar and by_flag_out == by_sidecar_out
 
 
-@pytest.mark.parametrize("command, flag, text, want", [
-    ("simulate-dist", "--frames", "ten", "error: argument --frames: invalid literal for int()"),
-    ("simulate-ber", "--eps", "loud",
-     "error: argument --eps: could not convert string to float: 'loud'"),
-    ("simulate-dist", "--poly", "zz", "error: argument --poly: not a hex value: 'zz'"),
-    ("simulate-ber", "--ebn0", "10:1", "error: argument --ebn0: bad sweep '10:1'"),
-    ("simulate-dist", "--sizes", "16-8", "error: argument --sizes: bad size '16-8'"),
-    ("simulate-dist", "--scramble", "bogus", "error: scramble must be on, off or both"),
-])
-def test_bad_flag_text_exits_2_naming_the_flag(tmp_path, monkeypatch, capsys,
-                                               command, flag, text, want):
-    out = tmp_path / "o"
-    out_flag = "--out-dir" if command == "simulate-dist" else "--out"
-    code, stdout, err = run_cli([command, flag, text, out_flag, str(out)],
-                                monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 2 and stdout == "" and err.startswith(want)
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("argv, want", [
-    (["construct", "--N", "ten"], "error: argument --N: invalid literal for int()"),
-    (["scramble", "--poly", "zz"], "error: argument --poly: not a hex value: 'zz'"),
-    (["scramble", "--seed", "zz"], "error: argument --seed: not a hex value: 'zz'"),
-    (["encode", "--encoder", "bogus"], "error: unknown encoder 'bogus'"),
-    (["mftp", "--frame-bits", "many"], "error: argument --frame-bits: invalid literal for int()"),
-    (["mftp", "--clock-hz", "x"], "error: argument --clock-hz: could not convert string to float"),
-], ids=["construct-N", "scramble-poly", "scramble-seed", "encode-encoder", "mftp-frame-bits",
-        "mftp-clock-hz"])
-def test_pipeline_bad_flag_text_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys,
-                                                            argv, want):
-    monkeypatch.chdir(tmp_path)
-    code, stdout, err = run_cli(argv, stdin_text="0" * 158, monkeypatch=monkeypatch,
-                                capsys=capsys)
-    assert code == 2 and stdout == "" and err.startswith(want)
-    assert err.count("\n") == 1 and "Traceback" not in err
-    assert os.listdir(tmp_path) == []
-
-
-# Every setting with a parser gets each of these texts as --flag=text.  The worker count gets none:
-# a count it accepted would start processes.
+# Every setting with a parser gets each of these texts as --flag=text.  The matrix runs on the
+# in-process executor, so a worker count it accepts starts no process.
 BAD_TEXTS = {"0": "0", "-1": "-1", "nan": "nan", "inf": "inf", "empty": "", "1e400": "1e400",
              "x": "x", "3:1": "3:1", "0x": "0x", "20-digit": "9" * 20, "1.5": "1.5", "comma": ",",
              "-0": "-0"}
 TEXT_MATRIX = [(command, key, name) for command, (table, _, _) in cli.COMMANDS.items()
-               for key, (_, parse, _) in table.items() if parse is not None and key != "workers"
+               for key, (_, parse, _) in table.items() if parse is not None
                for name in BAD_TEXTS]
 # Flags that keep an accepted run tiny; the tested flag comes after them, and the last one wins.
 MATRIX_BASE = {"construct": ["--N", "8", "--K", "4"],
@@ -989,7 +854,8 @@ MATRIX_ACCEPTS = {
     ("simulate-dist", "p1", "0"), ("simulate-dist", "p1", "-0"),
     *((command, "master_seed", name) for command in ("simulate-dist", "simulate-ber")
       for name in ("0", "-0", "20-digit")),
-    *(("simulate-ber", key, "20-digit") for key in ("min_errors", "max_frames", "batch")),
+    *(("simulate-ber", key, "20-digit")
+      for key in ("min_errors", "max_frames", "batch", "workers")),
     ("mftp", "frame_bits", "20-digit"), ("mftp", "clock_hz", "20-digit"),
     ("mftp", "clock_hz", "1.5"),
 }
@@ -998,14 +864,14 @@ MATRIX_ACCEPTS = {
 @pytest.mark.parametrize("command, key, name", TEXT_MATRIX, ids=["-".join(c) for c in TEXT_MATRIX])
 def test_flag_text_exits_2_with_one_error_line_unless_allowed(tmp_path, monkeypatch, capsys,
                                                               command, key, name):
-    monkeypatch.chdir(tmp_path)
     argv = [command, *MATRIX_BASE.get(command, []), f"{cli._flag(key)}={BAD_TEXTS[name]}"]
-    code, out, err = run_cli(argv, stdin_text="0101", monkeypatch=monkeypatch, capsys=capsys)
-    if (command, key, name) in MATRIX_ACCEPTS:
-        assert code == 0 and err == ""
-    else:
-        assert code == 2 and out == "" and os.listdir(tmp_path) == []
-        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    if (command, key, name) not in MATRIX_ACCEPTS:
+        assert_clean_rejection(tmp_path, monkeypatch, capsys, argv, ANY_MESSAGE, "0101")
+        return
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessExecutor)
+    code, _, err = run_cli(argv, "0101", monkeypatch, capsys)
+    assert code == 0 and err == ""
 
 
 def test_module_entry_point_exits_2_with_one_error_line():
@@ -1016,88 +882,6 @@ def test_module_entry_point_exits_2_with_one_error_line():
                           env=dict(os.environ, PYTHONPATH=src))
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: clock_hz must be finite and positive\n"
-
-
-@pytest.mark.parametrize("taken", ["x.json", "x.json.config.json"])
-def test_construct_output_that_is_a_directory_fails_before_writing(tmp_path, monkeypatch, capsys,
-                                                                   taken):
-    (tmp_path / taken).mkdir()
-    code, stdout, err = run_cli(
-        ["construct", "--N", "8", "--K", "4", "--out", str(tmp_path / "x.json")],
-        monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 2 and stdout == ""
-    assert err == f"error: output {str(tmp_path / taken)!r} is a directory\n"
-    assert os.listdir(tmp_path) == [taken] and os.listdir(tmp_path / taken) == []
-
-
-@pytest.mark.parametrize("taken", ["x.csv", "x.csv.config.json"])
-def test_simulate_ber_output_that_is_a_directory_fails_before_the_sweep(
-        tmp_path, monkeypatch, capsys, taken):
-    (tmp_path / taken).mkdir()
-    code, stdout, err = run_cli(
-        ["simulate-ber", "--codes", "uncoded", "--ebn0", "10:1:10", "--max-frames", "10",
-         "--out", str(tmp_path / "x.csv")],
-        monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 2 and stdout == ""
-    assert err == f"error: output {str(tmp_path / taken)!r} is a directory\n"
-    assert os.listdir(tmp_path) == [taken] and os.listdir(tmp_path / taken) == []
-
-
-def test_simulate_dist_out_dir_that_is_a_file_fails_before_the_first_run(
-        tmp_path, monkeypatch, capsys):
-    out = tmp_path / "d"
-    out.write_text("kept\n")
-    code, stdout, err = run_cli(
-        ["simulate-dist", "--sizes", "16:8", "--frames", "5", "--out-dir", str(out)],
-        monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 2 and stdout == ""
-    assert err == f"error: output directory {str(out)!r} is not a directory\n"
-    assert os.listdir(tmp_path) == ["d"] and out.read_text() == "kept\n"
-
-
-def test_simulate_ber_bad_polar_size_fails_before_the_first_point(tmp_path, monkeypatch, capsys):
-    out = tmp_path / "x.csv"
-    code, stdout, err = run_cli(
-        ["simulate-ber", "--codes", "uncoded,polar", "--N", "100", "--ebn0", "10:1:11",
-         "--max-frames", "20000", "--out", str(out)],
-        monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 2 and stdout == "" and err == "error: N must be a power of two\n"
-    assert not out.exists()
-
-
-def test_simulate_dist_bad_later_size_leaves_no_output(tmp_path, monkeypatch, capsys):
-    out = tmp_path / "d"
-    code, stdout, err = run_cli(
-        ["simulate-dist", "--sizes", "16:8,100:50", "--frames", "50", "--out-dir", str(out)],
-        monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 2 and stdout == "" and err == "error: N must be a power of two\n"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("taken", ["summary.csv", "config.json", "dist_nspe_on_16x8.csv"])
-def test_simulate_dist_output_file_that_is_a_directory_fails_before_the_first_run(
-        tmp_path, monkeypatch, capsys, taken):
-    out = tmp_path / "d"
-    (out / taken).mkdir(parents=True)
-    code, stdout, err = run_cli(
-        ["simulate-dist", "--sizes", "16:8", "--frames", "5", "--out-dir", str(out)],
-        monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 2 and stdout == ""
-    assert err == f"error: output {str(out / taken)!r} is a directory\n"
-    assert os.listdir(out) == [taken] and os.listdir(out / taken) == []
-
-
-def test_simulate_dist_out_dir_under_a_file_fails_before_the_first_run(
-        tmp_path, monkeypatch, capsys):
-    blocker = tmp_path / "afile"
-    blocker.write_text("kept\n")
-    out = blocker / "sub" / "deeper"
-    code, stdout, err = run_cli(
-        ["simulate-dist", "--sizes", "16:8", "--frames", "5", "--out-dir", str(out)],
-        monkeypatch=monkeypatch, capsys=capsys)
-    assert code == 2 and stdout == ""
-    assert err == f"error: output directory {str(blocker)!r} is not a directory\n"
-    assert os.listdir(tmp_path) == ["afile"] and blocker.read_text() == "kept\n"
 
 
 def test_simulate_ber_rs_csv_matches_pinned_bytes(tmp_path, monkeypatch, capsys):
