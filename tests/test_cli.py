@@ -166,7 +166,9 @@ def test_simulate_dist_outputs_and_rerun(tmp_path, monkeypatch, capsys):
     summary1 = Path(out1, "summary.csv").read_bytes()
     sidecar = os.path.join(out1, "config.json")
     cfg = json.loads(Path(sidecar).read_text())
-    assert cfg["frames"] == 2049 and cfg["sizes"] == [[32, 16]]
+    # the rejection rows build sidecars with sidecar_of; this pins it to what a run writes
+    assert cfg == sidecar_of("simulate-dist", sizes=[[32, 16]], encoders=["nspe"],
+                             scramble="on", frames=2049, out_dir=out1)
 
     # Rerun solely from the sidecar into a fresh directory.  Older sidecars
     # carry a "workers" key, which the rerun ignores.
@@ -353,7 +355,8 @@ def test_sidecar_with_the_retired_on_level_at_1_reruns_byte_for_byte(
                           "--out", out], monkeypatch=monkeypatch, capsys=capsys)
     assert code == 0
     cfg = json.loads(Path(out + ".config.json").read_text())
-    assert "amplitude" not in cfg
+    assert cfg == sidecar_of("simulate-ber", codes=["uncoded"], ebn0={"uncoded": [11.0, 12.0]},
+                             min_errors=20, max_frames=600, batch=200, out=out)
     cfg["amplitude"] = value
     again = str(tmp_path / "run2.csv")
     code, _, err = run_cli(["simulate-ber", "--config", _write_config(tmp_path / "old.json", cfg),
@@ -668,8 +671,7 @@ REJECTIONS = [
     reject("simulate-ber-frame-too-large-for-memory",
            ["simulate-ber", "--codes", "uncoded", "--K", str(2**58), "--max-frames", "1",
             "--batch", "1", "--out", "y.csv"],
-           re.compile(r"Unable to allocate .+ for an array with shape \(1, 288230376151711744\) "
-                      r"and data type uint8")),
+           starts("Unable to allocate ")),
     # the sidecar records N and eps for every run, and NaN is not JSON
     *(reject(f"simulate-ber-uncoded-{flag[2:]}-{value}", [*_BER, flag, value, "--out", "x.csv"],
              want)
