@@ -277,8 +277,8 @@ class PolarLink:
 
     def decode(self, y: np.ndarray, params: ChannelParams):
         y = _frames(y, self.tx_bits, "received samples")
-        hat = sc_decode(self.spec, llr_demap(y, params), exact=self.exact)
-        return hat ^ self.key, np.zeros(y.shape[0], dtype=bool)
+        hat = sc_decode(self.spec, llr_demap(y, params), exact=self.exact)  # a new array
+        return np.bitwise_xor(hat, self.key, hat), np.zeros(y.shape[0], dtype=bool)
 
 
 class RsLink:
@@ -317,7 +317,7 @@ class RsLink:
         words = bits_to_symbols(hard).reshape(nframes * self.blocks, N_SYMBOLS)
         msgs, failed = rs_decode(self.spec, words)
         bits = symbols_to_bits(msgs.reshape(nframes, self.padded_symbols))[:, : self.frame_bits]
-        return bits, failed.reshape(nframes, self.blocks).any(axis=1)
+        return bits, np.logical_or.reduce(failed.reshape(nframes, self.blocks), axis=1)
 
 
 class UncodedLink:

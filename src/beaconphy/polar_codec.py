@@ -36,10 +36,12 @@ that hold what the guards test, and the (N, batch) partial sums).
 Guarded nodes run unchecked; if one check of every guard after the
 re-encode fails, the plan runs again with each guarded node checking its
 own and running its split, compiled once, where it fails.  The g step
-flips a's sign bit before one add, as a masked (where=) subtract is slower.
-A call copies its LLRs in, runs the plan and gathers the message into a
-new array.  Workspaces are pooled per key, under a bounded lru_cache: a call
-pops one, or compiles one, and puts it back, so no two threads share one.
+XORs the partial sums times 2**63 into a's sign bits before one add, as a
+masked (where=) subtract is slower.  Split nodes on the tree's right edge
+skip the partial-sum XOR the re-encode would undo.  A call copies its LLRs
+in, runs the plan and gathers the message into a new array.  Workspaces
+are pooled per key, under a bounded lru_cache: a call pops one, or
+compiles one, and puts it back, so no two threads share one.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .bitstream import checked_uint8
 from .polar_construction import PolarSpec
 
 _ZERO = np.zeros(())  # plan operands are 0-d arrays, which numpy takes faster than scalars
-_SIGN_SHIFT = np.full(1, 63, np.uint64)  # to a float64's sign bit; numpy 1 casts a 0-d 63 to uint8
+_SIGN_BIT = np.full((), 1 << 63, np.uint64)  # float64's sign bit; numpy 1 can't narrow it
 
 
 def _stages(x: np.ndarray) -> list:
@@ -119,12 +121,21 @@ def encode_systematic(spec: PolarSpec, msg) -> np.ndarray:
     return encode_position_major(spec, msg, systematic=True).T.copy()
 
 
+def _bound(f, *args, **kwargs) -> partial:
+    """f with its array operands bound without their unit axes, faster for numpy (2.4) at
+    batch 1; an array given as input and out stays one view, whose overlap numpy checks faster."""
+    bare = {}
+    def squeezed(a):
+        return bare.setdefault(id(a), a.squeeze()) if isinstance(a, np.ndarray) else a
+    return partial(f, *map(squeezed, args), **{k: squeezed(v) for k, v in kwargs.items()})
+
+
 def _compile(spec: PolarSpec, exact: bool, batch: int) -> tuple:
     """A fresh workspace for ``batch`` frames and the plan that decodes on it.
 
     Returns ``(llr, bits, plan)``.  With the root LLRs in ``llr[N:]``,
     running each call of ``plan`` in turn leaves every position's decided
-    bit in ``bits``: its partial sums, re-encoded by the last calls.  The
+    bit in ``bits``, a uint8 view: its partial sums, re-encoded by the last calls.  The
     calls are numpy ufuncs with their operands bound to fixed views of the
     workspace; the last checks every guard the others assumed, and if one
     failed, runs them again with each guarded node checking its own.
@@ -144,6 +155,7 @@ def _compile(spec: PolarSpec, exact: bool, batch: int) -> tuple:
     bits, weak = np.zeros((2, N, batch), bool)
     flips, least, odd = np.empty((N, batch), bool), np.empty(batch), np.empty(batch, bool)
     checks, used, parity = {}, 0, 0  # checks: a guarded node's last call -> its guard's check
+    spine = set()  # sizes of the walk's split nodes on the right edge of the tree
 
     def take(k):
         nonlocal used
@@ -161,16 +173,16 @@ def _compile(spec: PolarSpec, exact: bool, batch: int) -> tuple:
         info, h = cum[lo + m] - cum[lo], m >> 1
         x, free = bits[lo : lo + m], llr[:m]
         if info == m == 1:
-            return [partial(np.less, l, _ZERO, x)]
+            return [_bound(np.less, l, _ZERO, x)]
         if guarded(lo, m) and not split:
             w, flip, halves = weak[lo : lo + m], flips[:m], []
-            run = [partial(np.less, l, _ZERO, x)]
+            run = [_bound(np.less, l, _ZERO, x)]
             if info < m:  # Wagner: flip the least reliable bit of an odd frame
                 low = take(1)[0] if fast else least
-                run = [partial(np.abs, l, free), partial(np.minimum.reduce, free, axis=0, out=low),
-                       partial(np.equal, free, low, w), *run,  # none in a NaN frame
-                       partial(np.logical_xor.reduce, x, axis=0, out=odd),
-                       partial(np.logical_and, w, odd, flip), partial(np.logical_xor, x, flip, x)]
+                run = [_bound(np.abs, l, free), _bound(np.minimum.reduce, free, axis=0, out=low),
+                       _bound(np.equal, free, low, w), *run,  # none in a NaN frame
+                       _bound(np.logical_xor.reduce, x, axis=0, out=odd),
+                       _bound(np.logical_and, w, odd, flip), _bound(np.logical_xor, x, flip, x)]
 
             def check():  # after the node's calls: its split over their bits if the guard failed
                 if not (np.minimum.reduce(np.abs(l, free), axis=None, initial=np.inf) > 0
@@ -185,40 +197,48 @@ def _compile(spec: PolarSpec, exact: bool, batch: int) -> tuple:
             checks[run[-1]] = check
             return run
         if info == 1 and cum[lo + m - 1] == cum[lo]:  # repetition
-            sums = [partial(np.add, l[h:], l[:h], free[:h])]
-            while h > 1:  # the g steps of SC, whose left siblings are all rate 0
-                h >>= 1
-                sums.append(partial(np.add, free[h : 2 * h], free[:h], free[:h]))
-            return sums + [partial(np.less, free[:1], _ZERO, x)]
+            sums, s, at = [], l, 0
+            while h:  # the g steps of SC, whose left siblings are all rate 0, each into rows
+                t = free[at : at + h]  # it does not read: numpy (2.4) adds one row slowly in place
+                sums.append(_bound(np.add, s[h:], s[:h], t))
+                s, h, at = t, h >> 1, (m >> 1) - at
+            return sums + [_bound(np.less, np.broadcast_to(s, x.shape), _ZERO, x)]
         # one view of each operand block for all the calls that use it
         a, b, head, tail, xa = l[:h], l[h:], free[:h], free[h:], x[:h]
         plan, left = [], cum[lo + h] > cum[lo]
         if left:
             out = into(lo, h, fast, tail)
             if exact:
-                plan += [partial(np.divide, l, 2.0, free), partial(np.tanh, free, free),
-                         partial(np.multiply, head, tail, out),
-                         partial(np.arctanh, out, out), partial(np.multiply, 2.0, out, out)]
+                plan += [_bound(np.divide, l, 2.0, free), _bound(np.tanh, free, free),
+                         _bound(np.multiply, head, tail, out),
+                         _bound(np.arctanh, out, out), _bound(np.multiply, 2.0, out, out)]
             else:
                 # a * b carries sign(a) sign(b), also when it underflows to +-0; it is NaN
                 # only where min(|a|, |b|) is 0 or NaN.  np.minimum takes out= by keyword: at
                 # batch 1 (numpy 2.4) a positional out costs 1.4 us, not 0.44; np.add's costs less.
-                plan += [partial(np.abs, l, free), partial(np.minimum, head, tail, out=out),
-                         partial(np.multiply, a, b, head), partial(np.copysign, out, head, out)]
+                plan += [_bound(np.abs, l, free), _bound(np.minimum, head, tail, out=out),
+                         _bound(np.multiply, a, b, head), _bound(np.copysign, out, head, out)]
             plan += node(lo, h, out, fast)
         if cum[lo + m] > cum[lo + h]:
             if left:  # b - a is b + (-a): flip a's sign bit where x[:h] is 1, into free rows
                 flip = head.view(np.uint64)
-                plan += [partial(np.left_shift, xa.view(np.uint8), _SIGN_SHIFT, flip),
-                         partial(np.bitwise_xor, flip, a.view(np.uint64), flip)]
+                plan += [_bound(np.multiply, xa, _SIGN_BIT, flip),
+                         _bound(np.bitwise_xor, flip, a.view(np.uint64), flip)]
                 a = head
             out = into(lo + h, h, fast, tail)
-            plan += [partial(np.add, b, a, out)] + node(lo + h, h, out, fast)
-            plan.append(partial(np.logical_xor, xa, x[h:], xa))
+            plan += [_bound(np.add, b, a, out)] + node(lo + h, h, out, fast)
+            if fast and lo + m == N:  # no g step reads this XOR, and the re-encode's would undo it
+                spine.add(m)
+            else:
+                plan.append(_bound(np.logical_xor, xa, x[h:], xa))
         return plan
 
-    encode = [partial(np.bitwise_xor, u, v, u) for u, v in _stages(bits.view(np.uint8))]
-    plan = node(0, N, into(0, N, True, llr[N:]), True) + encode
+    plan = node(0, N, into(0, N, True, llr[N:]), True)
+    # stage i's last block is the right-edge node of size 2 << i, whose XOR, if the walk
+    # skipped it, would cancel the stage's there
+    stages = [(u[:-1], v[:-1]) if 2 << i in spine else (u, v)
+              for i, (u, v) in enumerate(_stages(bits.view(np.uint8)))]
+    plan += [_bound(np.bitwise_xor, u, v, u) for u, v in stages if len(u)]
 
     def settle():
         """Keep the walk's decisions if every held |LLR| is nonzero and not NaN and each
@@ -234,7 +254,7 @@ def _compile(spec: PolarSpec, exact: bool, batch: int) -> tuple:
                 checks[op]()
     if used:
         plan.append(settle)
-    return llr, bits, plan
+    return llr, bits.view(np.uint8), plan
 
 
 @lru_cache(maxsize=8)
@@ -272,6 +292,6 @@ def sc_decode(spec: PolarSpec, llr, *, exact: bool = False) -> np.ndarray:
     with np.errstate(all="ignore"):  # inf - inf gives NaN, as in plain SC
         for op in plan:
             op()
-    msg = bits[spec.info_indices()].T.astype(np.uint8, order="C")  # a copy, never a view
+    msg = bits.take(spec.info_indices(), axis=0).T.copy()  # a copy, never a view
     pool.append(workspace)
     return msg[0] if single else msg

@@ -27,7 +27,7 @@ flagged in the returned failure array; that is a value, not a fault.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -97,6 +97,7 @@ def _error_tables():
 
 
 _ONE_ERROR, _ONE_SYN, _PAIRS = _error_tables()
+_LOW16 = np.full((), 0xFFFF, np.intp)  # S_1 .. S_4 of a packed syndrome, as an index
 
 
 @dataclass(frozen=True)
@@ -113,14 +114,9 @@ class RsSpec:
     def n(self) -> int:
         return N_SYMBOLS
 
-    @property
+    @cached_property
     def t(self) -> int:
         return (self.n - self.k) // 2
-
-    @property
-    def syndrome_mask(self) -> int:
-        """Selects S_1 .. S_(n-k) from a packed syndrome integer."""
-        return (1 << 4 * (self.n - self.k)) - 1
 
 
 @lru_cache(maxsize=8)
@@ -135,6 +131,13 @@ def generator_poly(n_minus_k: int) -> tuple[int, ...]:
             nxt[j + 1] ^= _MUL[c][root]
         g = nxt
     return tuple(g)
+
+
+@lru_cache(maxsize=4)
+def _tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_SYN, _ONE_SYN and _ONE_ERROR cut to RS(15, k): its n-k syndromes, its k message symbols."""
+    mask = (1 << 4 * (N_SYMBOLS - k)) - 1
+    return _SYN & mask, _ONE_SYN & mask, _ONE_ERROR[:, :k].copy()
 
 
 @lru_cache(maxsize=4)
@@ -176,18 +179,19 @@ def rs_decode(spec: RsSpec, words):
     """
     words = _check_symbols(words, spec.n)
     flat = words.reshape(-1, N_SYMBOLS)
-    k, mask = spec.k, spec.syndrome_mask
-    packed = np.bitwise_xor.reduce(_SYN[_POSITIONS, flat], axis=-1) & mask
+    k = spec.k
+    syn_table, one_syn, one_error = _tables(k)
+    packed = np.bitwise_xor.reduce(syn_table[_POSITIONS, flat], axis=-1)
     msgs = flat[:, :k].copy()
     failed = np.zeros(len(flat), dtype=bool)
-    dirty = np.flatnonzero(packed)
+    dirty = packed.nonzero()[0]
     if dirty.size:
         syn = packed[dirty]
-        pair = _PAIRS[syn & 0xFFFF].view(np.uint8).reshape(-1, 2)
-        first, second = pair.T
-        refuted = ((_ONE_SYN[first] ^ _ONE_SYN[second]) & mask) != syn
-        pair[refuted] = 0
-        msgs[dirty] ^= (_ONE_ERROR[first] | _ONE_ERROR[second])[:, :k]
+        pair = _PAIRS.take(syn & _LOW16).view(np.uint8).reshape(-1, 2)  # by S_1 .. S_4
+        both = one_syn.take(pair)
+        refuted = both[:, 0] ^ both[:, 1] != syn
+        errors = one_error.take(pair, axis=0)
+        msgs[dirty] ^= errors[:, 0] | errors[:, 1]  # a refuted word's msgs are set below
         miss, syn = dirty[refuted], syn[refuted]
         if spec.t == 2:  # _PAIRS holds every pattern of weight <= 2, so a miss fails
             msgs[miss], failed[miss] = 0, True

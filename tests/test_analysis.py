@@ -27,7 +27,7 @@ from beaconphy.analysis import (
 from beaconphy.channel import ChannelParams, modulate_ook
 from beaconphy.polar_codec import encode_nspe
 from beaconphy.polar_construction import construct
-from beaconphy.reed_solomon import N_SYMBOLS, rs_decode, RsSpec
+from beaconphy.reed_solomon import N_SYMBOLS, bits_to_symbols, rs_decode, RsSpec
 from beaconphy.scrambler import ScramblerSpec, keystream
 
 
@@ -581,3 +581,39 @@ def test_links_take_an_empty_batch(link):
     hat, failed = link.decode(np.zeros((0, link.tx_bits)), ChannelParams(noise_var=0.01))
     assert hat.dtype == np.uint8 and hat.shape == (0, link.frame_bits)
     assert failed.dtype == bool and failed.shape == (0,)
+
+
+@pytest.mark.parametrize("frames", [1, 40])
+def test_links_decode_through_the_names_the_benchmark_tracer_wraps(frames, monkeypatch):
+    # bench/trace.py wraps analysis.llr_demap, sc_decode and rs_decode and divides by the
+    # frames and calls they see, so a link that bypassed one would break every traced run
+    calls = []
+
+    def counting(name, decode):
+        def wrapper(*args, **kwargs):
+            out = decode(*args, **kwargs)
+            calls.append((name, args, out))
+            return out
+        return wrapper
+    for name in ("llr_demap", "sc_decode", "rs_decode"):
+        monkeypatch.setattr(analysis, name, counting(name, getattr(analysis, name)))
+    rng = np.random.default_rng(2500 + frames)
+    polar, rs = PolarLink(construct(256, 158)), RsLink(7)
+    for link in (polar, rs):
+        params = ChannelParams.from_ebn0_db(9.0, link.rate)
+        msgs = rng.integers(0, 2, (frames, link.frame_bits), dtype=np.uint8)
+        y = link.encode(msgs) + rng.normal(0.0, params.sigma, (frames, link.tx_bits))
+        calls.clear()
+        hat, failed = link.decode(y, params)
+        if link is polar:
+            assert [name for name, _, _ in calls] == ["llr_demap", "sc_decode"]
+            (_, (seen_y, seen_params), llr), (_, (spec, seen_llr), _) = calls
+            assert seen_y is y and seen_params is params and spec is polar.spec
+            assert seen_llr is llr and llr.shape == (frames, 256)
+        else:
+            assert [name for name, _, _ in calls] == ["rs_decode"]
+            (_, (spec, words), (_, blocks_failed)), = calls
+            assert spec is rs.spec and words.shape == (frames * rs.blocks, N_SYMBOLS)
+            hard = bits_to_symbols((y > 0.5).astype(np.uint8)).reshape(-1, N_SYMBOLS)
+            assert np.array_equal(words, hard)
+            assert np.array_equal(blocks_failed.reshape(frames, -1).any(axis=1), failed)

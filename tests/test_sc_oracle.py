@@ -252,6 +252,23 @@ def test_rep_codes_decide_by_the_llr_sum(N, exact):
     assert_matches_oracle(spec, llr, exact)
 
 
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("N", NODE_SIZES)
+def test_rep_codes_sum_in_the_order_of_sc_g_steps(N, batch):
+    # float64's spacing at 1e16 is 2, so 1e16 + 1 == 1e16 and these sums depend on their
+    # order: a repetition node must add as SC's g steps do, halves first, in both modes.
+    spec = rep_spec(N)
+    rng = np.random.default_rng(850 + N)
+    llr = rng.choice((1e16, -1e16, 1.0, -1.0, 3.0, -3.0), (400, N))
+    want = sc_oracle.sc_decode(spec.info_mask(), llr)
+    left_to_right = np.add.accumulate(llr, axis=1)[:, -1] < 0
+    assert (want[:, 0] != left_to_right).any()
+    for exact in MODES:
+        got = [sc_decode(spec, llr[lo : lo + batch], exact=exact)
+               for lo in range(0, len(llr), batch)]
+        assert np.array_equal(np.concatenate(got), want)
+
+
 @pytest.mark.parametrize("exact", MODES)
 @pytest.mark.parametrize("N", NODE_SIZES)
 def test_spc_and_rep_codes_with_ties_zeros_nan_and_inf(N, exact):
