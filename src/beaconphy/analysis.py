@@ -317,7 +317,7 @@ class RsLink:
         words = bits_to_symbols(hard).reshape(nframes * self.blocks, N_SYMBOLS)
         msgs, failed = rs_decode(self.spec, words)
         bits = symbols_to_bits(msgs.reshape(nframes, self.padded_symbols))[:, : self.frame_bits]
-        return bits, np.logical_or.reduce(failed.reshape(nframes, self.blocks), axis=1)
+        return bits, failed.reshape(nframes, self.blocks).any(axis=1)
 
 
 class UncodedLink:

@@ -121,15 +121,6 @@ def encode_systematic(spec: PolarSpec, msg) -> np.ndarray:
     return encode_position_major(spec, msg, systematic=True).T.copy()
 
 
-def _bound(f, *args, **kwargs) -> partial:
-    """f with its array operands bound without their unit axes, faster for numpy (2.4) at
-    batch 1; an array given as input and out stays one view, whose overlap numpy checks faster."""
-    bare = {}
-    def squeezed(a):
-        return bare.setdefault(id(a), a.squeeze()) if isinstance(a, np.ndarray) else a
-    return partial(f, *map(squeezed, args), **{k: squeezed(v) for k, v in kwargs.items()})
-
-
 def _compile(spec: PolarSpec, exact: bool, batch: int) -> tuple:
     """A fresh workspace for ``batch`` frames and the plan that decodes on it.
 
@@ -146,14 +137,16 @@ def _compile(spec: PolarSpec, exact: bool, batch: int) -> tuple:
         info = cum[lo + m] - cum[lo]  # rate 1 above one position, or a parity check
         return not exact and m > 1 and (info == m or info == m - 1 > 1 and cum[lo + 1] == cum[lo])
 
-    # A node of size m reads rows m .. 2m, writes its children's LLRs to rows
-    # m/2 .. m, and takes rows 0 .. m, free until then, as scratch.  For the last
-    # check, `held` keeps each rate-1 node's LLRs and each parity-check node's
-    # least |LLR| per frame, and weak[lo : lo + m] the latter's least-|LLR| mask.
-    llr = np.empty((2 * N, batch))
-    held = llr[N:] if guarded(0, N) and cum[N] == N else np.empty((N, batch))
-    bits, weak = np.zeros((2, N, batch), bool)
-    flips, least, odd = np.empty((N, batch), bool), np.empty(batch), np.empty(batch, bool)
+    # A node of size m reads rows m .. 2m, writes its children's LLRs to rows m/2 .. m,
+    # and takes rows 0 .. m, free until then, as scratch.  For the last check, `held`
+    # keeps each rate-1 node's LLRs and each parity-check node's least |LLR| per frame,
+    # and weak[lo : lo + m] the latter's least-|LLR| mask.  A frame is a column, but one
+    # frame has none: numpy (2.4) runs calls that broadcast or cast 2x faster on (m,) rows.
+    cols = (batch,) * (batch != 1)
+    llr = np.empty((2 * N, *cols))
+    held = llr[N:] if guarded(0, N) and cum[N] == N else np.empty((N, *cols))
+    bits, weak = np.zeros((2, N, *cols), bool)
+    flips, least, odd = np.empty((N, *cols), bool), np.empty(cols), np.empty(cols, bool)
     checks, used, parity = {}, 0, 0  # checks: a guarded node's last call -> its guard's check
     spine = set()  # sizes of the walk's split nodes on the right edge of the tree
 
@@ -173,16 +166,16 @@ def _compile(spec: PolarSpec, exact: bool, batch: int) -> tuple:
         info, h = cum[lo + m] - cum[lo], m >> 1
         x, free = bits[lo : lo + m], llr[:m]
         if info == m == 1:
-            return [_bound(np.less, l, _ZERO, x)]
+            return [partial(np.less, l, _ZERO, x)]
         if guarded(lo, m) and not split:
             w, flip, halves = weak[lo : lo + m], flips[:m], []
-            run = [_bound(np.less, l, _ZERO, x)]
+            run = [partial(np.less, l, _ZERO, x)]
             if info < m:  # Wagner: flip the least reliable bit of an odd frame
-                low = take(1)[0] if fast else least
-                run = [_bound(np.abs, l, free), _bound(np.minimum.reduce, free, axis=0, out=low),
-                       _bound(np.equal, free, low, w), *run,  # none in a NaN frame
-                       _bound(np.logical_xor.reduce, x, axis=0, out=odd),
-                       _bound(np.logical_and, w, odd, flip), _bound(np.logical_xor, x, flip, x)]
+                low = take(1)[0, ...] if fast else least
+                run = [partial(np.abs, l, free), partial(np.minimum.reduce, free, axis=0, out=low),
+                       partial(np.equal, free, low, w), *run,  # none in a NaN frame
+                       partial(np.logical_xor.reduce, x, axis=0, out=odd),
+                       partial(np.logical_and, w, odd, flip), partial(np.logical_xor, x, flip, x)]
 
             def check():  # after the node's calls: its split over their bits if the guard failed
                 if not (np.minimum.reduce(np.abs(l, free), axis=None, initial=np.inf) > 0
@@ -200,37 +193,37 @@ def _compile(spec: PolarSpec, exact: bool, batch: int) -> tuple:
             sums, s, at = [], l, 0
             while h:  # the g steps of SC, whose left siblings are all rate 0, each into rows
                 t = free[at : at + h]  # it does not read: numpy (2.4) adds one row slowly in place
-                sums.append(_bound(np.add, s[h:], s[:h], t))
+                sums.append(partial(np.add, s[h:], s[:h], t))
                 s, h, at = t, h >> 1, (m >> 1) - at
-            return sums + [_bound(np.less, np.broadcast_to(s, x.shape), _ZERO, x)]
+            return sums + [partial(np.less, np.broadcast_to(s, x.shape), _ZERO, x)]
         # one view of each operand block for all the calls that use it
         a, b, head, tail, xa = l[:h], l[h:], free[:h], free[h:], x[:h]
         plan, left = [], cum[lo + h] > cum[lo]
         if left:
             out = into(lo, h, fast, tail)
             if exact:
-                plan += [_bound(np.divide, l, 2.0, free), _bound(np.tanh, free, free),
-                         _bound(np.multiply, head, tail, out),
-                         _bound(np.arctanh, out, out), _bound(np.multiply, 2.0, out, out)]
+                plan += [partial(np.divide, l, 2.0, free), partial(np.tanh, free, free),
+                         partial(np.multiply, head, tail, out),
+                         partial(np.arctanh, out, out), partial(np.multiply, 2.0, out, out)]
             else:
                 # a * b carries sign(a) sign(b), also when it underflows to +-0; it is NaN
                 # only where min(|a|, |b|) is 0 or NaN.  np.minimum takes out= by keyword: at
                 # batch 1 (numpy 2.4) a positional out costs 1.4 us, not 0.44; np.add's costs less.
-                plan += [_bound(np.abs, l, free), _bound(np.minimum, head, tail, out=out),
-                         _bound(np.multiply, a, b, head), _bound(np.copysign, out, head, out)]
+                plan += [partial(np.abs, l, free), partial(np.minimum, head, tail, out=out),
+                         partial(np.multiply, a, b, head), partial(np.copysign, out, head, out)]
             plan += node(lo, h, out, fast)
         if cum[lo + m] > cum[lo + h]:
             if left:  # b - a is b + (-a): flip a's sign bit where x[:h] is 1, into free rows
                 flip = head.view(np.uint64)
-                plan += [_bound(np.multiply, xa, _SIGN_BIT, flip),
-                         _bound(np.bitwise_xor, flip, a.view(np.uint64), flip)]
+                plan += [partial(np.multiply, xa, _SIGN_BIT, flip),
+                         partial(np.bitwise_xor, flip, a.view(np.uint64), flip)]
                 a = head
             out = into(lo + h, h, fast, tail)
-            plan += [_bound(np.add, b, a, out)] + node(lo + h, h, out, fast)
+            plan += [partial(np.add, b, a, out)] + node(lo + h, h, out, fast)
             if fast and lo + m == N:  # no g step reads this XOR, and the re-encode's would undo it
                 spine.add(m)
             else:
-                plan.append(_bound(np.logical_xor, xa, x[h:], xa))
+                plan.append(partial(np.logical_xor, xa, x[h:], xa))
         return plan
 
     plan = node(0, N, into(0, N, True, llr[N:]), True)
@@ -238,7 +231,7 @@ def _compile(spec: PolarSpec, exact: bool, batch: int) -> tuple:
     # skipped it, would cancel the stage's there
     stages = [(u[:-1], v[:-1]) if 2 << i in spine else (u, v)
               for i, (u, v) in enumerate(_stages(bits.view(np.uint8)))]
-    plan += [_bound(np.bitwise_xor, u, v, u) for u, v in stages if len(u)]
+    plan += [partial(np.bitwise_xor, u, v, u) for u, v in stages if len(u)]
 
     def settle():
         """Keep the walk's decisions if every held |LLR| is nonzero and not NaN and each
@@ -288,10 +281,10 @@ def sc_decode(spec: PolarSpec, llr, *, exact: bool = False) -> np.ndarray:
     llrs, bits, plan = workspace
     # Row i holds position i of every frame.  The plan never writes a rate-0
     # position, and the re-encode returns every frozen position to 0.
-    llrs[spec.N :] = arr.T
+    llrs[spec.N :].T[...] = arr  # at batch 1, arr's (1, N) fills the (N,) rows
     with np.errstate(all="ignore"):  # inf - inf gives NaN, as in plain SC
         for op in plan:
             op()
-    msg = bits.take(spec.info_indices(), axis=0).T.copy()  # a copy, never a view
+    msg = bits.take(spec.info_indices(), axis=0).T.copy().reshape(-1, spec.K)  # never a view
     pool.append(workspace)
     return msg[0] if single else msg

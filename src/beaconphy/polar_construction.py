@@ -77,6 +77,13 @@ class PolarSpec:
             raise ValueError("info_set indices must lie in [0, N)")
         object.__setattr__(self, "info_set", info)
 
+    def __hash__(self) -> int:  # cached, as sc_decode finds its workspaces by spec on each call
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.n, self.N, self.K, self.eps, self.info_set))
+
     @property
     def rate(self) -> float:
         return self.K / self.N
