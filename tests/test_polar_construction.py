@@ -144,3 +144,12 @@ def test_spec_arrays_are_built_once_and_read_only():
         with pytest.raises(ValueError):
             arr[0] = 1
 
+
+
+def test_equal_specs_hash_alike_once_hashed_or_unpickled():
+    # sc_decode finds its workspaces by spec, so the cached hash must follow equality
+    spec = construct(64, 40)
+    hash(spec)
+    copy = pickle.loads(pickle.dumps(spec))
+    assert copy == spec and hash(copy) == hash(spec) == hash(construct(64, 40))
+    assert {spec: 1}[copy] == 1
